@@ -60,11 +60,20 @@ Bytes Reader::bytes() {
 }
 
 Bytes Reader::raw(std::size_t n) {
+  BytesView v = view(n);
+  return Bytes(v.begin(), v.end());
+}
+
+BytesView Reader::view(std::size_t n) {
   if (!take(n)) return {};
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
+}
+
+BytesView Reader::bytes_view() {
+  std::uint32_t n = u32();
+  return view(n);
 }
 
 std::string Reader::str() {

@@ -20,6 +20,7 @@ namespace srds {
 /// Append-only binary writer.
 class Writer {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -51,6 +52,12 @@ class Reader {
   /// Exactly `n` raw bytes.
   Bytes raw(std::size_t n);
   std::string str();
+
+  /// Borrowed reads: like raw()/bytes() but pointing into the reader's
+  /// buffer, so they stay valid only as long as that buffer does. Same
+  /// bounds checks; a short buffer yields an empty view and ok() == false.
+  BytesView view(std::size_t n);
+  BytesView bytes_view();
 
   /// True iff no read so far has run past the end of the buffer.
   bool ok() const { return ok_; }

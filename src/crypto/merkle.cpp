@@ -14,6 +14,7 @@ Digest odd_pad(const Digest& d) { return sha256_tagged("merkle-odd", d.view()); 
 
 Bytes MerklePath::serialize() const {
   Writer w;
+  w.reserve(8 + 4 + 32 * siblings.size());
   w.u64(leaf_index);
   w.u32(static_cast<std::uint32_t>(siblings.size()));
   for (const auto& s : siblings) w.raw(s.view());
@@ -28,7 +29,7 @@ bool MerklePath::deserialize(BytesView data, MerklePath& out) {
   out.siblings.clear();
   out.siblings.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
-    Bytes raw = r.raw(32);
+    BytesView raw = r.view(32);
     if (!r.ok()) return false;
     out.siblings.push_back(Digest::from(raw));
   }
@@ -59,6 +60,7 @@ MerklePath MerkleTree::path(std::uint64_t leaf_index) const {
   if (leaf_index >= leaf_count_) throw std::out_of_range("MerkleTree::path: bad index");
   MerklePath p;
   p.leaf_index = leaf_index;
+  p.siblings.reserve(levels_.size() - 1);
   std::size_t idx = static_cast<std::size_t>(leaf_index);
   for (std::size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
     const auto& cur = levels_[lvl];

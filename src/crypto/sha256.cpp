@@ -2,6 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
+#include "crypto/sha256_kernels.hpp"
 #include "obs/prof.hpp"
 
 namespace srds {
@@ -24,54 +30,147 @@ inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 
 
 }  // namespace
 
-Sha256::Sha256() {
+namespace sha256_kernels {
+
+void compress_scalar(std::uint32_t* state, const std::uint8_t* blocks, std::size_t n_blocks) {
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (std::size_t i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+
+// The SHA extensions keep the eight state words as two vectors, ABEF and
+// CDGH; each _mm_sha256rnds2_epu32 runs two rounds, and msg1/msg2 compute the
+// message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void compress_shani(std::uint32_t* state,
+                                                          const std::uint8_t* blocks,
+                                                          std::size_t n_blocks) {
+  // Big-endian word loads: byte-reverse each 32-bit lane.
+  const __m128i kBswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const auto* k = reinterpret_cast<const __m128i*>(kK);
+
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; n_blocks > 0; --n_blocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // msg[q % 4] holds schedule words 4q..4q+3 for the current quad-round q.
+    __m128i msg[4];
+    for (std::size_t q = 0; q < 4; ++q) {
+      msg[q] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * q)), kBswap);
+    }
+#pragma GCC unroll 16
+    for (std::size_t q = 0; q < 16; ++q) {
+      if (q >= 4) {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at a time.
+        __m128i w = _mm_sha256msg1_epu32(msg[q % 4], msg[(q + 1) % 4]);
+        w = _mm_add_epi32(w, _mm_alignr_epi8(msg[(q + 3) % 4], msg[(q + 2) % 4], 4));
+        msg[q % 4] = _mm_sha256msg2_epu32(w, msg[(q + 3) % 4]);
+      }
+      __m128i wk = _mm_add_epi32(msg[q % 4], _mm_loadu_si128(k + q));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+// CPUID directly rather than __builtin_cpu_supports("sha"): older Clang
+// front ends (clang-tidy included) reject that feature name.
+bool shani_available() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 || (ecx & bit_SSE4_1) == 0) return false;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_SHA) != 0;
+}
+
+#else  // no SHA extensions on this architecture
+
+void compress_shani(std::uint32_t* state, const std::uint8_t* blocks, std::size_t n_blocks) {
+  compress_scalar(state, blocks, n_blocks);
+}
+
+bool shani_available() { return false; }
+
+#endif
+
+}  // namespace sha256_kernels
+
+namespace {
+
+// Chosen on first use and immutable afterwards, so concurrent hashing from
+// any thread reads one constant.
+auto dispatched_compress() {
+  static const auto kCompress = sha256_kernels::shani_available()
+                                    ? &sha256_kernels::compress_shani
+                                    : &sha256_kernels::compress_scalar;
+  return kCompress;
+}
+
+}  // namespace
+
+Sha256::Sha256() : Sha256(dispatched_compress()) {}
+
+Sha256::Sha256(Compress compress) : compress_(compress) {
   static constexpr std::uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                                              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   std::memcpy(h_, kInit, sizeof h_);
-}
-
-void Sha256::compress(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
 }
 
 Sha256& Sha256::update(BytesView data) {
@@ -83,14 +182,14 @@ Sha256& Sha256::update(BytesView data) {
     std::memcpy(buf_ + buf_len_, data.data(), take);
     buf_len_ += take;
     off += take;
-    if (buf_len_ == 64) {
-      compress(buf_);
-      buf_len_ = 0;
-    }
+    if (buf_len_ < 64) return *this;
+    compress_(h_, buf_, 1);
+    buf_len_ = 0;
   }
-  while (off + 64 <= data.size()) {
-    compress(data.data() + off);
-    off += 64;
+  const std::size_t n_blocks = (data.size() - off) / 64;
+  if (n_blocks > 0) {
+    compress_(h_, data.data() + off, n_blocks);
+    off += 64 * n_blocks;
   }
   if (off < data.size()) {
     std::memcpy(buf_, data.data() + off, data.size() - off);
@@ -104,19 +203,21 @@ Sha256& Sha256::update(const char* s) {
 }
 
 Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(BytesView{&pad, 1});
-  std::uint8_t zero = 0;
-  while (buf_len_ != 56) update(BytesView{&zero, 1});
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // Bypass total_len_ accounting for the length field itself.
-  std::memcpy(buf_ + 56, len_be, 8);
-  compress(buf_);
+  const std::uint64_t bit_len = total_len_ * 8;
+  // 0x80, zeros up to byte 56 of the last block, then the 64-bit length;
+  // when the 0x80 lands past byte 55 the length spills into one more block.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    compress_(h_, buf_, 1);
+    buf_len_ = 0;
+  }
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
+  for (int i = 0; i < 8; ++i) buf_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  compress_(h_, buf_, 1);
 
   Digest d;
-  for (int i = 0; i < 8; ++i) {
+  for (std::size_t i = 0; i < 8; ++i) {
     d.v[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
     d.v[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
     d.v[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);

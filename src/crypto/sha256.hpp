@@ -2,6 +2,12 @@
 // external crypto dependencies. Serves as the collision-resistant hash (CRH)
 // assumed by the SNARK-based SRDS construction, and as the base primitive for
 // HMAC, the PRF/PRG, Merkle trees and Lamport signatures.
+//
+// The block compression is chosen once per process: the x86 SHA extensions
+// (SHA-NI) when the CPU has them, otherwise the portable scalar kernel, which
+// is also the reference the SHA-NI kernel is tested against
+// (crypto/sha256_kernels.hpp). Both produce the same digests; there is no
+// switch to pick one.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +29,15 @@ class Sha256 {
   /// Finalize and return the digest. The context must not be reused after.
   Digest finish();
 
- private:
-  void compress(const std::uint8_t* block);
+ protected:
+  /// Compresses `n_blocks` consecutive 64-byte blocks into `state`.
+  using Compress = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t n_blocks);
+  /// A context pinned to one kernel (see crypto/sha256_kernels.hpp).
+  explicit Sha256(Compress compress);
 
+ private:
+  Compress compress_;
   std::uint32_t h_[8];
   std::uint8_t buf_[64];
   std::size_t buf_len_ = 0;

@@ -1,6 +1,7 @@
 #include "srds/snark_srds.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/serial.hpp"
@@ -15,11 +16,12 @@ namespace {
 constexpr std::uint8_t kTagBase = 0;
 constexpr std::uint8_t kTagAggregate = 1;
 
+// SHA-256 of (u64 LE index || md) under the signing tag, on the stack.
 Digest target_from_md(std::uint64_t index, const Digest& md) {
-  Writer t;
-  t.u64(index);
-  t.raw(md.view());
-  return sha256_tagged("snark-srds-sig", t.data());
+  std::uint8_t buf[8 + 32];
+  for (int i = 0; i < 8; ++i) buf[i] = static_cast<std::uint8_t>(index >> (8 * i));
+  std::memcpy(buf + 8, md.v.data(), md.v.size());
+  return sha256_tagged("snark-srds-sig", BytesView{buf, sizeof buf});
 }
 
 }  // namespace
@@ -71,8 +73,8 @@ bool SnarkSrds::compliance_check(BytesView statement, BytesView witness,
                                  const std::vector<PriorMessage>& priors) const {
   const std::size_t n_signers = params_.n_signers;
   Reader st(statement);
-  Bytes md_raw = st.raw(32);
-  Bytes root_raw = st.raw(32);
+  BytesView md_raw = st.view(32);
+  BytesView root_raw = st.view(32);
   std::uint64_t count = st.u64();
   std::uint64_t min = st.u64();
   std::uint64_t max = st.u64();
@@ -89,9 +91,9 @@ bool SnarkSrds::compliance_check(BytesView statement, BytesView witness,
     std::uint64_t prev = 0;
     for (std::uint32_t e = 0; e < k; ++e) {
       std::uint64_t index = w.u64();
-      Bytes vk_raw = w.raw(32);
-      Bytes path_raw = w.bytes();
-      Bytes sig_raw = w.bytes();
+      BytesView vk_raw = w.view(32);
+      BytesView path_raw = w.bytes_view();
+      BytesView sig_raw = w.bytes_view();
       if (!w.ok()) return false;
       if (index >= n_signers || index < min || index > max) return false;
       if (e > 0 && index <= prev) return false;
@@ -119,8 +121,8 @@ bool SnarkSrds::compliance_check(BytesView statement, BytesView witness,
   std::uint64_t prev_max = 0;
   for (std::size_t i = 0; i < priors.size(); ++i) {
     Reader pr(priors[i].statement);
-    Bytes p_md = pr.raw(32);
-    Bytes p_root = pr.raw(32);
+    BytesView p_md = pr.view(32);
+    BytesView p_root = pr.view(32);
     std::uint64_t p_count = pr.u64();
     std::uint64_t p_min = pr.u64();
     std::uint64_t p_max = pr.u64();
@@ -217,14 +219,13 @@ Bytes SnarkSrds::sign(std::size_t i, BytesView m) {
   return std::move(w).take();
 }
 
-bool SnarkSrds::parse_base(BytesView blob, BytesView m, std::uint64_t& index,
-                           Bytes& sig_raw) const {
+bool SnarkSrds::parse_base(BytesView blob, const Digest& md, std::uint64_t& index) const {
   Reader r(blob);
   if (r.u8() != kTagBase) return false;
   index = r.u64();
-  sig_raw = r.raw(base_sig_size());
+  BytesView sig_raw = r.view(base_sig_size());
   if (!r.ok() || !r.done() || index >= vks_.size()) return false;
-  return verify_base_raw(index, sig_raw, signing_target(index, m));
+  return verify_base_raw(index, sig_raw, target_from_md(index, md).view());
 }
 
 bool SnarkSrds::parse_aggregate(BytesView blob, ParsedAggregate& out) {
@@ -260,8 +261,7 @@ std::vector<Bytes> SnarkSrds::aggregate1(BytesView m, const std::vector<Bytes>& 
     if (blob.empty()) continue;
     if (blob[0] == kTagBase) {
       std::uint64_t index;
-      Bytes sig_raw;
-      if (parse_base(blob, m, index, sig_raw)) {
+      if (parse_base(blob, md, index)) {
         cands.push_back(Cand{{index, index}, 1, &blob});
       }
     } else {
@@ -304,7 +304,7 @@ Bytes SnarkSrds::aggregate2(BytesView m, const std::vector<Bytes>& filtered) con
   // their keys and Merkle openings as PCD witness material.
   struct BaseEntry {
     std::uint64_t index;
-    Bytes sig_raw;
+    BytesView sig_raw;  // borrowed from `filtered`
   };
   std::vector<BaseEntry> bases;
   std::vector<ParsedAggregate> aggs;
@@ -314,9 +314,9 @@ Bytes SnarkSrds::aggregate2(BytesView m, const std::vector<Bytes>& filtered) con
       Reader r(blob);
       r.u8();
       std::uint64_t index = r.u64();
-      Bytes sig_raw = r.raw(base_sig_size());
+      BytesView sig_raw = r.view(base_sig_size());
       if (!r.ok() || !r.done() || index >= vks_.size()) continue;
-      bases.push_back(BaseEntry{index, std::move(sig_raw)});
+      bases.push_back(BaseEntry{index, sig_raw});
     } else {
       ParsedAggregate agg;
       if (parse_aggregate(blob, agg)) aggs.push_back(agg);

@@ -89,7 +89,7 @@ class SnarkSrds final : public SrdsScheme {
   static Bytes statement_bytes(const Digest& md, const Digest& root, std::uint64_t count,
                                std::uint64_t min, std::uint64_t max);
   static bool parse_aggregate(BytesView blob, ParsedAggregate& out);
-  bool parse_base(BytesView blob, BytesView m, std::uint64_t& index, Bytes& sig_raw) const;
+  bool parse_base(BytesView blob, const Digest& md, std::uint64_t& index) const;
   bool compliance_check(BytesView statement, BytesView witness,
                         const std::vector<PriorMessage>& priors) const;
 

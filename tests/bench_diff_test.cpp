@@ -64,6 +64,10 @@ TEST(BenchDiff, ClassifiesMetricDirections) {
   EXPECT_EQ(classify("phases.boost.start"), Direction::kInfo);
 }
 
+TEST(BenchDiff, ThroughputCountersAreHigherBetter) {
+  EXPECT_EQ(classify("counter_bytes_per_second"), Direction::kLowerWorse);
+}
+
 TEST(BenchDiff, FlattenSkipsVolatileAndLabelsRows) {
   std::vector<Sample> samples;
   std::string err;

@@ -76,6 +76,44 @@ TEST(Serial, TruncatedReadFailsSafely) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Serial, ViewsBorrowTheBuffer) {
+  Writer w;
+  w.bytes(Bytes{9, 8, 7});
+  w.raw(Bytes{1, 2});
+  Reader r(w.data());
+  BytesView b = r.bytes_view();
+  ASSERT_EQ(b.size(), 3u);
+  EXPECT_EQ(b.data(), w.data().data() + 4);  // no copy
+  EXPECT_EQ(Bytes(b.begin(), b.end()), (Bytes{9, 8, 7}));
+  BytesView raw = r.view(2);
+  EXPECT_EQ(Bytes(raw.begin(), raw.end()), (Bytes{1, 2}));
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Serial, TruncatedViewsFailSafely) {
+  Writer w;
+  w.raw(Bytes{1, 2, 3});
+  Reader r(w.data());
+  EXPECT_TRUE(r.view(4).empty());
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.view(0).empty());  // stays failed
+  EXPECT_FALSE(r.ok());
+
+  Writer lp;
+  lp.u32(100);  // length prefix promising 100 bytes that are not there
+  lp.raw(Bytes{5});
+  Reader r2(lp.data());
+  EXPECT_TRUE(r2.bytes_view().empty());
+  EXPECT_FALSE(r2.ok());
+  EXPECT_FALSE(r2.done());
+  EXPECT_EQ(r2.remaining(), 0u);
+
+  const Bytes short_prefix{1, 0};  // truncated length prefix itself
+  Reader r3(short_prefix);
+  EXPECT_TRUE(r3.bytes_view().empty());
+  EXPECT_FALSE(r3.ok());
+}
+
 TEST(Serial, EmptyBufferReads) {
   Reader r(Bytes{});
   EXPECT_TRUE(r.done());

@@ -13,6 +13,7 @@
 #include "crypto/prf.hpp"
 #include "crypto/prg.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 #include "crypto/simsig.hpp"
 #include "crypto/wots.hpp"
 
@@ -60,6 +61,117 @@ TEST(Sha256, TaggedDomainSeparation) {
   Bytes m = to_bytes("msg");
   EXPECT_NE(sha256_tagged("a", m), sha256_tagged("b", m));
   EXPECT_NE(sha256_tagged("a", m), sha256(m));
+}
+
+// --- SHA-256 kernels: the scalar reference against SHA-NI ---
+//
+// sha256() runs on whichever kernel the CPU supports; these tests pin each
+// kernel through crypto/sha256_kernels.hpp. The scalar legs always run; the
+// SHA-NI legs skip on CPUs without the SHA extensions.
+
+using Kernel = decltype(&sha256_kernels::compress_scalar);
+
+Digest hash_with(Kernel kernel, BytesView data) {
+  return sha256_kernels::PinnedSha256(kernel).update(data).finish();
+}
+
+#define SKIP_WITHOUT_SHANI()                                                 \
+  if (!sha256_kernels::shani_available())                                    \
+  GTEST_SKIP() << "CPU lacks SHA-NI (cpuid 'sha'): sha256() runs on the "     \
+                  "scalar kernel, which the scalar legs cover"
+
+struct KnownAnswer {
+  std::string msg;
+  const char* hex;
+};
+
+// FIPS 180-4 vectors plus padding-edge lengths (digests from an independent
+// SHA-256 implementation).
+std::vector<KnownAnswer> known_answers() {
+  return {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopq"
+       "rlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+      // Padding edges: at 55 bytes the length field just fits the last
+      // block, at 56 it spills into another one (likewise 119/120).
+      {std::string(55, 'a'), "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {std::string(56, 'a'), "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {std::string(57, 'a'), "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+      {std::string(63, 'a'), "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {std::string(64, 'a'), "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {std::string(65, 'a'), "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+      {std::string(119, 'a'), "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {std::string(120, 'a'), "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+}
+
+void expect_known_answers(Kernel kernel) {
+  for (const auto& v : known_answers()) {
+    EXPECT_EQ(to_hex(hash_with(kernel, to_bytes(v.msg)).view()), v.hex)
+        << "message length " << v.msg.size();
+  }
+}
+
+// Every split point of every length 0..300, against a one-shot hash.
+void expect_splits_match_one_shot(Kernel kernel, Kernel reference) {
+  Bytes data = Rng(21).bytes(301);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    BytesView msg{data.data(), len};
+    const Digest want = hash_with(reference, msg);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      sha256_kernels::PinnedSha256 ctx(kernel);
+      ctx.update(msg.first(cut));
+      ctx.update(msg.subspan(cut));
+      ASSERT_EQ(ctx.finish(), want) << "length " << len << " split at " << cut;
+    }
+  }
+}
+
+TEST(Sha256Kernels, ScalarMatchesKnownAnswers) {
+  expect_known_answers(&sha256_kernels::compress_scalar);
+}
+
+TEST(Sha256Kernels, ScalarIncrementalMatchesOneShotAtEverySplit) {
+  expect_splits_match_one_shot(&sha256_kernels::compress_scalar,
+                               &sha256_kernels::compress_scalar);
+}
+
+TEST(Sha256Kernels, DispatchedMatchesScalarEveryLength) {
+  Bytes data = Rng(22).bytes(301);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    BytesView msg{data.data(), len};
+    ASSERT_EQ(sha256(msg), hash_with(&sha256_kernels::compress_scalar, msg)) << "length " << len;
+  }
+}
+
+TEST(Sha256Kernels, ShaNiMatchesKnownAnswers) {
+  SKIP_WITHOUT_SHANI();
+  expect_known_answers(&sha256_kernels::compress_shani);
+}
+
+TEST(Sha256Kernels, ShaNiMatchesScalarEveryLengthAndOffset) {
+  SKIP_WITHOUT_SHANI();
+  Bytes data = Rng(23).bytes(300 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      BytesView msg{data.data() + offset, len};
+      ASSERT_EQ(hash_with(&sha256_kernels::compress_shani, msg),
+                hash_with(&sha256_kernels::compress_scalar, msg))
+          << "length " << len << " at offset " << offset;
+    }
+  }
+}
+
+TEST(Sha256Kernels, ShaNiIncrementalMatchesScalarAtEverySplit) {
+  SKIP_WITHOUT_SHANI();
+  expect_splits_match_one_shot(&sha256_kernels::compress_shani,
+                               &sha256_kernels::compress_scalar);
 }
 
 // --- HMAC: RFC 4231 test vectors ---

@@ -283,7 +283,9 @@ TEST_P(FrameFuzz, DecoderSurvivesRandomGarbage) {
     }
     // No crash, and the accounting stays coherent: a poisoned stream was
     // counted at least once.
-    if (dec.poisoned()) EXPECT_GE(dec.malformed(), 1u);
+    if (dec.poisoned()) {
+      EXPECT_GE(dec.malformed(), 1u);
+    }
   }
 }
 

@@ -174,7 +174,7 @@ TEST(ProfHw, PerfCountersDegradeGracefully) {
   session.start();
   // Burn a little work so an available session has something to count.
   volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 100000; ++i) sink += i * i;
+  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i * i;
   session.stop();
   ProfHwCounters c = session.read();
   EXPECT_EQ(c.available, session.available());

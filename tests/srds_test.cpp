@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "srds/games.hpp"
@@ -309,6 +310,11 @@ struct GameCase {
   AttackStrategy strategy;
   const char* label;
 };
+
+// Print the label, not the raw bytes: gtest would otherwise dump padding
+// and the label's address, so the discovered ctest names would change with
+// every build and every run under ASLR.
+void PrintTo(const GameCase& c, std::ostream* os) { *os << c.label; }
 
 class RobustnessSweep : public ::testing::TestWithParam<GameCase> {};
 

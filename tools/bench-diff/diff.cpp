@@ -103,6 +103,9 @@ Direction classify(const std::string& metric) {
       leaf == "ok" || leaf == "audited") {
     return Direction::kLowerWorse;
   }
+  // Throughput counters (google-benchmark's bytes_per_second): more is
+  // better, even though the name mentions bytes.
+  if (contains(leaf, "per_second")) return Direction::kLowerWorse;
   if (contains(leaf, "bytes") || contains(leaf, "bits") || contains(leaf, "msgs") ||
       contains(leaf, "rounds") || leaf == "locality" || leaf == "violators" ||
       leaf == "max" || leaf == "p50" || leaf == "p90" || leaf == "total" ||
