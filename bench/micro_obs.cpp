@@ -1,15 +1,19 @@
 // Micro-benchmarks for the observability plane's hot path: Counter::inc,
 // Gauge::set and Histogram::record (lock-free per-bucket atomics since the
 // sharded-bucket conversion — the contended variant is the case the old
-// per-histogram mutex serialized), registry handle lookup, and
-// Reporter::add_row. Every benchmark reports allocs/op next to ns/op via
-// the counting operator new in micro_main.hpp: the record/inc/set paths
-// must stay at 0.
+// per-histogram mutex serialized), registry handle lookup,
+// Reporter::add_row, and one simulator round counted into a Ledger. Every
+// benchmark reports allocs/op next to ns/op via the counting operator new
+// in micro_main.hpp: the record/inc/set paths must stay at 0.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "micro_main.hpp"
+#include "net/simulator.hpp"
+#include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 
@@ -100,6 +104,49 @@ void BM_ReporterAddRow(benchmark::State& state) {
   benchmark::DoNotOptimize(rep.rows());
 }
 BENCHMARK(BM_ReporterAddRow);
+
+/// Sends an empty message to each of `fanout` fixed peers every round and
+/// never finishes, so the simulator can be ticked indefinitely.
+class FanoutParty final : public Party {
+ public:
+  FanoutParty(PartyId me, std::size_t n, std::size_t fanout)
+      : me_(me), n_(n), fanout_(fanout) {}
+
+  std::vector<Message> on_round(std::size_t, const std::vector<Message>&) override {
+    std::vector<Message> out;
+    out.reserve(fanout_);
+    for (std::size_t k = 0; k < fanout_; ++k) {
+      out.push_back(Message{me_, (me_ + 1 + k * 31) % n_, {}});
+    }
+    return out;
+  }
+  bool done() const override { return false; }
+
+ private:
+  PartyId me_;
+  std::size_t n_, fanout_;
+};
+
+// One simulator round at n=1024 with every party sending to 32 peers, all
+// of it counted into an installed Ledger (tallies per party, phase and
+// kind, plus the per-phase peer lists behind locality). Payloads are empty,
+// so the allocations left are the parties' outboxes (one per party per
+// round); the accounting itself must add none once the peer lists have
+// reached their steady size.
+void BM_SimRoundAccounting(benchmark::State& state) {
+  constexpr std::size_t kN = 1024, kFanout = 32;
+  std::vector<std::unique_ptr<Party>> parties;
+  for (PartyId i = 0; i < kN; ++i) parties.push_back(std::make_unique<FanoutParty>(i, kN, kFanout));
+  Simulator sim(std::move(parties), std::vector<bool>(kN, false), nullptr);
+  obs::Ledger ledger;
+  sim.set_ledger(&ledger);
+  for (int warm = 0; warm < 3; ++warm) sim.tick();
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) sim.tick();
+  bench::report_allocs(state, a0);
+  benchmark::DoNotOptimize(ledger.total(0).msgs_sent);
+}
+BENCHMARK(BM_SimRoundAccounting);
 
 }  // namespace
 

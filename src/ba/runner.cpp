@@ -15,23 +15,6 @@ namespace srds {
 
 namespace {
 
-void accumulate(NetworkStats& into, const NetworkStats& add) {
-  if (into.party.size() != add.party.size()) {
-    into = NetworkStats(add.party.size());
-  }
-  into.rounds += add.rounds;
-  for (std::size_t i = 0; i < add.party.size(); ++i) {
-    into.party[i].bytes_sent += add.party[i].bytes_sent;
-    into.party[i].bytes_recv += add.party[i].bytes_recv;
-    into.party[i].msgs_sent += add.party[i].msgs_sent;
-    into.party[i].msgs_recv += add.party[i].msgs_recv;
-    into.party[i].peers_out.insert(add.party[i].peers_out.begin(),
-                                   add.party[i].peers_out.end());
-    into.party[i].peers_in.insert(add.party[i].peers_in.begin(),
-                                  add.party[i].peers_in.end());
-  }
-}
-
 /// Time `fn()` and report it to `sink` (if any) as an off-network span.
 template <typename Fn>
 void timed_span(obs::TraceSink* sink, const char* name, Fn&& fn) {
@@ -224,15 +207,15 @@ BaRunResult run_ba(const BaRunConfig& config) {
   }
 
   Simulator sim(std::move(parties), corrupt, std::move(adversary));
-  sim.set_phase_mark(boost_start);
+  sim.set_ledger(config.ledger);
   sim.set_corruption_budget(corruption_budget);
   if (plan.has_value() && plan->any()) sim.set_fault_plan(*plan);
+  if (config.trace) sim.add_trace_sink(config.trace);
+  // Register the public phase schedule so the ledger and the trace sink can
+  // attribute every round (and its traffic) to a protocol phase.
   for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(config.trace),
-                               static_cast<obs::TraceSink*>(config.ledger)}) {
+                               static_cast<obs::TraceSink*>(&sim.ledger())}) {
     if (!sink) continue;
-    sim.add_trace_sink(sink);
-    // Register the public phase schedule so the sink can attribute every
-    // round (and its traffic) to a protocol phase.
     sink->on_phase(0, "f_ba");
     sink->on_phase(ct_start, "f_ct");
     sink->on_phase(dissem_start, "f_ae-dissem");
@@ -245,7 +228,11 @@ BaRunResult run_ba(const BaRunConfig& config) {
   result.corruption_budget = corruption_budget;
   result.rounds = sim.run(total_rounds + 2);
   result.stats = sim.stats();
-  result.boost_stats = sim.phase_stats();
+  // The boost phase runs to the end of the schedule, its grace window
+  // included.
+  const obs::Ledger& ledger = sim.ledger();
+  result.boost_stats =
+      NetworkStats::of(ledger, ledger.phase_index("boost"), ledger.phase_count());
   result.boost_rounds = total_rounds - boost_start;
   result.adaptively_corrupted = sim.stats().faults.adaptive_corruptions;
   result.plan_issues = sim.plan_issues();
@@ -318,8 +305,14 @@ BroadcastRunResult run_broadcast_service(const BroadcastRunConfig& config) {
     if (!corrupt[i]) honest_ids.push_back(i);
   }
 
+  // One ledger accounts all ℓ executions: accumulate mode carries the
+  // per-party totals and peers from run to run.
+  obs::Ledger own_ledger;
+  obs::Ledger& ledger = config.ledger ? *config.ledger : own_ledger;
+  ledger.set_accumulate(true);
   BroadcastRunResult result;
-  result.stats = NetworkStats(config.n);
+  std::size_t rounds = 0;
+  std::uint64_t malformed_frames = 0;
 
   for (std::size_t b = 0; b < config.ell; ++b) {
     PartyId sender = honest_ids[b % honest_ids.size()];
@@ -350,19 +343,15 @@ BroadcastRunResult run_broadcast_service(const BroadcastRunConfig& config) {
     }
 
     Simulator sim(std::move(parties), corrupt, nullptr);
-    if (config.ledger) {
-      config.ledger->set_accumulate(true);
-      sim.add_trace_sink(config.ledger);
-    }
-    sim.run(total_rounds + 2);
-    accumulate(result.stats, sim.stats());
+    sim.set_ledger(&ledger);
+    rounds += sim.run(total_rounds + 2);
 
     std::optional<bool> agreed;
     for (PartyId i : honest_ids) {
       ++result.possible;
       const auto* party = dynamic_cast<const AeBoostParty*>(sim.party(i));
       if (!party) continue;
-      result.stats.faults.malformed_frames += party->malformed_frames();
+      malformed_frames += party->malformed_frames();
       if (!party->output().has_value()) continue;
       bool y = *party->output();
       if (agreed.has_value() && *agreed != y) result.agreement = false;
@@ -370,6 +359,9 @@ BroadcastRunResult run_broadcast_service(const BroadcastRunConfig& config) {
       if (y == bit) ++result.delivered;
     }
   }
+  result.stats = NetworkStats::of(ledger);
+  result.stats.rounds = rounds;
+  result.stats.faults.malformed_frames = malformed_frames;
   return result;
 }
 

@@ -3,8 +3,7 @@
 // This lives in common/ (not net/) because it is pure vocabulary — no
 // delivery semantics — and both the network simulator and the obs tracing
 // sinks consume it; keeping it in net/ made obs <-> net a module cycle
-// under the L1 layering rule. net/message.hpp remains as a shim so send
-// sites keep their natural include.
+// under the L1 layering rule.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 #include "common/rng.hpp"
 #include "crypto/prf.hpp"
 #include "crypto/simsig.hpp"
-#include "net/message.hpp"
+#include "common/message.hpp"
 #include "srds/snark_srds.hpp"
 
 namespace srds {

@@ -25,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/message.hpp"
+#include "common/message.hpp"
 
 namespace srds {
 

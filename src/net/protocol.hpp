@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "net/message.hpp"
+#include "common/message.hpp"
 
 namespace srds {
 

@@ -29,7 +29,6 @@ Simulator::Simulator(std::vector<std::unique_ptr<Party>> parties, std::vector<bo
       throw std::invalid_argument("Simulator: honest slot missing party logic");
     }
   }
-  phase_stats_ = NetworkStats(parties_.size());
   if (!adversary_) adversary_ = std::make_unique<SilentAdversary>();
 }
 
@@ -43,17 +42,21 @@ void Simulator::set_fault_plan(const FaultPlan& plan) {
   injector_ = std::make_unique<FaultInjector>(plan, parties_.size());
 }
 
+void Simulator::emit_delivery(std::size_t round, const Message& m, obs::Delivery outcome) {
+  for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, outcome);
+  ledger().on_delivery(round, m, outcome);
+}
+
 // srds-lint: hotpath(Simulator::deliver) — runs once per message per round; must not allocate
 // control structures, unwind, or type-erase (rule P1).
 void Simulator::deliver(std::size_t round, Message m,
                         std::vector<std::vector<Message>>& inboxes) {
   PROF_SCOPE(obs::ProfSiteId::kSimDeliver);
-  const bool in_phase = phase_mark_ && round >= *phase_mark_;
+  // The sender paid for the transmission whatever the network then does.
   for (obs::TraceSink* s : sinks_) s->on_send(round, m);
+  ledger().on_send(round, m);
   if (!injector_) {
-    stats_.record(m);
-    if (in_phase) phase_stats_.record(m);
-    for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kDelivered);
+    emit_delivery(round, m, obs::Delivery::kDelivered);
     inboxes[m.to].push_back(std::move(m));
     return;
   }
@@ -62,42 +65,32 @@ void Simulator::deliver(std::size_t round, Message m,
   // message outright; this is deterministic, so it consumes no fault
   // randomness. Corrupt slots are exempt — the adversary always receives.
   if (!corrupt_[m.to] && injector_->offline(m.to, round + 1)) {
-    stats_.record_send(m);
-    if (in_phase) phase_stats_.record_send(m);
     stats_.faults.churn_dropped += 1;
-    for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kOffline);
+    emit_delivery(round, m, obs::Delivery::kOffline);
     return;
   }
 
   FaultVerdict v = injector_->on_message(round, m);
-  // The sender paid for the transmission whatever the network then does.
-  stats_.record_send(m);
-  if (in_phase) phase_stats_.record_send(m);
-
   if (!v.deliver) {
     if (v.partitioned) {
       stats_.faults.partitioned += 1;
-      for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kPartitioned);
+      emit_delivery(round, m, obs::Delivery::kPartitioned);
     } else {
       stats_.faults.dropped += 1;
-      for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kDropped);
+      emit_delivery(round, m, obs::Delivery::kDropped);
     }
     return;
   }
   if (v.delay > 0) {
     stats_.faults.delayed += 1;
-    for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kDelayed);
-    delayed_[round + 1 + v.delay].push_back(Pending{std::move(m), in_phase});
+    emit_delivery(round, m, obs::Delivery::kDelayed);
+    delayed_[round + 1 + v.delay].push_back(std::move(m));
     return;
   }
-  stats_.record_recv(m);
-  if (in_phase) phase_stats_.record_recv(m);
-  for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kDelivered);
+  emit_delivery(round, m, obs::Delivery::kDelivered);
   if (v.duplicate) {
     stats_.faults.duplicated += 1;
-    stats_.record_recv(m);
-    if (in_phase) phase_stats_.record_recv(m);
-    for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, obs::Delivery::kDuplicated);
+    emit_delivery(round, m, obs::Delivery::kDuplicated);
     inboxes[m.to].push_back(m);
   }
   inboxes[m.to].push_back(std::move(m));
@@ -108,6 +101,7 @@ void Simulator::begin_run() {
   begun_ = true;
   inboxes_.resize(parties_.size());
   for (obs::TraceSink* s : sinks_) s->on_run_begin(parties_.size());
+  ledger().on_run_begin(parties_.size());
 }
 
 bool Simulator::tick() {
@@ -162,17 +156,15 @@ bool Simulator::tick() {
   // Deferred messages whose delay expires this round join the inbox —
   // unless the receiver is churned offline at the (re)delivery round.
   if (auto it = delayed_.find(round); it != delayed_.end()) {
-    for (auto& p : it->second) {
-      if (injector_ && !corrupt_[p.m.to] && injector_->offline(p.m.to, round)) {
+    for (Message& m : it->second) {
+      if (injector_ && !corrupt_[m.to] && injector_->offline(m.to, round)) {
         stats_.faults.churn_dropped += 1;
-        for (obs::TraceSink* s : sinks_) s->on_delivery(round, p.m, obs::Delivery::kOffline);
+        emit_delivery(round, m, obs::Delivery::kOffline);
         continue;
       }
       stats_.faults.late_delivered += 1;
-      stats_.record_recv(p.m);
-      if (p.in_phase) phase_stats_.record_recv(p.m);
-      for (obs::TraceSink* s : sinks_) s->on_delivery(round, p.m, obs::Delivery::kLate);
-      inboxes_[p.m.to].push_back(std::move(p.m));
+      emit_delivery(round, m, obs::Delivery::kLate);
+      inboxes_[m.to].push_back(std::move(m));
     }
     delayed_.erase(it);
   }
@@ -237,6 +229,7 @@ bool Simulator::tick() {
     deliver(round, std::move(m), inboxes_);
   }
   for (obs::TraceSink* s : sinks_) s->on_round_end(round);
+  ledger().on_round_end(round);
   cur_round_ += 1;
   return true;
 }
@@ -246,6 +239,8 @@ void Simulator::end_run() {
   ended_ = true;
   stats_.rounds = cur_round_;
   for (obs::TraceSink* s : sinks_) s->on_run_end(cur_round_);
+  ledger().on_run_end(cur_round_);
+  stats_.party = NetworkStats::of(ledger()).party;
 }
 
 std::size_t Simulator::run(std::size_t max_rounds) {

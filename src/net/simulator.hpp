@@ -9,7 +9,9 @@
 // honest parties mid-run (the seized party's state becomes visible to it,
 // future traffic to the slot is rerouted into the adversary's inbox, and
 // messages already in flight from earlier rounds still arrive). All
-// communication costs are accounted in `NetworkStats`.
+// communication costs are counted in one obs::Ledger per run (the caller's
+// via set_ledger, otherwise one the simulator owns); `stats()` is its
+// per-party snapshot, taken once at the end of the run.
 //
 // Optionally the network itself misbehaves: `set_fault_plan` installs a
 // seeded, deterministic fault-injection layer (drops, bounded delays,
@@ -22,12 +24,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "net/faults.hpp"
 #include "net/protocol.hpp"
 #include "net/stats.hpp"
+#include "obs/ledger.hpp"
 #include "obs/trace.hpp"
 
 namespace srds {
@@ -61,6 +63,15 @@ class Simulator {
   /// counted in stats().faults.adversary_rejected). Honest parties are
   /// trusted code and exempt.
   void set_max_adversary_payload(std::size_t bytes) { max_adv_payload_ = bytes; }
+
+  /// Count this run into `ledger` (non-owning; must outlive run()) instead
+  /// of the simulator's own; nullptr restores the owned one. The ledger is
+  /// fed every accounting event right after the trace sinks see it — do not
+  /// also add it as a trace sink. Call before run().
+  void set_ledger(obs::Ledger* ledger) { ledger_ = ledger; }
+  /// The ledger this run counts into (register phase marks here).
+  obs::Ledger& ledger() { return ledger_ ? *ledger_ : own_ledger_; }
+  const obs::Ledger& ledger() const { return ledger_ ? *ledger_ : own_ledger_; }
 
   /// Install an observability sink (non-owning; must outlive run()),
   /// replacing any previously installed sinks. The sink sees round
@@ -98,21 +109,18 @@ class Simulator {
   /// matching run()'s order); returns true after a round actually executed.
   bool tick();
 
-  /// Stamp stats().rounds with the current round and emit on_run_end.
-  /// Idempotent. run() == { while tick() under max_rounds; end_run(); }.
+  /// Stamp stats().rounds with the current round, emit on_run_end and take
+  /// the per-party snapshot of the ledger into stats(). Idempotent.
+  /// run() == { while tick() under max_rounds; end_run(); }.
   void end_run();
 
   /// Next round tick() would execute (== rounds executed so far).
   std::size_t current_round() const { return cur_round_; }
 
-  /// Additionally account messages sent from round `round` onward into a
-  /// separate `phase_stats()` bucket (e.g., to isolate a protocol's boost
-  /// phase from its shared front end). Call before run().
-  void set_phase_mark(std::size_t round) { phase_mark_ = round; }
-
+  /// Round count, fault counters (live) and the per-party snapshot of the
+  /// ledger (filled by end_run; all zero before). With an accumulating
+  /// ledger the snapshot spans every run it accumulated.
   const NetworkStats& stats() const { return stats_; }
-  /// Stats restricted to rounds >= the phase mark (empty if no mark set).
-  const NetworkStats& phase_stats() const { return phase_stats_; }
   std::size_t n() const { return parties_.size(); }
   /// True if party i is adversarial *now* — statically corrupted at
   /// construction, or adaptively corrupted during the run. Query after run()
@@ -134,6 +142,8 @@ class Simulator {
   /// `inboxes` / the delayed queue, with full accounting.
   void deliver(std::size_t round, Message m,
                std::vector<std::vector<Message>>& inboxes);
+  /// Report a delivery outcome to every sink and the ledger.
+  void emit_delivery(std::size_t round, const Message& m, obs::Delivery outcome);
 
   /// First-tick setup: size the inboxes and emit on_run_begin (idempotent).
   void begin_run();
@@ -148,15 +158,11 @@ class Simulator {
   std::size_t corruption_budget_ = 0;
   std::vector<obs::TraceSink*> sinks_;  // fan-out set, installation order
   std::size_t max_adv_payload_ = kDefaultMaxAdversaryPayload;
+  obs::Ledger own_ledger_;
+  obs::Ledger* ledger_ = nullptr;  // the caller's; nullptr = own_ledger_
   NetworkStats stats_;
-  NetworkStats phase_stats_;
-  std::optional<std::size_t> phase_mark_;
 
-  struct Pending {
-    Message m;
-    bool in_phase = false;  // sent at/after the phase mark
-  };
-  std::map<std::size_t, std::vector<Pending>> delayed_;  // delivery round -> msgs
+  std::map<std::size_t, std::vector<Message>> delayed_;  // delivery round -> msgs
 
   // Incremental-driving state. inboxes_[i] = messages to deliver to party i
   // at the start of the next tick.

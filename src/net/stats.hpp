@@ -1,45 +1,33 @@
-// Per-party communication accounting.
+// Per-party communication accounting, as seen by the rest of the system.
 //
 // Every quantitative claim this repository reproduces (Table 1 and the
-// scaling figures) is measured here, inside the network layer — protocols
-// never self-report their costs. We track, per party:
+// scaling figures) is measured inside the network layer — protocols never
+// self-report their costs. The simulator counts every send and delivery
+// into one obs::Ledger (obs/ledger.hpp); NetworkStats is the per-party
+// snapshot of that Ledger, taken once at the end of a run, next to the
+// round count and the fault counters. Per party it holds
 //   * bytes/messages sent and received,
-//   * the set of distinct peers communicated with (the paper's
+//   * the number of distinct peers communicated with (the paper's
 //     "communication locality" / communication-graph degree).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
-#include "net/message.hpp"
+#include "common/message.hpp"
+#include "obs/ledger.hpp"
 
 namespace srds {
 
-struct PartyStats {
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_recv = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_recv = 0;
-  std::unordered_set<PartyId> peers_out;
-  std::unordered_set<PartyId> peers_in;
+struct PartyStats : obs::PartyTally {
+  std::size_t peers = 0;  // distinct parties exchanged messages with
 
   bool operator==(const PartyStats&) const = default;
 
   /// Locality: number of distinct parties this party exchanged messages
-  /// with. Computed without materializing the union — NetworkStats::
-  /// max_locality() calls this per party on every query, and rebuilding a
-  /// merged set made n=4096 sweeps pay O(n·deg) allocations repeatedly.
-  std::size_t locality() const {
-    std::size_t extra = 0;
-    for (PartyId p : peers_in) {
-      if (!peers_out.contains(p)) ++extra;
-    }
-    return peers_out.size() + extra;
-  }
-
-  std::uint64_t bytes_total() const { return bytes_sent + bytes_recv; }
+  /// with, in either direction.
+  std::size_t locality() const { return peers; }
 };
 
 /// Aggregate counts of network misbehavior during a run — populated only
@@ -78,26 +66,13 @@ struct NetworkStats {
 
   explicit NetworkStats(std::size_t n = 0) : party(n) {}
 
-  void record(const Message& m) {
-    record_send(m);
-    record_recv(m);
-  }
-
-  /// Send-side half of `record` — used for messages the network accepted
-  /// from the sender but then dropped or deferred.
-  void record_send(const Message& m) {
-    party[m.from].bytes_sent += m.payload.size();
-    party[m.from].msgs_sent += 1;
-    party[m.from].peers_out.insert(m.to);
-  }
-
-  /// Receive-side half of `record` — used at actual delivery time (late
-  /// deliveries, duplicate copies).
-  void record_recv(const Message& m) {
-    party[m.to].bytes_recv += m.payload.size();
-    party[m.to].msgs_recv += 1;
-    party[m.to].peers_in.insert(m.from);
-  }
+  /// Per-party snapshot of `ledger`'s whole run (accumulated runs
+  /// included); `rounds` and `faults` are left for the caller.
+  static NetworkStats of(const obs::Ledger& ledger);
+  /// Per-party snapshot of phases [first_phase, last_phase) of `ledger`'s
+  /// current run; all zero when the range is empty (an absent phase).
+  static NetworkStats of(const obs::Ledger& ledger, std::size_t first_phase,
+                         std::size_t last_phase);
 
   bool operator==(const NetworkStats&) const = default;
 

@@ -18,7 +18,7 @@
 
 #include "common/bytes.hpp"
 #include "common/serial.hpp"
-#include "net/message.hpp"
+#include "common/message.hpp"
 
 namespace srds {
 

@@ -5,20 +5,35 @@
 namespace srds::obs {
 
 void Ledger::on_run_begin(std::size_t n_parties) {
+  seal_peers();
   const bool carry = accumulate_ && n_ == n_parties && !totals_.empty();
   n_ = n_parties;
-  if (!carry) {
+  if (carry) {
+    // Peers accumulate like totals: fold the previous run's phase lists
+    // into the carried ones before the phases restart.
+    std::vector<PartyId> buf;
+    for (PartyId i = 0; i < n_; ++i) {
+      gather_peers(i, 0, phases_.size(), true, buf);
+      carried_peers_[i].swap(buf);
+    }
+  } else {
     totals_.assign(n_, PartyTally{});
     kinds_.assign(static_cast<std::size_t>(MsgKind::kCount), {});
     for (auto& k : kinds_) k.assign(n_, PartyTally{});
+    carried_peers_.assign(n_, {});
     rounds_run_ = 0;
   }
-  // Phase marks describe one run's schedule; they restart either way (an
-  // accumulating ledger keeps whole-run and per-kind totals only).
+  // Phase marks describe one run's schedule; their tallies restart either
+  // way (an accumulating ledger carries whole-run, per-kind and peer totals).
   if (phases_.empty() || phases_.front().start > 0) {
-    phases_.insert(phases_.begin(), Phase{"pre", 0, {}});
+    phases_.insert(phases_.begin(), Phase{"pre", 0, {}, {}});
   }
-  for (Phase& p : phases_) p.parties.assign(n_, PartyTally{});
+  for (Phase& p : phases_) {
+    p.parties.assign(n_, PartyTally{});
+    p.peers.assign(n_, PeerList{});
+  }
+  dirty_.clear();
+  dirty_.reserve(n_);
   // Re-anchor onto round 0's phase: marks surviving from a previous
   // accumulated execution may place it past the implicit "pre" entry.
   cur_phase_ = 0;
@@ -32,8 +47,13 @@ void Ledger::on_phase(std::size_t start_round, const std::string& name) {
   for (const Phase& existing : phases_) {
     if (existing.start == start_round && existing.name == name) return;
   }
-  Phase p{name, start_round, {}};
-  if (n_ > 0) p.parties.assign(n_, PartyTally{});
+  // Phase indices shift below: settle the current phase's peers first.
+  seal_peers();
+  Phase p{name, start_round, {}, {}};
+  if (n_ > 0) {
+    p.parties.assign(n_, PartyTally{});
+    p.peers.assign(n_, PeerList{});
+  }
   auto pos = std::upper_bound(
       phases_.begin(), phases_.end(), start_round,
       [](std::size_t r, const Phase& ph) { return r < ph.start; });
@@ -46,13 +66,52 @@ void Ledger::on_phase(std::size_t start_round, const std::string& name) {
 
 void Ledger::advance_phase(std::size_t round) {
   cur_round_ = round;
-  while (cur_phase_ + 1 < phases_.size() && phases_[cur_phase_ + 1].start <= round) {
-    ++cur_phase_;
+  std::size_t p = cur_phase_;
+  while (p + 1 < phases_.size() && phases_[p + 1].start <= round) ++p;
+  if (p != cur_phase_) {
+    seal_peers();
+    cur_phase_ = p;
   }
 }
 
+void Ledger::add_peer(PartyId self, PartyId peer) {
+  PeerList& l = phases_[cur_phase_].peers[self];
+  const auto sealed_end = l.ids.begin() + static_cast<std::ptrdiff_t>(l.sealed);
+  // Known peers (the common case once a party's neighbourhood is settled)
+  // cost a binary search and no write.
+  if (std::binary_search(l.ids.begin(), sealed_end, peer)) return;
+  if (l.ids.size() > l.sealed && l.ids.back() == peer) return;  // same peer again
+  if (l.ids.size() == l.sealed) dirty_.push_back(self);
+  l.ids.push_back(peer);
+}
+
+void Ledger::seal_peers() {
+  if (dirty_.empty()) return;
+  for (PartyId i : dirty_) seal(phases_[cur_phase_].peers[i]);
+  dirty_.clear();
+}
+
+void Ledger::seal(PeerList& list) {
+  std::vector<PartyId>& ids = list.ids;
+  const auto tail = ids.begin() + static_cast<std::ptrdiff_t>(list.sealed);
+  // add_peer admits only peers the sorted prefix does not hold yet.
+  std::sort(tail, ids.end());
+  ids.erase(std::unique(tail, ids.end()), ids.end());
+  const std::size_t fresh = ids.size() - list.sealed;
+  if (fresh > 0 && list.sealed > 0 && ids[list.sealed] < ids[list.sealed - 1]) {
+    // Merge back to front, so the list keeps its own buffer.
+    merge_buf_.assign(ids.begin() + static_cast<std::ptrdiff_t>(list.sealed), ids.end());
+    std::size_t i = list.sealed, j = fresh, w = ids.size();
+    while (j > 0) {
+      ids[--w] = (i > 0 && ids[i - 1] > merge_buf_[j - 1]) ? ids[--i] : merge_buf_[--j];
+    }
+  }
+  list.sealed = ids.size();
+}
+
 // srds-lint: hotpath(Ledger::on_send) — one call per accepted send; indexes preallocated
-// tallies only (no allocation, unwinding, or type erasure; rule P1).
+// tallies and appends to a peer list only (no allocation beyond amortized vector growth,
+// unwinding, or type erasure; rule P1).
 void Ledger::on_send(std::size_t round, const Message& m) {
   if (m.from >= n_) return;
   if (round != cur_round_) advance_phase(round);
@@ -66,6 +125,7 @@ void Ledger::on_send(std::size_t round, const Message& m) {
   auto k = static_cast<std::size_t>(m.kind);
   if (k >= kinds_.size()) k = 0;
   charge(kinds_[k][m.from]);
+  add_peer(m.from, m.to);
 }
 
 // srds-lint: hotpath(Ledger::on_delivery) — one call per delivery outcome; same constraints as
@@ -94,10 +154,62 @@ void Ledger::on_delivery(std::size_t round, const Message& m, Delivery outcome) 
   auto k = static_cast<std::size_t>(m.kind);
   if (k >= kinds_.size()) k = 0;
   charge(kinds_[k][m.to]);
+  add_peer(m.to, m.from);
+}
+
+void Ledger::on_round_end(std::size_t round) {
+  (void)round;
+  seal_peers();
 }
 
 void Ledger::on_run_end(std::size_t rounds) {
+  seal_peers();
   rounds_run_ = std::max(rounds_run_, rounds);
+}
+
+void Ledger::gather_peers(PartyId i, std::size_t first_phase, std::size_t last_phase,
+                          bool with_carried, std::vector<PartyId>& out) const {
+  out.clear();
+  std::size_t lists = 0;  // non-empty lists gathered
+  bool sealed = true;     // all of them sorted and duplicate-free
+  auto take = [&](const std::vector<PartyId>& ids, std::size_t sorted_len) {
+    if (ids.empty()) return;
+    ++lists;
+    sealed = sealed && sorted_len == ids.size();
+    out.insert(out.end(), ids.begin(), ids.end());
+  };
+  if (with_carried && i < carried_peers_.size()) {
+    take(carried_peers_[i], carried_peers_[i].size());
+  }
+  for (std::size_t p = first_phase; p < std::min(last_phase, phases_.size()); ++p) {
+    if (i < phases_[p].peers.size()) {
+      take(phases_[p].peers[i].ids, phases_[p].peers[i].sealed);
+    }
+  }
+  if (lists > 1 || !sealed) {
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+}
+
+std::vector<std::size_t> Ledger::union_sizes(std::size_t first_phase, std::size_t last_phase,
+                                             bool with_carried) const {
+  std::vector<std::size_t> sizes(n_, 0);
+  std::vector<PartyId> buf;
+  for (PartyId i = 0; i < n_; ++i) {
+    gather_peers(i, first_phase, last_phase, with_carried, buf);
+    sizes[i] = buf.size();
+  }
+  return sizes;
+}
+
+std::vector<std::size_t> Ledger::locality() const {
+  return union_sizes(0, phases_.size(), true);
+}
+
+std::vector<std::size_t> Ledger::locality(std::size_t first_phase,
+                                          std::size_t last_phase) const {
+  return union_sizes(first_phase, last_phase, false);
 }
 
 std::size_t Ledger::phase_index(const std::string& name) const {

@@ -1,29 +1,36 @@
 // obs::Ledger — the per-party accounting plane.
 //
 // The paper's headline claim is a *per-party* bound (every honest party
-// sends/receives only polylog(n) bits), but the RoundTracer aggregates per
-// round/kind only, and the one number Table 1 pivots on — max communication
-// per party — was recomputed ad hoc in every bench binary from
-// NetworkStats. The Ledger is a TraceSink that accounts every accepted
-// send and every actual delivery *per party*, split by protocol phase (the
-// same on_phase marks the RoundTracer consumes) and by MsgKind, so the
-// paper's Theorem-level claims can be audited on any traced run (see
-// obs/budget.hpp) and every bench binary reports per-party distribution
-// statistics from one shared implementation.
+// sends/receives only polylog(n) bits, talking to only polylog(n) peers).
+// The Ledger is the single place those quantities are counted: the
+// Simulator feeds exactly one Ledger per run (the caller's, or one it owns)
+// with every accepted send and every actual delivery, and NetworkStats is a
+// snapshot derived from it at the end of the run. It splits every charge by
+// protocol phase (the same on_phase marks the RoundTracer consumes) and by
+// MsgKind, so the paper's Theorem-level claims can be audited on any run
+// (see obs/budget.hpp) and every bench binary reports per-party
+// distribution statistics from one shared implementation.
 //
-// Accounting conventions (identical to NetworkStats):
+// Accounting conventions:
 //   * on_send charges the sender — whatever the network does next, the
 //     sender paid for the transmission;
 //   * kDelivered / kDuplicated / kLate charge the receiver at actual
-//     delivery; kDropped / kPartitioned / kDelayed charge nobody.
-// Phase attribution is by the round the event was observed in. For a
-// delayed message this differs from the simulator's phase_stats (which
-// attributes the late receive to the *send* round's phase); on fault-free
-// runs the two agree exactly, and tests/trace_test.cpp enforces it.
+//     delivery; kDropped / kPartitioned / kDelayed / kOffline charge nobody.
+// Phase attribution is by the round the event was observed in, so a delayed
+// message's late receive is charged to the phase of its arrival round.
 //
-// The per-event paths are allocation-free: all storage is sized at
-// on_run_begin / on_phase, and on_send / on_delivery only index into it
-// (srds-lint rule P1 checks the markers below).
+// Locality (the number of distinct peers a party exchanged messages with,
+// either direction) is kept as one merged peer list per party per phase:
+// on_send appends the receiver to the sender's list, a charged delivery
+// appends the sender to the receiver's list unless a binary search finds
+// it already there, and each round's additions are sorted, deduplicated and
+// merged in at on_round_end. Whole-run locality is the union
+// over phases, computed at query time.
+//
+// The per-event paths are allocation-free apart from amortized vector
+// growth: tallies are sized at on_run_begin / on_phase, and on_send /
+// on_delivery only index into them and append to the peer lists (srds-lint
+// rule P1 checks the markers in ledger.cpp).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +50,14 @@ struct PartyTally {
   std::uint64_t msgs_recv = 0;
 
   std::uint64_t bytes_total() const { return bytes_sent + bytes_recv; }
+
+  PartyTally& operator+=(const PartyTally& o) {
+    bytes_sent += o.bytes_sent;
+    bytes_recv += o.bytes_recv;
+    msgs_sent += o.msgs_sent;
+    msgs_recv += o.msgs_recv;
+    return *this;
+  }
 
   bool operator==(const PartyTally&) const = default;
 };
@@ -74,14 +89,15 @@ class Ledger final : public TraceSink {
 
   /// Accumulate across simulator runs instead of resetting at each
   /// on_run_begin (same n required): the ℓ-execution services (broadcast,
-  /// Cor 1.2(1)) account their per-party totals over all executions, which
-  /// is exactly the quantity the corollary bounds. Phase marks still reset
-  /// per run. Default off.
+  /// Cor 1.2(1)) account their per-party totals and peers over all
+  /// executions, which is exactly the quantity the corollary bounds. Phase
+  /// tallies still reset per run. Default off.
   void set_accumulate(bool on) { accumulate_ = on; }
 
   void on_run_begin(std::size_t n_parties) override;
   void on_send(std::size_t round, const Message& m) override;
   void on_delivery(std::size_t round, const Message& m, Delivery outcome) override;
+  void on_round_end(std::size_t round) override;
   void on_run_end(std::size_t rounds) override;
   void on_phase(std::size_t start_round, const std::string& name) override;
 
@@ -107,6 +123,14 @@ class Ledger final : public TraceSink {
     return kinds_[static_cast<std::size_t>(k)][i];
   }
 
+  /// Communication locality of every party (index = party): the number of
+  /// distinct peers it sent to or received a charged delivery from. The
+  /// whole run, accumulated runs included...
+  std::vector<std::size_t> locality() const;
+  /// ...or the union over phases [first_phase, last_phase) of the current
+  /// run (all zero when the range is empty).
+  std::vector<std::size_t> locality(std::size_t first_phase, std::size_t last_phase) const;
+
   /// Distribution of `field` over parties, for one phase (kAllPhases = the
   /// whole run). `exclude` masks parties out (e.g., corrupted parties —
   /// the paper's bounds quantify over honest parties); nullptr = everyone.
@@ -128,13 +152,33 @@ class Ledger final : public TraceSink {
   void clear() { *this = Ledger{}; }
 
  private:
+  /// One party's peers in one phase: ids[0, sealed) is sorted and
+  /// duplicate-free; ids[sealed, end) are this round's unsorted additions,
+  /// none of them in the sorted prefix.
+  struct PeerList {
+    std::vector<PartyId> ids;
+    std::size_t sealed = 0;
+  };
+
   struct Phase {
     std::string name;
     std::size_t start = 0;
     std::vector<PartyTally> parties;
+    std::vector<PeerList> peers;
   };
 
   void advance_phase(std::size_t round);
+  void add_peer(PartyId self, PartyId peer);
+  /// Fold the current phase's unsealed peer additions into the sorted
+  /// prefixes (the round-end step; also run before the phase changes).
+  void seal_peers();
+  void seal(PeerList& list);
+  /// Party i's distinct peers over phases [first_phase, last_phase) (and
+  /// earlier accumulated runs with `with_carried`), sorted into `out`.
+  void gather_peers(PartyId i, std::size_t first_phase, std::size_t last_phase,
+                    bool with_carried, std::vector<PartyId>& out) const;
+  std::vector<std::size_t> union_sizes(std::size_t first_phase, std::size_t last_phase,
+                                       bool with_carried) const;
   PartyStat stat_of(const std::vector<PartyTally>& tallies, LedgerField field,
                     const std::vector<bool>* exclude) const;
 
@@ -153,6 +197,12 @@ class Ledger final : public TraceSink {
   // kinds_[kind][party]: sent/recv tallies per message kind.
   // srds-lint: confined(sim-loop)
   std::vector<std::vector<PartyTally>> kinds_;
+  // Parties whose current-phase peer list has unsealed additions.
+  std::vector<PartyId> dirty_;  // srds-lint: confined(sim-loop)
+  // Accumulate mode: each party's sorted peers from earlier runs.
+  // srds-lint: confined(sim-loop)
+  std::vector<std::vector<PartyId>> carried_peers_;
+  std::vector<PartyId> merge_buf_;  // srds-lint: confined(sim-loop)
 };
 
 }  // namespace srds::obs

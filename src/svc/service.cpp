@@ -112,13 +112,13 @@ BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
   for (PartyId i : env_.honest) parties[i] = std::make_unique<InstancePipeline>(i);
   sim_ = std::make_unique<Simulator>(std::move(parties), env_.corrupt,
                                      std::move(adversary));
+  sim_->set_ledger(cfg_.ledger);
   sim_->set_corruption_budget(corruption_budget);
   if (plan.has_value() && plan->any()) sim_->set_fault_plan(*plan);
+  if (cfg_.trace) sim_->add_trace_sink(cfg_.trace);
   for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(cfg_.trace),
-                               static_cast<obs::TraceSink*>(cfg_.ledger)}) {
-    if (!sink) continue;
-    sim_->add_trace_sink(sink);
-    sink->on_phase(0, "service");
+                               static_cast<obs::TraceSink*>(&sim_->ledger())}) {
+    if (sink) sink->on_phase(0, "service");
   }
   // Accumulate mode: the ledger's per-party totals span the whole service
   // lifetime — exactly the quantity the amortized budget bounds.

@@ -29,7 +29,7 @@
 #include <limits>
 #include <vector>
 
-#include "net/message.hpp"
+#include "common/message.hpp"
 
 namespace srds {
 

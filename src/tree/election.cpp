@@ -28,27 +28,13 @@ class IdleProto final : public SubProtocol {
   std::size_t rounds_;
 };
 
-void accumulate(NetworkStats& into, const NetworkStats& add) {
-  into.rounds += add.rounds;
-  for (std::size_t i = 0; i < add.party.size(); ++i) {
-    into.party[i].bytes_sent += add.party[i].bytes_sent;
-    into.party[i].bytes_recv += add.party[i].bytes_recv;
-    into.party[i].msgs_sent += add.party[i].msgs_sent;
-    into.party[i].msgs_recv += add.party[i].msgs_recv;
-    into.party[i].peers_out.insert(add.party[i].peers_out.begin(),
-                                   add.party[i].peers_out.end());
-    into.party[i].peers_in.insert(add.party[i].peers_in.begin(),
-                                  add.party[i].peers_in.end());
-  }
-}
-
 /// One synchronous level: every group tosses a coin in parallel; returns
 /// each group's coin (empty when the group had no honest member to report).
 std::vector<Bytes> run_coin_level(std::size_t n, const std::vector<bool>& corrupt,
                                   const SimSigRegistryPtr& registry,
                                   const std::vector<std::vector<PartyId>>& groups,
                                   std::size_t level, std::uint64_t seed,
-                                  NetworkStats& stats, std::size_t& rounds) {
+                                  obs::Ledger& ledger, std::size_t& rounds) {
   // Map party -> its group index at this level.
   std::vector<std::size_t> group_of(n, groups.size());
   std::size_t max_rounds = 1;
@@ -78,8 +64,8 @@ std::vector<Bytes> run_coin_level(std::size_t n, const std::vector<bool>& corrup
   }
 
   Simulator sim(std::move(parties), corrupt, nullptr);
+  sim.set_ledger(&ledger);
   rounds += sim.run(max_rounds + 2);
-  accumulate(stats, sim.stats());
 
   std::vector<Bytes> coins(groups.size());
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
@@ -142,12 +128,16 @@ ElectionResult run_committee_election(std::size_t n, const std::vector<bool>& co
   }
 
   ElectionResult result;
-  result.stats = NetworkStats(n);
+  // One ledger accounts every level's simulator run (sized up front, so
+  // the books cover all n parties even when no level runs).
+  obs::Ledger ledger;
+  ledger.set_accumulate(true);
+  ledger.on_run_begin(n);
 
   std::size_t level = 0;
   while (groups.size() > 1) {
     auto coins = run_coin_level(n, corrupt, registry, groups, level, seed + level,
-                                result.stats, result.rounds);
+                                ledger, result.rounds);
     // Promote ceil(size / b) members per group, then merge b groups each.
     std::vector<std::vector<PartyId>> next;
     for (std::size_t gi = 0; gi < groups.size(); gi += b) {
@@ -169,11 +159,13 @@ ElectionResult run_committee_election(std::size_t n, const std::vector<bool>& co
   // than the requested supreme-committee size.
   if (groups.front().size() > final_size) {
     auto coins = run_coin_level(n, corrupt, registry, groups, level, seed + level,
-                                result.stats, result.rounds);
+                                ledger, result.rounds);
     groups.front() = promote(groups.front(), coins.front(), 0, final_size);
     ++level;
   }
 
+  result.stats = NetworkStats::of(ledger);
+  result.stats.rounds = result.rounds;
   result.supreme_committee = groups.front();
   result.levels = level;
   std::size_t bad = 0;

@@ -144,6 +144,7 @@ TEST_P(ChaosSuite, ChaosRunsAreDeterministic) {
   auto a = chaos_run(GetParam(), plan);
   auto b = chaos_run(GetParam(), plan);
   EXPECT_EQ(a.stats, b.stats) << protocol_name(GetParam());
+  EXPECT_EQ(a.boost_stats, b.boost_stats) << protocol_name(GetParam());
   EXPECT_EQ(a.stats.faults, b.stats.faults);
   EXPECT_EQ(a.decided, b.decided);
   EXPECT_EQ(a.value, b.value);

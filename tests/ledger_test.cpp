@@ -1,8 +1,9 @@
 // Tests for the per-party accounting plane (obs/ledger.hpp) and the
 // complexity-budget auditor (obs/budget.hpp). The ledger is driven here
 // through raw TraceSink events with hand-picked payloads, so every charge
-// is known exactly; the integration equivalence against NetworkStats and
-// the RoundTracer on a real simulated run lives in tests/trace_test.cpp.
+// is known exactly; the pinned seeded π_BA run and its RoundTracer
+// cross-check live in tests/trace_test.cpp, and the brute-force locality
+// and tally oracle under faults in tests/net_stats_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -119,6 +120,28 @@ TEST(Ledger, StatDistributionAndExcludeMask) {
   EXPECT_EQ(honest.max, 300u);
   EXPECT_EQ(honest.argmax, 3u);
   EXPECT_EQ(honest.total, 600u);
+}
+
+TEST(Ledger, LocalityPerPhaseWithoutRoundEnds) {
+  // Driven without on_round_end: a phase change must still settle the
+  // outgoing phase's peer list (the simulator always ends its rounds, a
+  // hand-driven ledger need not).
+  Ledger led;
+  led.on_run_begin(4);
+  led.on_phase(0, "a");
+  led.on_phase(2, "b");
+  led.on_send(0, msg(0, 1, 1));
+  led.on_send(0, msg(0, 2, 1));
+  led.on_send(0, msg(0, 1, 1));
+  led.on_send(1, msg(0, 1, 1));
+  led.on_delivery(1, msg(3, 0, 1), Delivery::kDelivered);
+  led.on_send(2, msg(0, 3, 1));
+  led.on_run_end(3);
+  const std::size_t a = led.phase_index("a"), b = led.phase_index("b");
+  EXPECT_EQ(led.locality(a, a + 1)[0], 3u);  // {1, 2, 3}
+  EXPECT_EQ(led.locality(b, b + 1)[0], 1u);  // {3}
+  EXPECT_EQ(led.locality()[0], 3u);
+  EXPECT_EQ(led.locality()[1], 0u);  // no delivery to party 1 was charged
 }
 
 TEST(Ledger, AccumulateModeCarriesTotalsAcrossRuns) {

@@ -2,7 +2,7 @@
 // protocol path (src/consensus/...) where construction must go through
 // make_msg; tests/lint_test.cpp also lints it under src/net/... where the
 // same lines are legal. Line numbers are asserted exactly.
-#include "net/message.hpp"
+#include "common/message.hpp"
 
 namespace fixture {
 

@@ -1,6 +1,6 @@
 // Tests for the round/phase tracer: a scripted-simulator unit test, the
-// π_BA smoke test (tracer accounting must agree with the network-layer
-// NetworkStats), Chrome trace export, and the determinism guard (two runs
+// π_BA smoke test (tracer accounting must agree with the Ledger the
+// simulator counts into), Chrome trace export, and the determinism guard (two runs
 // with identical seed and fault plan produce byte-identical Reporter JSON
 // apart from the timestamp).
 #include <gtest/gtest.h>
@@ -59,8 +59,8 @@ TEST(RoundTracer, ScriptedRunMatchesNetworkStats) {
   sim.set_trace_sink(&tracer);
   std::size_t rounds = sim.run(32);
 
+  EXPECT_EQ(rounds, 6u);  // five sending rounds, then one to notice done()
   EXPECT_EQ(tracer.rounds_run(), rounds);
-  EXPECT_EQ(tracer.rounds_run(), sim.stats().rounds);
   EXPECT_EQ(tracer.n_parties(), 2u);
 
   std::uint64_t traced_bytes = 0, traced_msgs = 0;
@@ -68,8 +68,11 @@ TEST(RoundTracer, ScriptedRunMatchesNetworkStats) {
     traced_bytes += r.bytes_sent;
     traced_msgs += r.msgs_sent;
   }
-  EXPECT_EQ(traced_bytes, sim.stats().party[0].bytes_sent);
-  EXPECT_EQ(traced_msgs, sim.stats().party[0].msgs_sent);
+  EXPECT_EQ(traced_bytes, 5u * 40u);
+  EXPECT_EQ(traced_msgs, 5u);
+  // Cross-check against the ledger the simulator counted into.
+  EXPECT_EQ(traced_bytes, sim.ledger().total(0).bytes_sent);
+  EXPECT_EQ(traced_msgs, sim.ledger().total(0).msgs_sent);
 
   auto phases = tracer.phase_totals();
   ASSERT_EQ(phases.size(), 2u);
@@ -101,7 +104,8 @@ TEST(RoundTracer, PiBaSmokeAgreesWithNetworkStats) {
   // The tracer observed exactly the rounds the network ran...
   EXPECT_EQ(tracer.rounds_run(), r.stats.rounds);
   EXPECT_EQ(tracer.rounds_run(), r.rounds);
-  // ...and exactly the bytes/messages the network accounted.
+  // ...and exactly the bytes/messages the Ledger counted (r.stats is its
+  // snapshot).
   std::uint64_t traced_bytes = 0, traced_msgs = 0;
   for (const auto& rec : tracer.rounds()) {
     traced_bytes += rec.bytes_sent;
@@ -139,13 +143,13 @@ TEST(RoundTracer, PiBaSmokeAgreesWithNetworkStats) {
 }
 
 TEST(Ledger, AgreesWithNetworkStatsAndTracerOnSeededRun) {
-  // Three independent accounting planes observe one seeded fault-free run:
-  // NetworkStats (the simulator's own books), the RoundTracer (per-round
-  // aggregates) and the Ledger (per-party, per-phase). They must agree
-  // exactly — party by party against NetworkStats, and phase by phase
-  // against the tracer (attribution by observed round coincides with
-  // attribution by send round only on fault-free runs, which is why this
-  // guard pins a run without a fault plan).
+  // One seeded fault-free run, counted once by the Ledger and observed
+  // independently by the RoundTracer (per-round aggregates). The Ledger's
+  // books are pinned to the values the pre-Ledger NetworkStats produced for
+  // this run, NetworkStats must be their snapshot, and the tracer must
+  // agree round by round and phase by phase (attribution by observed round
+  // coincides with attribution by send round only on fault-free runs,
+  // which is why this guard pins a run without a fault plan).
   obs::RoundTracer tracer;
   obs::Ledger ledger;
   BaRunConfig cfg;
@@ -157,16 +161,25 @@ TEST(Ledger, AgreesWithNetworkStatsAndTracerOnSeededRun) {
   cfg.ledger = &ledger;
   auto r = run_ba(cfg);
   ASSERT_TRUE(r.agreement);
+  EXPECT_EQ(r.rounds, 47u);
 
-  // Party-level: the ledger's books equal the network's, field for field.
+  // Party-level: pinned whole-run and boost-phase figures...
+  const obs::PartyStat sent = ledger.stat(obs::LedgerField::kBytesSent);
+  EXPECT_EQ(sent.total, 18764031u);
+  EXPECT_EQ(ledger.stat(obs::LedgerField::kBytesRecv).total, 18764031u);
+  EXPECT_EQ(ledger.stat(obs::LedgerField::kMsgsSent).total, 49705u);
+  EXPECT_EQ(r.stats.max_bytes_total(), 1625672u);
+  EXPECT_EQ(r.stats.max_locality(), 63u);
+  EXPECT_EQ(r.boost_stats.total_bytes(), 1641257u);
+  EXPECT_EQ(r.boost_stats.max_bytes_total(), 101949u);
+  EXPECT_EQ(r.boost_stats.max_locality(), 63u);
+  // ...and NetworkStats is the ledger's snapshot, field for field.
   ASSERT_EQ(ledger.n_parties(), r.stats.party.size());
+  const std::vector<std::size_t> locality = ledger.locality();
   for (PartyId i = 0; i < r.stats.party.size(); ++i) {
-    const auto& net = r.stats.party[i];
-    const obs::PartyTally& led = ledger.total(i);
-    ASSERT_EQ(led.bytes_sent, net.bytes_sent) << "party " << i;
-    ASSERT_EQ(led.bytes_recv, net.bytes_recv) << "party " << i;
-    ASSERT_EQ(led.msgs_sent, net.msgs_sent) << "party " << i;
-    ASSERT_EQ(led.msgs_recv, net.msgs_recv) << "party " << i;
+    ASSERT_EQ(static_cast<const obs::PartyTally&>(r.stats.party[i]), ledger.total(i))
+        << "party " << i;
+    ASSERT_EQ(r.stats.party[i].locality(), locality[i]) << "party " << i;
   }
 
   // Round-level: the tracer's per-round sent totals sum to the ledger's.
