@@ -1,4 +1,4 @@
-#include "obs/bench_args.hpp"
+#include "bench_args.hpp"
 
 #include <cstdio>
 #include <cstdlib>

@@ -1,7 +1,7 @@
 // Shared helpers for the experiment binaries: fixed-width table printing,
 // log-log slope estimation for the scaling figures, and glue between the
 // observability layer (obs/) and the bench JSON artifacts. Every binary
-// parses the shared CLI (obs/bench_args.hpp) and routes its rows through a
+// parses the shared CLI (bench_args.hpp) and routes its rows through a
 // bench::Reporter in addition to the text tables.
 #pragma once
 
@@ -13,13 +13,13 @@
 #include <utility>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "obs/alloc_hooks.hpp"
-#include "obs/bench_args.hpp"
 #include "obs/budget.hpp"
 #include "obs/ledger.hpp"
 #include "obs/prof.hpp"
-#include "obs/report.hpp"
 #include "obs/tracer.hpp"
+#include "report.hpp"
 
 namespace srds::bench {
 

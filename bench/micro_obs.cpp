@@ -15,7 +15,7 @@
 #include "net/simulator.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
+#include "report.hpp"
 
 namespace {
 

@@ -1,4 +1,4 @@
-#include "obs/report.hpp"
+#include "report.hpp"
 
 #include <cstdio>
 #include <ctime>
@@ -30,7 +30,8 @@ obs::Json Reporter::to_json(bool with_timestamp) const {
   out.set("bench", bench_);
   out.set("git_describe", git_describe());
   if (with_timestamp) {
-    // srds-lint: allow(D1): wall-clock here is bench-artifact metadata, not protocol state; the determinism guard compares with_timestamp=false documents.
+    // Wall-clock here is bench-artifact metadata, not protocol state; the
+    // determinism guard compares with_timestamp=false documents.
     std::time_t now = std::time(nullptr);
     std::tm tm{};
     gmtime_r(&now, &tm);

@@ -75,8 +75,8 @@ class Reporter {
  private:
   mutable std::mutex mu_;  // guards params_ and series_
   std::string bench_;
-  obs::Json params_ = obs::Json::object();  // srds-lint: guarded_by(mu_)
-  obs::Json series_ = obs::Json::array();   // srds-lint: guarded_by(mu_)
+  obs::Json params_ = obs::Json::object();
+  obs::Json series_ = obs::Json::array();
 };
 
 }  // namespace srds::bench

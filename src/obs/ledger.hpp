@@ -187,22 +187,19 @@ class Ledger final : public TraceSink {
   bool accumulate_ = false;
   // Tallies (accumulate mode included) are owned by the simulator loop that
   // feeds the sink; per-worker ledgers merge after the join in a sharded
-  // run. srds-lint rule C3 enforces the claim against the C1 shard-
-  // reachable surface.
-  std::vector<PartyTally> totals_;  // srds-lint: confined(sim-loop)
+  // run.
+  std::vector<PartyTally> totals_;
   // Sorted by start round.
-  std::vector<Phase> phases_;  // srds-lint: confined(sim-loop)
+  std::vector<Phase> phases_;
   std::size_t cur_phase_ = 0;       // phase of the last observed round
   std::size_t cur_round_ = 0;
   // kinds_[kind][party]: sent/recv tallies per message kind.
-  // srds-lint: confined(sim-loop)
   std::vector<std::vector<PartyTally>> kinds_;
   // Parties whose current-phase peer list has unsealed additions.
-  std::vector<PartyId> dirty_;  // srds-lint: confined(sim-loop)
+  std::vector<PartyId> dirty_;
   // Accumulate mode: each party's sorted peers from earlier runs.
-  // srds-lint: confined(sim-loop)
   std::vector<std::vector<PartyId>> carried_peers_;
-  std::vector<PartyId> merge_buf_;  // srds-lint: confined(sim-loop)
+  std::vector<PartyId> merge_buf_;
 };
 
 }  // namespace srds::obs

@@ -16,15 +16,13 @@
 // tests/obs_threaded_test.cpp against exactly this). Counters, gauges and
 // histograms are relaxed atomics — they are statistics, not
 // synchronization; nothing may be ordered against them (the policy is
-// docs/observability.md "memory-order policy", machine-checked by
-// srds-lint rule C3 against tools/srds-lint/locks.toml). Histogram::record
+// docs/observability.md "memory-order policy"). Histogram::record
 // is lock-free: each log2 bucket is its own atomic and min/max are CAS
 // loops, so the per-message hot path never serializes through a mutex. The
 // price is that a concurrent reader can observe a sum whose count has not
 // landed yet — fine for statistics, which is all a histogram is. The
 // registry's entry lists keep a mutex (registration + export only, never
-// the record path); those fields carry guarded_by annotations that
-// srds-lint rule C2 enforces interprocedurally.
+// the record path).
 #pragma once
 
 #include <atomic>
@@ -140,9 +138,9 @@ class Registry {
   // Guards the entry lists (registration + export); the metrics themselves
   // synchronize their own updates.
   mutable std::mutex mu_;
-  std::deque<Entry<Counter>> counters_;      // srds-lint: guarded_by(mu_)
-  std::deque<Entry<Gauge>> gauges_;          // srds-lint: guarded_by(mu_)
-  std::deque<Entry<Histogram>> histograms_;  // srds-lint: guarded_by(mu_)
+  std::deque<Entry<Counter>> counters_;
+  std::deque<Entry<Gauge>> gauges_;
+  std::deque<Entry<Histogram>> histograms_;
 };
 
 }  // namespace srds::obs

@@ -1,7 +1,7 @@
 // obs profiling layer: lock-free scoped timers + optional HW counters.
 //
 // The Ledger audits the paper's *bit* budgets; this file is the equivalent
-// runtime layer for *time and allocation* (ROADMAP items 1 and 3 — sharding
+// runtime layer for *time and allocation* (ROADMAP items 3 and 4 — sharding
 // the simulator and optimizing the crypto/serialization hot path — only
 // count if regressions are caught). A `PROF_SCOPE(site)` expands to a RAII
 // timer that aggregates into the site's sharded atomics:
@@ -26,8 +26,8 @@
 // any deterministic byte (tests/trace_test.cpp enforces this).
 //
 // Memory-order policy: prof counters are statistics, not synchronization —
-// all site atomics are relaxed (tools/srds-lint/locks.toml [allow-relaxed]
-// "ProfSite::*"); the global enable flag keeps default seq_cst ordering
+// all site atomics are relaxed (the ProfConcurrency.* tests exercise them
+// under TSan); the global enable flag keeps default seq_cst ordering
 // because it is read once per scope, not per event. A concurrent snapshot
 // can tear across fields (a count without its total); prof_to_json is
 // explicitly tear-tolerant reporting, never an invariant.

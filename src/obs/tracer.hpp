@@ -94,13 +94,12 @@ class RoundTracer final : public TraceSink {
 
   // Trace accumulation is owned by the simulator loop that drives the sink
   // callbacks; a sharded simulator must give each worker its own tracer (or
-  // funnel events through a queue) rather than share this one. srds-lint
-  // rule C3 enforces the claim against the C1 shard-reachable surface.
-  std::size_t n_parties_ = 0;  // srds-lint: confined(sim-loop)
-  std::size_t rounds_run_ = 0;  // srds-lint: confined(sim-loop)
-  std::vector<RoundRecord> rounds_;  // srds-lint: confined(sim-loop)
-  std::vector<Mark> marks_;  // srds-lint: confined(sim-loop)
-  std::vector<Span> spans_;  // srds-lint: confined(sim-loop)
+  // funnel events through a queue) rather than share this one.
+  std::size_t n_parties_ = 0;
+  std::size_t rounds_run_ = 0;
+  std::vector<RoundRecord> rounds_;
+  std::vector<Mark> marks_;
+  std::vector<Span> spans_;
   std::chrono::steady_clock::time_point round_start_{};
 };
 

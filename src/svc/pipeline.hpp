@@ -80,16 +80,14 @@ class InstancePipeline final : public Party {
 
   PartyId me_;
   // Pipeline state is owned by the daemon's round loop (one thread drives
-  // every hosted instance); srds-lint rule C3 flags any access from the C1
-  // shard-reachable surface.
-  bool open_ = true;  // srds-lint: confined(daemon-loop)
-  // srds-lint: confined(daemon-loop)
+  // every hosted instance).
+  bool open_ = true;
   std::vector<Slot> slots_;  // admission order
-  std::vector<Retired> retired_;  // srds-lint: confined(daemon-loop)
-  std::uint64_t malformed_ = 0;   // srds-lint: confined(daemon-loop)
+  std::vector<Retired> retired_;
+  std::uint64_t malformed_ = 0;
   // Carried over from retired instances.
-  std::uint64_t retired_malformed_ = 0;  // srds-lint: confined(daemon-loop)
-  std::uint64_t stale_ = 0;  // srds-lint: confined(daemon-loop)
+  std::uint64_t retired_malformed_ = 0;
+  std::uint64_t stale_ = 0;
 };
 
 }  // namespace srds::svc

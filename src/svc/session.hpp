@@ -120,14 +120,12 @@ class SessionManager {
   std::size_t completed_cache_;
   // Session state is owned by the daemon's accept/dispatch loop; nothing
   // else may touch it until it moves behind a mutex or the frames are
-  // funneled through a queue. srds-lint rule C3 enforces the claim against
-  // the C1 shard-reachable surface.
-  std::uint64_t next_session_ = 1;  // srds-lint: confined(daemon-loop)
-  // srds-lint: confined(daemon-loop)
+  // funneled through a queue.
+  std::uint64_t next_session_ = 1;
   std::unordered_map<std::uint64_t, Session> sessions_;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>
-      instance_index_;  // srds-lint: confined(daemon-loop)
-  std::uint64_t rejected_full_ = 0;  // srds-lint: confined(daemon-loop)
+      instance_index_;
+  std::uint64_t rejected_full_ = 0;
 };
 
 }  // namespace srds::svc

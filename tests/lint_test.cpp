@@ -181,12 +181,21 @@ TEST(LintSeverity, OverridesDowngradeAndDisable) {
 }
 
 TEST(LintEngine, RuleTableLooksUpEveryRule) {
+  std::vector<std::string> ids;
   for (const RuleInfo& r : rules()) {
     const RuleInfo* found = find_rule(r.id);
     ASSERT_NE(found, nullptr);
     EXPECT_STREQ(found->id, r.id);
+    ids.emplace_back(r.id);
   }
+  // The exact table, in report order: a rule can only join or leave it
+  // deliberately.
+  const std::vector<std::string> want = {"D1", "B1", "S1", "H1", "L1", "T1",
+                                         "P1", "C1", "P2", "T2", "A0"};
+  EXPECT_EQ(ids, want);
   EXPECT_EQ(find_rule("Z9"), nullptr);
+  EXPECT_EQ(find_rule("C2"), nullptr);
+  EXPECT_EQ(find_rule("C3"), nullptr);
 }
 
 // The determinism guard, ported from tests/trace_test.cpp: two full runs

@@ -9,12 +9,12 @@
 #include <limits>
 #include <sstream>
 
+#include "bench_args.hpp"
 #include "json_parser.hpp"
 #include "obs/alloc_hooks.hpp"
-#include "obs/bench_args.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
+#include "report.hpp"
 
 namespace srds {
 namespace {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
+#include "report.hpp"
 
 namespace srds {
 namespace {

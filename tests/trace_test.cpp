@@ -9,8 +9,8 @@
 #include "json_parser.hpp"
 #include "net/simulator.hpp"
 #include "obs/prof.hpp"
-#include "obs/report.hpp"
 #include "obs/tracer.hpp"
+#include "report.hpp"
 
 namespace srds {
 namespace {

@@ -1,5 +1,5 @@
 // Core of the bench-diff ratchet gate: flatten BENCH_*.json artifacts
-// (src/obs/report.hpp schema v2) into keyed numeric samples, then compare a
+// (bench/report.hpp schema v2) into keyed numeric samples, then compare a
 // baseline run against a fresh run with regression semantics.
 //
 // A sample is identified by (bench, label, x, metric):

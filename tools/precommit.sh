@@ -21,13 +21,11 @@ if [ -f build/compile_commands.json ]; then
     --compile-db build/compile_commands.json \
     --layers tools/srds-lint/layers.toml \
     --shard-roots tools/srds-lint/shard_roots.toml \
-    --locks tools/srds-lint/locks.toml \
     --baseline LINT_BASELINE.json \
     --quiet src
 else
   "$LINT" --tests-dir tests --layers tools/srds-lint/layers.toml \
     --shard-roots tools/srds-lint/shard_roots.toml \
-    --locks tools/srds-lint/locks.toml \
     --baseline LINT_BASELINE.json --quiet src
 fi
 

@@ -484,9 +484,19 @@ bool parse_shard_manifest(const std::string& text, ShardManifest& out, std::stri
   return true;
 }
 
+namespace {
+
 // ---------------------------------------------------------------------------
 // Reachability.
 // ---------------------------------------------------------------------------
+
+/// Reachability wave recording each reached definition's parent and root.
+struct Reach {
+  std::vector<std::size_t> parent;  // def index, kNpos at roots
+  std::vector<std::size_t> root;    // root def index
+  std::vector<char> vis;
+  std::size_t allowed_skips = 0;
+};
 
 Reach reach_from(const CallGraph& cg, const std::vector<std::size_t>& roots,
                  const std::set<std::size_t>& allowed) {
@@ -521,6 +531,7 @@ Reach reach_from(const CallGraph& cg, const std::vector<std::size_t>& roots,
   return r;
 }
 
+/// " -> "-joined qualified names from `d`'s root down to `d` (capped depth).
 std::string call_path(const CallGraph& cg, const Reach& r, std::size_t d) {
   std::vector<std::string> chain;
   for (std::size_t i = d; i != kNpos; i = r.parent[i]) {
@@ -539,6 +550,9 @@ std::string call_path(const CallGraph& cg, const Reach& r, std::size_t d) {
   return out;
 }
 
+/// C1 root definitions (inline shard-root markers + manifest [roots]) and
+/// [allow]-listed definitions, resolved the way check_callgraph resolves
+/// them but without emitting findings — for the DOT exporter.
 void shard_roots_and_allows(const CallGraph& cg, const ShardManifest* manifest,
                             std::set<std::size_t>& roots,
                             std::set<std::size_t>& allowed) {
@@ -571,8 +585,6 @@ void shard_roots_and_allows(const CallGraph& cg, const ShardManifest* manifest,
     }
   }
 }
-
-namespace {
 
 void add(std::vector<Finding>& out, const std::string& file, std::size_t line,
          const char* rule, std::string msg) {

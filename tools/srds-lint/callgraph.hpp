@@ -1,6 +1,6 @@
 // Symbol-level call graph + the interprocedural passes built on it.
 //
-// ROADMAP item 1 shards the simulator across threads; the blocker is
+// ROADMAP item 3 shards the simulator across threads; the blocker is
 // proving every function reachable from a party's per-round entry point is
 // free of cross-party shared mutable state and iteration-order
 // nondeterminism. That proof is this file:
@@ -105,29 +105,6 @@ struct ShardManifest {
 
 bool parse_shard_manifest(const std::string& text, ShardManifest& out,
                           std::string& error);
-
-/// Reachability wave with parent/root tracking. Public so the locks pass
-/// (locks.cpp) can run the same traversal — with the same [allow] stop
-/// semantics and call-path rendering — instead of growing a second BFS.
-struct Reach {
-  std::vector<std::size_t> parent;  // def index, size_t(-1) at roots
-  std::vector<std::size_t> root;    // root def index
-  std::vector<char> vis;
-  std::size_t allowed_skips = 0;
-};
-
-Reach reach_from(const CallGraph& cg, const std::vector<std::size_t>& roots,
-                 const std::set<std::size_t>& allowed);
-
-/// " -> "-joined qualified names from `d`'s root down to `d` (capped depth).
-std::string call_path(const CallGraph& cg, const Reach& r, std::size_t d);
-
-/// C1 root definitions (inline shard-root markers + manifest [roots]) and
-/// [allow]-listed definitions, resolved without emitting findings — shared
-/// by the DOT exporter and the locks pass's shard-reachability check.
-void shard_roots_and_allows(const CallGraph& cg, const ShardManifest* manifest,
-                            std::set<std::size_t>& roots,
-                            std::set<std::size_t>& allowed);
 
 /// Run C1 + P2 + T2. `manifest` may be null (marker-only roots). Raw
 /// findings — severity/suppression post-processing happens in lint_files.

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "callgraph.hpp"
-#include "locks.hpp"
 #include "graph.hpp"
 #include "lex.hpp"
 #include "taint.hpp"
@@ -302,10 +301,6 @@ const std::vector<RuleInfo>& rules() {
       {"C1", "shared state / nondeterminism reachable from a shard-root", Severity::kError},
       {"P2", "hot-path violation reachable from a hotpath function", Severity::kError},
       {"T2", "unvalidated payload bytes flowing through helpers", Severity::kError},
-      {"C2", "lock discipline: unheld guarded_by access / double-lock / order cycle",
-       Severity::kError},
-      {"C3", "atomics audit: shared-state RMW, unjustified relaxed, confined escape",
-       Severity::kError},
       {"A0", "malformed srds-lint suppression", Severity::kError},
   };
   return kRules;
@@ -379,7 +374,7 @@ std::vector<Finding> lint_file(const std::string& raw_path, const std::string& c
 
 std::vector<Finding> lint_files(
     const std::vector<std::pair<std::string, std::string>>& files, const Config& cfg,
-    CallGraphStats* cg_stats, LockStats* lock_stats) {
+    CallGraphStats* cg_stats) {
   std::vector<Finding> all;
   for (const auto& [path, content] : files) {
     std::vector<Finding> fs = lint_file(path, content, cfg);
@@ -414,28 +409,6 @@ std::vector<Finding> lint_files(
     raw.insert(raw.end(), std::make_move_iterator(cgf.begin()),
                std::make_move_iterator(cgf.end()));
 
-    // C2/C3 concurrency passes on the same graph. Inline guarded_by/confined
-    // annotations alone can seed them; the locks.toml manifest adds the
-    // [shared]/[allow-relaxed]/[allow] lists.
-    LocksManifest locks_manifest;
-    const LocksManifest* lptr = nullptr;
-    if (!cfg.locks_manifest.empty()) {
-      std::string error;
-      if (!parse_locks_manifest(cfg.locks_manifest, locks_manifest, error)) {
-        Finding f;
-        f.file = normalize_path(cfg.locks_manifest_path);
-        f.line = 0;
-        f.rule = "C2";
-        f.message = "bad locks manifest: " + error;
-        raw.push_back(std::move(f));
-      } else {
-        lptr = &locks_manifest;
-      }
-    }
-    std::vector<Finding> lkf = check_locks(
-        cg, lptr, normalize_path(cfg.locks_manifest_path), mptr, lock_stats);
-    raw.insert(raw.end(), std::make_move_iterator(lkf.begin()),
-               std::make_move_iterator(lkf.end()));
     std::map<std::string, std::vector<Suppression>> sups_by_file;
     for (const FileCtx& fc : cg.files) sups_by_file[fc.path] = parse_suppressions(fc.lx);
     for (Finding& f : raw) {

@@ -56,21 +56,12 @@
 //       statics, unordered-container iteration, unseeded RNG engines and
 //       singleton accessors — each finding carries the call path from the
 //       root. This is the machine-checked gate for sharding the simulator
-//       (ROADMAP item 1).
+//       (ROADMAP item 3).
 //   P2  interprocedural hot-path hygiene: the P1 discipline propagated
 //       through the call graph from every hotpath-marked function.
 //   T2  interprocedural taint: payload bytes handed to a helper before
 //       validation, where the helper (transitively) reads the bytes before
 //       its own deserialize/validate; reported with the flow path.
-//   C2  lock discipline (locks.hpp): `// srds-lint: guarded_by(mu)` field
-//       annotations checked interprocedurally — unheld access from a
-//       public entry point (with the unlocked call path), double-lock of a
-//       held mutex, and lock-order cycles over the whole-program
-//       lock-order graph (exported as LINT_lockorder.dot).
-//   C3  atomics audit (locks.hpp): non-atomic RMW on locks.toml [shared]
-//       fields, shared fields that are neither atomic nor guarded,
-//       memory_order_relaxed outside the justified [allow-relaxed] list,
-//       and `confined(owner)`-annotated state reached from C1 shard roots.
 //   A0  malformed suppression: `srds-lint: allow(...)` without the
 //       mandatory justification text, or naming an unknown rule. A
 //       malformed suppression never suppresses.
@@ -147,14 +138,6 @@ struct Config {
   std::string shard_manifest;
   std::string shard_manifest_path = "shard_roots.toml";
 
-  /// Contents of the locks.toml manifest ([shared] fields, [allow-relaxed]
-  /// justifications, [allow] escape hatch for the C2/C3 concurrency
-  /// passes). The passes run in lint_files regardless (inline guarded_by /
-  /// confined annotations alone can seed them); a parse failure is
-  /// reported as a C2 finding against `locks_manifest_path`.
-  std::string locks_manifest;
-  std::string locks_manifest_path = "locks.toml";
-
   Severity severity_of(const std::string& rule) const;
 };
 
@@ -171,14 +154,6 @@ struct CallGraphStats {
   std::size_t allowed_skips = 0;     // traversal stops at [allow] entries
 };
 
-/// Locks-pass census for the LINT_*.json stats block (deterministic).
-struct LockStats {
-  std::size_t annotated_fields = 0;  // guarded_by/confined markers bound to fields
-  std::size_t lock_edges = 0;        // distinct lock-order graph edges
-  std::size_t order_cycles = 0;      // distinct lock-order cycles
-  std::size_t relaxed_allows = 0;    // relaxed sites matched by [allow-relaxed]
-};
-
 /// Lint a single file. `path` is the repo-relative logical path — rule
 /// scoping (protocol dirs, src/net, src/common/rng, header rules) is
 /// decided from it, so tests can present fixture content under any path.
@@ -189,14 +164,13 @@ std::vector<Finding> lint_file(const std::string& path, const std::string& conte
                                const Config& cfg);
 
 /// Lint many (path, content) pairs — per-file rules, the cross-TU C1/P2/T2
-/// call-graph passes (roots from inline markers plus cfg.shard_manifest),
-/// the C2/C3 concurrency passes (annotations plus cfg.locks_manifest) and,
-/// when cfg.layers_manifest is set, the L1 layering pass. Findings sorted
-/// by (file, line, rule). `cg_stats` / `lock_stats`, when given, receive
-/// the call-graph and locks-pass censuses for the JSON stats block.
+/// call-graph passes (roots from inline markers plus cfg.shard_manifest)
+/// and, when cfg.layers_manifest is set, the L1 layering pass. Findings
+/// sorted by (file, line, rule). `cg_stats`, when given, receives the
+/// call-graph census for the JSON stats block.
 std::vector<Finding> lint_files(
     const std::vector<std::pair<std::string, std::string>>& files, const Config& cfg,
-    CallGraphStats* cg_stats = nullptr, LockStats* lock_stats = nullptr);
+    CallGraphStats* cg_stats = nullptr);
 
 /// True if any finding is an unsuppressed error (the CI gate / exit code).
 bool has_blocking(const std::vector<Finding>& findings);

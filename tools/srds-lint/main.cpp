@@ -12,19 +12,12 @@
 //     --shard-roots FILE   shard_roots.toml manifest: extra C1 roots plus
 //                          the [allow] escape hatch for the call-graph
 //                          passes (inline markers work without it)
-//     --locks FILE         locks.toml manifest: [shared] fields,
-//                          [allow-relaxed] justifications and the [allow]
-//                          escape hatch for the C2/C3 concurrency passes
-//                          (inline guarded_by/confined markers work
-//                          without it)
 //     --compile-db FILE    compile_commands.json; its translation units
 //                          (plus their transitively reachable quoted
 //                          includes) join the scan set
 //     --dot FILE           export the module dependency graph as Graphviz
 //     --callgraph-dot FILE export the shard-reachable call graph as
 //                          Graphviz (roots double-circled, allowed dashed)
-//     --lockorder-dot FILE export the lock-order graph as Graphviz (edges
-//                          labeled with the acquisition site, cycles red)
 //     --baseline FILE      ratchet gate: fail only on findings not in FILE,
 //                          and on stale FILE entries (fixed but listed)
 //     --write-baseline FILE  record current blocking findings into FILE
@@ -53,7 +46,6 @@
 #include "baseline.hpp"
 #include "callgraph.hpp"
 #include "graph.hpp"
-#include "locks.hpp"
 #include "lex.hpp"
 #include "lint.hpp"
 #include "obs/metrics.hpp"
@@ -157,7 +149,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::string json_path, tests_dir, layers_path, compile_db_path, dot_path;
   std::string shard_roots_path, callgraph_dot_path;
-  std::string locks_path, lockorder_dot_path;
   std::string baseline_path, write_baseline_path;
   bool quiet = false, show_suppressed = false;
   srds::lint::Config cfg;
@@ -179,16 +170,12 @@ int main(int argc, char** argv) {
       layers_path = need_value("--layers");
     } else if (a == "--shard-roots") {
       shard_roots_path = need_value("--shard-roots");
-    } else if (a == "--locks") {
-      locks_path = need_value("--locks");
     } else if (a == "--compile-db") {
       compile_db_path = need_value("--compile-db");
     } else if (a == "--dot") {
       dot_path = need_value("--dot");
     } else if (a == "--callgraph-dot") {
       callgraph_dot_path = need_value("--callgraph-dot");
-    } else if (a == "--lockorder-dot") {
-      lockorder_dot_path = need_value("--lockorder-dot");
     } else if (a == "--baseline") {
       baseline_path = need_value("--baseline");
     } else if (a == "--write-baseline") {
@@ -217,9 +204,8 @@ int main(int argc, char** argv) {
   }
   if (roots.empty() && compile_db_path.empty()) {
     std::cerr << "usage: srds-lint [--json FILE] [--tests-dir DIR] [--layers FILE]\n"
-                 "                 [--shard-roots FILE] [--locks FILE] [--compile-db FILE]\n"
-                 "                 [--dot FILE] [--callgraph-dot FILE]\n"
-                 "                 [--lockorder-dot FILE] [--baseline FILE]\n"
+                 "                 [--shard-roots FILE] [--compile-db FILE]\n"
+                 "                 [--dot FILE] [--callgraph-dot FILE] [--baseline FILE]\n"
                  "                 [--write-baseline FILE] [--severity R=LEVEL]\n"
                  "                 [--show-suppressed] [--list-rules] [--quiet] <path>...\n";
     return 2;
@@ -261,15 +247,6 @@ int main(int argc, char** argv) {
     }
     cfg.shard_manifest_path = repo_relative(fs::path(shard_roots_path));
     if (cfg.shard_manifest_path.empty()) cfg.shard_manifest_path = shard_roots_path;
-  }
-
-  if (!locks_path.empty()) {
-    if (!read_file(locks_path, cfg.locks_manifest) || cfg.locks_manifest.empty()) {
-      std::cerr << "srds-lint: cannot read locks manifest '" << locks_path << "'\n";
-      return 2;
-    }
-    cfg.locks_manifest_path = repo_relative(fs::path(locks_path));
-    if (cfg.locks_manifest_path.empty()) cfg.locks_manifest_path = locks_path;
   }
 
   std::vector<fs::path> files;
@@ -334,9 +311,8 @@ int main(int argc, char** argv) {
 
   const auto t_io = std::chrono::steady_clock::now();
   srds::lint::CallGraphStats cg_stats;
-  srds::lint::LockStats lock_stats;
   const std::vector<srds::lint::Finding> findings =
-      srds::lint::lint_files(inputs, cfg, &cg_stats, &lock_stats);
+      srds::lint::lint_files(inputs, cfg, &cg_stats);
   const auto t_lint = std::chrono::steady_clock::now();
 
   if (!dot_path.empty()) {
@@ -359,22 +335,6 @@ int main(int argc, char** argv) {
         srds::lint::call_graph_dot(srds::lint::build_call_graph(inputs), mptr);
     if (!srds::lint::write_text_file(callgraph_dot_path, dot)) {
       std::cerr << "srds-lint: cannot write '" << callgraph_dot_path << "'\n";
-      return 2;
-    }
-  }
-
-  if (!lockorder_dot_path.empty()) {
-    srds::lint::LocksManifest locks_manifest;
-    const srds::lint::LocksManifest* lptr = nullptr;
-    std::string error;
-    if (!cfg.locks_manifest.empty() &&
-        srds::lint::parse_locks_manifest(cfg.locks_manifest, locks_manifest, error)) {
-      lptr = &locks_manifest;
-    }
-    const std::string dot =
-        srds::lint::lock_order_dot(srds::lint::build_call_graph(inputs), lptr);
-    if (!srds::lint::write_text_file(lockorder_dot_path, dot)) {
-      std::cerr << "srds-lint: cannot write '" << lockorder_dot_path << "'\n";
       return 2;
     }
   }
@@ -463,11 +423,6 @@ int main(int argc, char** argv) {
   registry.counter("lint_callgraph_shard_reachable").inc(cg_stats.shard_reachable);
   registry.counter("lint_callgraph_hotpath_reachable").inc(cg_stats.hotpath_reachable);
   registry.counter("lint_callgraph_allowed_skips").inc(cg_stats.allowed_skips);
-  // Locks-pass census (C2/C3; same determinism contract).
-  registry.counter("lint_locks_annotated_fields").inc(lock_stats.annotated_fields);
-  registry.counter("lint_locks_lock_edges").inc(lock_stats.lock_edges);
-  registry.counter("lint_locks_order_cycles").inc(lock_stats.order_cycles);
-  registry.counter("lint_locks_relaxed_allows").inc(lock_stats.relaxed_allows);
   const auto ms = [](auto d) {
     return std::chrono::duration<double, std::milli>(d).count();
   };
