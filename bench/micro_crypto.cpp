@@ -10,6 +10,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
+#include "crypto/multisig.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/wots.hpp"
 
@@ -180,6 +181,40 @@ BENCHMARK(BM_Sha256Tagged)->Arg(40);
 
 // 1024 leaves = the depth-10 key tree of an n=1024 SnarkSrds.
 BENCHMARK(BM_MerklePathVerify)->Arg(1024);
+
+// One coin-toss dealer check: all c shares of a consistent dealing at the
+// supreme-committee sizes c = 17, 41, 65 (n = 16, 1024, 65536), t = (c-1)/3.
+void BM_ShamirConsistent(benchmark::State& state) {
+  Rng rng(14);
+  const auto c = static_cast<std::size_t>(state.range(0));
+  auto shares = shamir_share(rng.below(1u << 30), (c - 1) / 3, c, rng);
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(shamir_consistent(shares, (c - 1) / 3));
+  }
+  bench::report_allocs(state, a0);
+}
+BENCHMARK(BM_ShamirConsistent)->Arg(17)->Arg(41)->Arg(65);
+
+// BGT'13 verify of an aggregate every one of n parties signed.
+void BM_MultisigVerify(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  MultisigRegistry reg(n, 15);
+  const Bytes m = Rng(16).bytes(32);
+  std::vector<std::size_t> signers(n);
+  std::vector<MultisigTag> tags(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    signers[i] = i;
+    tags[i] = reg.sign(i, m);
+  }
+  const Multisig sig = MultisigRegistry::aggregate(n, signers, tags);
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(reg.verify(m, sig));
+  }
+  bench::report_allocs(state, a0);
+}
+BENCHMARK(BM_MultisigVerify)->Arg(256)->Arg(4096);
 
 }  // namespace
 

@@ -7,6 +7,7 @@
 #include "consensus/field.hpp"
 #include "crypto/commit.hpp"
 #include "crypto/sha256.hpp"
+#include "obs/prof.hpp"
 
 namespace srds {
 
@@ -152,6 +153,7 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
 }
 
 void CoinTossProto::decide() {
+  PROF_SCOPE(obs::ProfSiteId::kConsensusCoinDecide);
   const std::size_t c = members_.size();
   const std::size_t need = std::min(2 * t_ + 1, c);
 
@@ -177,6 +179,9 @@ void CoinTossProto::decide() {
     if (ok && r.done()) reveals[j] = std::move(vec);
   }
 
+  // One code per distinct set of valid share positions; in a fault-free
+  // toss every dealer has the same set.
+  std::vector<ShamirCode> codes;
   Writer contributions;
   for (std::size_t dealer = 0; dealer < c; ++dealer) {
     std::uint64_t contribution = 0;
@@ -201,17 +206,22 @@ void CoinTossProto::decide() {
       }
     }
     if (have_commitments) {
-      std::vector<Share> valid;
+      // Member j's share sits at x = j + 1.
+      std::vector<std::uint64_t> xs, ys;
       for (std::size_t j = 0; j < c; ++j) {
         if (!reveals[j].has_value()) continue;
         const auto& rs = (*reveals[j])[dealer];
         if (!rs.has) continue;
         if (commit_open(Commitment{commitments[j]}, share_commit_message(rs.y), rs.rho)) {
-          valid.push_back(Share{j + 1, rs.y});
+          xs.push_back(j + 1);
+          ys.push_back(rs.y);
         }
       }
-      if (valid.size() >= need && shamir_consistent(valid, t_)) {
-        if (auto rec = shamir_reconstruct(valid, t_)) contribution = *rec;
+      if (xs.size() >= need) {
+        auto code = std::find_if(codes.begin(), codes.end(),
+                                 [&](const ShamirCode& k) { return k.xs() == xs; });
+        if (code == codes.end()) code = codes.insert(code, ShamirCode(xs, t_));
+        if (code->consistent(ys)) contribution = code->secret(ys).value_or(0);
       }
     }
     contributions.u64(contribution);

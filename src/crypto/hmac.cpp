@@ -2,11 +2,9 @@
 
 #include <cstring>
 
-#include "crypto/sha256.hpp"
-
 namespace srds {
 
-Digest hmac_sha256(BytesView key, BytesView data) {
+HmacSha256::HmacSha256(BytesView key) {
   std::uint8_t k[64] = {0};
   if (key.size() > 64) {
     Digest kd = sha256(key);
@@ -20,16 +18,15 @@ Digest hmac_sha256(BytesView key, BytesView data) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
-
-  Sha256 inner;
-  inner.update(BytesView{ipad, 64});
-  inner.update(data);
-  Digest inner_d = inner.finish();
-
-  Sha256 outer;
-  outer.update(BytesView{opad, 64});
-  outer.update(inner_d.view());
-  return outer.finish();
+  inner_.update(BytesView{ipad, 64});
+  outer_.update(BytesView{opad, 64});
 }
+
+Digest HmacSha256::mac(BytesView data) const {
+  Digest inner_d = Sha256(inner_).update(data).finish();
+  return Sha256(outer_).update(inner_d.view()).finish();
+}
+
+Digest hmac_sha256(BytesView key, BytesView data) { return HmacSha256(key).mac(data); }
 
 }  // namespace srds

@@ -5,7 +5,6 @@
 
 #include "common/rng.hpp"
 #include "common/serial.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace srds {
@@ -56,14 +55,16 @@ std::size_t Multisig::signer_count() const {
 MultisigRegistry::MultisigRegistry(std::size_t n, std::uint64_t seed) : n_(n) {
   Rng rng(seed ^ 0x6d756c7469736967ULL);
   keys_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) keys_.push_back(rng.bytes(32));
+  for (std::size_t i = 0; i < n; ++i) keys_.emplace_back(rng.bytes(32));
+}
+
+MultisigTag MultisigRegistry::tag(std::size_t i, BytesView m, const Digest& m2) const {
+  return tag_from_digests(keys_[i].mac(m), keys_[i].mac(m2.view()));
 }
 
 MultisigTag MultisigRegistry::sign(std::size_t i, BytesView m) const {
   if (i >= n_) throw std::out_of_range("MultisigRegistry::sign: bad party index");
-  Digest a = hmac_sha256(keys_[i], m);
-  Digest b = hmac_sha256(keys_[i], sha256_tagged("ms-2", m).view());
-  return tag_from_digests(a, b);
+  return tag(i, m, sha256_tagged("ms-2", m));
 }
 
 Multisig MultisigRegistry::aggregate(std::size_t n, const std::vector<std::size_t>& signers,
@@ -98,9 +99,10 @@ bool MultisigRegistry::merge(Multisig& into, const Multisig& other) {
 
 bool MultisigRegistry::verify(BytesView m, const Multisig& sig) const {
   if (sig.signers.size() != n_) return false;
+  const Digest m2 = sha256_tagged("ms-2", m);
   MultisigTag expect;
   for (std::size_t i = 0; i < n_; ++i) {
-    if (sig.signers[i]) expect.xor_in(sign(i, m));
+    if (sig.signers[i]) expect.xor_in(tag(i, m, m2));
   }
   return expect == sig.tag;
 }

@@ -48,6 +48,7 @@ constexpr const char* kProfSiteNames[kProfSiteCount] = {
     "svc/frame/decode",
     "svc/pipeline/step",
     "svc/daemon/step",
+    "consensus/coin_toss/decide",
 };
 
 struct NamedSite {

@@ -63,6 +63,7 @@ enum class ProfSiteId : std::uint32_t {
   kSvcFrameDecode,     // svc/frame/decode    — FrameDecoder::next
   kSvcPipelineStep,    // svc/pipeline/step   — InstancePipeline::on_round
   kSvcDaemonStep,      // svc/daemon/step     — BaServiceDaemon::step
+  kConsensusCoinDecide,// consensus/coin_toss/decide — CoinTossProto::decide
   kCount,
 };
 

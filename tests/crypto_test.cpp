@@ -193,6 +193,16 @@ TEST(Hmac, Rfc4231LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(Hmac, KeyedObjectIsReusable) {
+  // mac() starts from the stored midstates and never advances them.
+  const HmacSha256 h(Bytes(20, 0x0b));
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(to_hex(h.mac(to_bytes("Hi There")).view()),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+    EXPECT_EQ(h.mac(Bytes(200, 0x42)), hmac_sha256(Bytes(20, 0x0b), Bytes(200, 0x42)));
+  }
+}
+
 // --- PRG ---
 
 TEST(Prg, DeterministicAndSeedSeparated) {
@@ -457,6 +467,24 @@ TEST(Multisig, AggregateAndVerify) {
   Multisig ms = MultisigRegistry::aggregate(10, signers, tags);
   EXPECT_TRUE(reg.verify(m, ms));
   EXPECT_EQ(ms.signer_count(), 4u);
+}
+
+TEST(Multisig, SeededTagsArePinned) {
+  // Recorded before signing moved onto precomputed HMAC midstates: the
+  // scheme's tags and verdicts are unchanged by that.
+  MultisigRegistry reg(300, 2013);
+  const Bytes m = to_bytes("bgt13 block");
+  EXPECT_EQ(to_hex(BytesView{reg.sign(299, m).v.data(), 48}), "acd266f6f4dcffd7da50958e55dff02a66237fb7f3aaa7aeeac4d7141cadcf3d25e83e5b2dfa4e463f2434dcc6204950");
+  std::vector<std::size_t> signers;
+  std::vector<MultisigTag> tags;
+  for (std::size_t i = 0; i < 300; i += 3) {
+    signers.push_back(i);
+    tags.push_back(reg.sign(i, m));
+  }
+  Multisig ms = MultisigRegistry::aggregate(300, signers, tags);
+  EXPECT_EQ(to_hex(BytesView{ms.tag.v.data(), 48}), "c1e949822c238cdb5ca33b1c1596e51f2dceb87c986fca3d136296354875df8fa9e45c40d46b7d0e184f1e0b19721da8");
+  EXPECT_TRUE(reg.verify(m, ms));
+  EXPECT_FALSE(reg.verify(to_bytes("bgt13 block!"), ms));
 }
 
 TEST(Multisig, WrongBitmapRejected) {

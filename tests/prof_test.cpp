@@ -36,6 +36,7 @@ TEST(ProfSites, NamesAreHierarchical) {
         << "site names are module/phase/site paths: " << name;
   }
   EXPECT_STREQ(prof_site_name(ProfSiteId::kSimRound), "sim/round");
+  EXPECT_STREQ(prof_site_name(ProfSiteId::kConsensusCoinDecide), "consensus/coin_toss/decide");
 }
 
 TEST(ProfSites, RecordMathAndBuckets) {
