@@ -18,7 +18,6 @@
 #include "obs/budget.hpp"
 #include "obs/ledger.hpp"
 #include "obs/prof.hpp"
-#include "obs/tracer.hpp"
 #include "report.hpp"
 
 namespace srds::bench {
@@ -105,17 +104,18 @@ void say(const char* fmt, A... args) {
   std::printf(fmt, args...);
 }
 
-/// Per-phase byte/round/message breakdown of a traced run, as a JSON
-/// object {phase: {rounds, msgs_sent, bytes_sent}} for Reporter metrics.
-inline obs::Json phase_metrics(const obs::RoundTracer& tracer) {
+/// Per-phase round/message/byte breakdown of the run the ledger counted, as
+/// a JSON object {phase: {start, rounds, msgs_sent, bytes_sent}} for
+/// Reporter metrics.
+inline obs::Json phase_metrics(const obs::Ledger& ledger) {
   obs::Json out = obs::Json::object();
-  for (const auto& p : tracer.phase_totals()) {
+  for (std::size_t p = 0; p < ledger.phase_count(); ++p) {
     obs::Json j = obs::Json::object();
-    j.set("start", p.start);
-    j.set("rounds", p.rounds);
-    j.set("msgs_sent", p.msgs_sent);
-    j.set("bytes_sent", p.bytes_sent);
-    out.set(p.name, std::move(j));
+    j.set("start", ledger.phase_start(p));
+    j.set("rounds", ledger.phase_rounds(p));
+    j.set("msgs_sent", ledger.stat(obs::LedgerField::kMsgsSent, p).total);
+    j.set("bytes_sent", ledger.stat(obs::LedgerField::kBytesSent, p).total);
+    out.set(ledger.phase_name(p), std::move(j));
   }
   return out;
 }

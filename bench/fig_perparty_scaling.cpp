@@ -59,23 +59,18 @@ int main(int argc, char** argv) {
     std::vector<double> xs, ys;
     for (std::size_t i = 0; i < sizes.size(); ++i) {
       const std::size_t n = sizes[i];
-      obs::RoundTracer tracer;
       obs::Ledger ledger;
       BaRunConfig cfg;
       cfg.n = n;
       cfg.beta = 0.2;
       cfg.seed = seed;
       cfg.protocol = proto;
-      cfg.trace = &tracer;
       cfg.ledger = &ledger;
       cfg.strict_budgets = args.strict_budgets;
       BaRunResult r;
       RepeatStats rs;
       try {
-        rs = timed_repeats(args.repeats, [&] {
-          tracer.clear();
-          r = run_ba(cfg);
-        });
+        rs = timed_repeats(args.repeats, [&] { r = run_ba(cfg); });
       } catch (const BudgetViolation& v) {
         std::fprintf(stderr, "%s\n", v.what());
         report_budget_findings(v.findings);
@@ -97,7 +92,7 @@ int main(int argc, char** argv) {
       m.set("locality", r.boost_stats.max_locality());
       m.set("rounds", r.rounds);
       m.set("decided_fraction", r.decided_fraction());
-      m.set("phases", phase_metrics(tracer));
+      m.set("phases", phase_metrics(ledger));
       m.set("per_party", perparty_metrics(ledger));
       m.set("budgets", obs::BudgetAuditor::to_json(r.budget_evals));
       rs.attach(m);

@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "obs/tracer.hpp"
 #include "svc/service.hpp"
 #include "svc/transport.hpp"
 
@@ -32,10 +33,12 @@ struct ServiceOut {
   std::vector<obs::BudgetEval> evals;
 };
 
+/// With `chrome` set, the run is also timed by a RoundTracer and its
+/// Chrome trace is stored there.
 ServiceOut run_service(std::size_t n, std::size_t ell, bool pipelined,
-                       std::uint64_t seed, bool strict,
-                       obs::RoundTracer* tracer = nullptr) {
+                       std::uint64_t seed, bool strict, obs::Json* chrome = nullptr) {
   obs::Ledger ledger;
+  obs::RoundTracer tracer;
   svc::ServiceConfig cfg;
   cfg.n = n;
   cfg.beta = 0.1;
@@ -45,7 +48,7 @@ ServiceOut run_service(std::size_t n, std::size_t ell, bool pipelined,
   cfg.session_window = pipelined ? cfg.max_inflight : 1;
   if (!pipelined) cfg.max_inflight = 1;
   cfg.ledger = &ledger;
-  cfg.trace = tracer;
+  if (chrome) cfg.trace = &tracer;
   cfg.strict_budgets = strict;
   svc::BaServiceDaemon daemon(std::move(cfg));
 
@@ -80,6 +83,7 @@ ServiceOut run_service(std::size_t n, std::size_t ell, bool pipelined,
   const obs::PartyStat pp = ledger.stat(obs::LedgerField::kBytesTotal);
   out.max_bytes = pp.max;
   out.p50_bytes = pp.p50;
+  if (chrome) *chrome = tracer.chrome_trace(ledger);
   return out;
 }
 
@@ -183,15 +187,15 @@ int main(int argc, char** argv) {
   // (with the prof flame track when --prof is on) and the standalone prof
   // snapshot — the observability artifacts CI uploads.
   if (args.json_enabled()) {
-    obs::RoundTracer tracer;
+    obs::Json chrome = obs::Json::object();
     try {
-      run_service(256, 8, true, seed, false, &tracer);
+      run_service(256, 8, true, seed, false, &chrome);
     } catch (const BudgetViolation&) {
       // Non-strict run; unreachable, but never fail the figure over the
       // artifact leg.
     }
     const std::string trace_path = args.json_out + "/TRACE_fig_service.json";
-    if (obs::write_text_file(trace_path, tracer.chrome_trace().dump(-1) + "\n")) {
+    if (obs::write_text_file(trace_path, chrome.dump(-1) + "\n")) {
       say("[trace] %s\n", trace_path.c_str());
     }
     write_prof_artifact(args, "fig_service");

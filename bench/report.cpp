@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/prof.hpp"
-#include "obs/tracer.hpp"
 
 namespace srds::bench {
 

@@ -7,13 +7,15 @@
 // (sent+received bytes over honest parties), communication locality
 // (max distinct peers), plus the declared setup/assumption columns.
 //
-// Every run is traced (obs::RoundTracer), so the BENCH_*.json artifact
+// Every run is counted into an obs::Ledger, so the BENCH_*.json artifact
 // carries a per-phase byte/round breakdown per row, and the π_ba/snark row
-// additionally exports a chrome://tracing timeline (TRACE_pi_ba.json).
+// additionally exports a chrome://tracing timeline (TRACE_pi_ba.json) of
+// the Ledger's traffic beside the obs::RoundTracer's round times.
 #include <cstdio>
 
 #include "ba/runner.hpp"
 #include "bench_util.hpp"
+#include "obs/tracer.hpp"
 
 namespace {
 
@@ -109,7 +111,7 @@ int main(int argc, char** argv) {
     m.set("agreement", r.agreement);
     m.set("setup", row.setup);
     m.set("assumptions", row.assumptions);
-    m.set("phases", phase_metrics(tracer));
+    m.set("phases", phase_metrics(ledger));
     m.set("per_party", perparty_metrics(ledger));
     m.set("budgets", obs::BudgetAuditor::to_json(r.budget_evals));
     rs.attach(m);
@@ -119,7 +121,7 @@ int main(int argc, char** argv) {
     // Timeline artifact for the headline protocol: load in chrome://tracing.
     if (row.protocol == BoostProtocol::kPiBaSnark && args.json_enabled()) {
       std::string path = args.json_out + "/TRACE_pi_ba.json";
-      if (obs::write_text_file(path, tracer.chrome_trace().dump(-1) + "\n")) {
+      if (obs::write_text_file(path, tracer.chrome_trace(ledger).dump(-1) + "\n")) {
         say("  [trace] %s\n", path.c_str());
       }
     }

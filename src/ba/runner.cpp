@@ -210,7 +210,7 @@ BaRunResult run_ba(const BaRunConfig& config) {
   sim.set_ledger(config.ledger);
   sim.set_corruption_budget(corruption_budget);
   if (plan.has_value() && plan->any()) sim.set_fault_plan(*plan);
-  if (config.trace) sim.add_trace_sink(config.trace);
+  sim.set_trace_sink(config.trace);
   // Register the public phase schedule so the ledger and the trace sink can
   // attribute every round (and its traffic) to a protocol phase.
   for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(config.trace),

@@ -304,7 +304,7 @@ MpcRunResult run_scalable_sum_mpc(const MpcRunConfig& config) {
   }
 
   Simulator sim(std::move(parties), corrupt, nullptr);
-  sim.add_trace_sink(config.trace);
+  sim.set_trace_sink(config.trace);
   result.rounds = sim.run(total_rounds + 2);
   result.stats = sim.stats();
 

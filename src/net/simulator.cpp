@@ -43,7 +43,7 @@ void Simulator::set_fault_plan(const FaultPlan& plan) {
 }
 
 void Simulator::emit_delivery(std::size_t round, const Message& m, obs::Delivery outcome) {
-  for (obs::TraceSink* s : sinks_) s->on_delivery(round, m, outcome);
+  if (trace_) trace_->on_delivery(round, m, outcome);
   ledger().on_delivery(round, m, outcome);
 }
 
@@ -53,7 +53,7 @@ void Simulator::deliver(std::size_t round, Message m,
                         std::vector<std::vector<Message>>& inboxes) {
   PROF_SCOPE(obs::ProfSiteId::kSimDeliver);
   // The sender paid for the transmission whatever the network then does.
-  for (obs::TraceSink* s : sinks_) s->on_send(round, m);
+  if (trace_) trace_->on_send(round, m);
   ledger().on_send(round, m);
   if (!injector_) {
     emit_delivery(round, m, obs::Delivery::kDelivered);
@@ -100,7 +100,7 @@ void Simulator::begin_run() {
   if (begun_) return;
   begun_ = true;
   inboxes_.resize(parties_.size());
-  for (obs::TraceSink* s : sinks_) s->on_run_begin(parties_.size());
+  if (trace_) trace_->on_run_begin(parties_.size());
   ledger().on_run_begin(parties_.size());
 }
 
@@ -116,21 +116,16 @@ bool Simulator::tick() {
       if (!corrupt_[i] && !crashed_[i] && injector_->crashed(i, round)) {
         crashed_[i] = true;
         stats_.faults.crashed_parties += 1;
-        for (obs::TraceSink* s : sinks_) s->on_crash(round, i);
       }
     }
   }
 
-  // Churn transitions (leave/rejoin) observed at round boundaries. A
-  // crashed party never transitions; a corrupt slot's churn is inert.
+  // Churn state (leave/rejoin) observed at round boundaries. A crashed
+  // party keeps its last state; a corrupt slot's churn is inert.
   if (injector_ && !injector_->plan().churn.empty()) {
     for (PartyId i = 0; i < n; ++i) {
       if (corrupt_[i] || crashed_[i]) continue;
-      const bool off = injector_->offline(i, round);
-      if (off != static_cast<bool>(offline_[i])) {
-        offline_[i] = off;
-        for (obs::TraceSink* s : sinks_) s->on_churn(round, i, !off);
-      }
+      offline_[i] = injector_->offline(i, round);
     }
   }
 
@@ -148,7 +143,7 @@ bool Simulator::tick() {
       }
       corrupt_[p] = true;
       stats_.faults.adaptive_corruptions += 1;
-      for (obs::TraceSink* s : sinks_) s->on_corrupt(round, p);
+      if (trace_) trace_->on_corrupt(round, p);
       adversary_->on_corrupted(round, p, parties_[p].get());
     }
   }
@@ -177,7 +172,7 @@ bool Simulator::tick() {
     }
   }
   if (all_done) return false;
-  for (obs::TraceSink* s : sinks_) s->on_round_begin(round);
+  if (trace_) trace_->on_round_begin(round);
 
   std::vector<Message> honest_out;
   for (PartyId i = 0; i < n; ++i) {
@@ -228,7 +223,7 @@ bool Simulator::tick() {
     }
     deliver(round, std::move(m), inboxes_);
   }
-  for (obs::TraceSink* s : sinks_) s->on_round_end(round);
+  if (trace_) trace_->on_round_end(round);
   ledger().on_round_end(round);
   cur_round_ += 1;
   return true;
@@ -238,7 +233,7 @@ void Simulator::end_run() {
   if (ended_) return;
   ended_ = true;
   stats_.rounds = cur_round_;
-  for (obs::TraceSink* s : sinks_) s->on_run_end(cur_round_);
+  if (trace_) trace_->on_run_end(cur_round_);
   ledger().on_run_end(cur_round_);
   stats_.party = NetworkStats::of(ledger()).party;
 }

@@ -66,28 +66,18 @@ class Simulator {
 
   /// Count this run into `ledger` (non-owning; must outlive run()) instead
   /// of the simulator's own; nullptr restores the owned one. The ledger is
-  /// fed every accounting event right after the trace sinks see it — do not
-  /// also add it as a trace sink. Call before run().
+  /// fed every accounting event right after the trace sink sees it — do not
+  /// also install it as the trace sink. Call before run().
   void set_ledger(obs::Ledger* ledger) { ledger_ = ledger; }
   /// The ledger this run counts into (register phase marks here).
   obs::Ledger& ledger() { return ledger_ ? *ledger_ : own_ledger_; }
   const obs::Ledger& ledger() const { return ledger_ ? *ledger_ : own_ledger_; }
 
-  /// Install an observability sink (non-owning; must outlive run()),
-  /// replacing any previously installed sinks. The sink sees round
-  /// boundaries, every accepted send and every delivery outcome — nullptr
-  /// clears the set and costs nothing. Call before run().
-  void set_trace_sink(obs::TraceSink* sink) {
-    sinks_.clear();
-    add_trace_sink(sink);
-  }
-
-  /// Add a sink alongside any already installed (e.g., a RoundTracer and an
-  /// obs::Ledger observing the same run). Events fan out to every sink in
-  /// installation order; nullptr is ignored. Call before run().
-  void add_trace_sink(obs::TraceSink* sink) {
-    if (sink) sinks_.push_back(sink);
-  }
+  /// Install the observability sink (non-owning; must outlive run()),
+  /// replacing any previous one. The sink sees round boundaries, every
+  /// accepted send and every delivery outcome — nullptr (the default)
+  /// costs one pointer test per event. Call before run().
+  void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
 
   /// Run until every live honest party reports done() or `max_rounds`
   /// elapse. Crash-stopped parties count as done. Returns the number of
@@ -142,7 +132,7 @@ class Simulator {
   /// `inboxes` / the delayed queue, with full accounting.
   void deliver(std::size_t round, Message m,
                std::vector<std::vector<Message>>& inboxes);
-  /// Report a delivery outcome to every sink and the ledger.
+  /// Report a delivery outcome to the sink and the ledger.
   void emit_delivery(std::size_t round, const Message& m, obs::Delivery outcome);
 
   /// First-tick setup: size the inboxes and emit on_run_begin (idempotent).
@@ -151,12 +141,12 @@ class Simulator {
   std::vector<std::unique_ptr<Party>> parties_;
   std::vector<bool> corrupt_;
   std::vector<bool> crashed_;
-  std::vector<bool> offline_;  // churn state last observed, for transitions
+  std::vector<bool> offline_;  // churn state at the current round
   std::unique_ptr<Adversary> adversary_;
   std::unique_ptr<FaultInjector> injector_;
   std::vector<FaultPlanIssue> plan_issues_;
   std::size_t corruption_budget_ = 0;
-  std::vector<obs::TraceSink*> sinks_;  // fan-out set, installation order
+  obs::TraceSink* trace_ = nullptr;
   std::size_t max_adv_payload_ = kDefaultMaxAdversaryPayload;
   obs::Ledger own_ledger_;
   obs::Ledger* ledger_ = nullptr;  // the caller's; nullptr = own_ledger_

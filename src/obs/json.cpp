@@ -3,7 +3,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <stdexcept>
+#include <system_error>
 
 namespace srds::obs {
 
@@ -418,6 +420,16 @@ bool Json::parse(std::string_view text, Json& out, std::string* err) {
   }
   out = std::move(parsed);
   return true;
+}
+
+bool write_text_file(const std::string& path, const std::string& text) {
+  std::error_code ec;
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path(), ec);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (!f) return false;
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace srds::obs

@@ -104,4 +104,9 @@ class Json {
   std::vector<std::pair<std::string, Json>> object_;
 };
 
+/// Write `text` to `path`, creating missing parent directories first (CI
+/// points artifact writers at directories that do not exist yet); false on
+/// any I/O failure, close included.
+bool write_text_file(const std::string& path, const std::string& text);
+
 }  // namespace srds::obs

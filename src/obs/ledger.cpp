@@ -23,8 +23,9 @@ void Ledger::on_run_begin(std::size_t n_parties) {
     carried_peers_.assign(n_, {});
     rounds_run_ = 0;
   }
-  // Phase marks describe one run's schedule; their tallies restart either
-  // way (an accumulating ledger carries whole-run, per-kind and peer totals).
+  // Phase marks describe one run's schedule; their tallies and the round
+  // rows restart either way (an accumulating ledger carries whole-run,
+  // per-kind and peer totals).
   if (phases_.empty() || phases_.front().start > 0) {
     phases_.insert(phases_.begin(), Phase{"pre", 0, {}, {}});
   }
@@ -34,6 +35,7 @@ void Ledger::on_run_begin(std::size_t n_parties) {
   }
   dirty_.clear();
   dirty_.reserve(n_);
+  round_totals_.clear();
   // Re-anchor onto round 0's phase: marks surviving from a previous
   // accumulated execution may place it past the implicit "pre" entry.
   cur_phase_ = 0;
@@ -66,6 +68,7 @@ void Ledger::on_phase(std::size_t start_round, const std::string& name) {
 
 void Ledger::advance_phase(std::size_t round) {
   cur_round_ = round;
+  if (round >= round_totals_.size()) round_totals_.resize(round + 1);
   std::size_t p = cur_phase_;
   while (p + 1 < phases_.size() && phases_[p + 1].start <= round) ++p;
   if (p != cur_phase_) {
@@ -121,6 +124,7 @@ void Ledger::on_send(std::size_t round, const Message& m) {
     t.msgs_sent += 1;
   };
   charge(totals_[m.from]);
+  charge(round_totals_[cur_round_]);
   charge(phases_[cur_phase_].parties[m.from]);
   auto k = static_cast<std::size_t>(m.kind);
   if (k >= kinds_.size()) k = 0;
@@ -150,6 +154,7 @@ void Ledger::on_delivery(std::size_t round, const Message& m, Delivery outcome) 
     t.msgs_recv += 1;
   };
   charge(totals_[m.to]);
+  charge(round_totals_[cur_round_]);
   charge(phases_[cur_phase_].parties[m.to]);
   auto k = static_cast<std::size_t>(m.kind);
   if (k >= kinds_.size()) k = 0;
@@ -210,6 +215,12 @@ std::vector<std::size_t> Ledger::locality() const {
 std::vector<std::size_t> Ledger::locality(std::size_t first_phase,
                                           std::size_t last_phase) const {
   return union_sizes(first_phase, last_phase, false);
+}
+
+std::size_t Ledger::phase_rounds(std::size_t p) const {
+  const std::size_t stop =
+      p + 1 < phases_.size() ? std::min(phases_[p + 1].start, rounds_run_) : rounds_run_;
+  return stop > phases_[p].start ? stop - phases_[p].start : 0;
 }
 
 std::size_t Ledger::phase_index(const std::string& name) const {

@@ -1,23 +1,24 @@
-// obs::Ledger — the per-party accounting plane.
+// obs::Ledger — the accounting plane.
 //
 // The paper's headline claim is a *per-party* bound (every honest party
 // sends/receives only polylog(n) bits, talking to only polylog(n) peers).
-// The Ledger is the single place those quantities are counted: the
+// The Ledger is the single place bytes and messages are counted: the
 // Simulator feeds exactly one Ledger per run (the caller's, or one it owns)
 // with every accepted send and every actual delivery, and NetworkStats is a
 // snapshot derived from it at the end of the run. It splits every charge by
-// protocol phase (the same on_phase marks the RoundTracer consumes) and by
-// MsgKind, so the paper's Theorem-level claims can be audited on any run
-// (see obs/budget.hpp) and every bench binary reports per-party
-// distribution statistics from one shared implementation.
+// party, by protocol phase (the harness's on_phase marks), by MsgKind and
+// by round, so the paper's Theorem-level claims can be audited on any run
+// (see obs/budget.hpp), every bench binary reports per-party distribution
+// statistics and per-phase rows from one shared implementation, and the
+// RoundTracer's Chrome export reads its traffic from here.
 //
 // Accounting conventions:
 //   * on_send charges the sender — whatever the network does next, the
 //     sender paid for the transmission;
 //   * kDelivered / kDuplicated / kLate charge the receiver at actual
 //     delivery; kDropped / kPartitioned / kDelayed / kOffline charge nobody.
-// Phase attribution is by the round the event was observed in, so a delayed
-// message's late receive is charged to the phase of its arrival round.
+// Phase and round attribution is by the round the event was observed in,
+// so a delayed message's late receive is charged to its arrival round.
 //
 // Locality (the number of distinct peers a party exchanged messages with,
 // either direction) is kept as one merged peer list per party per phase:
@@ -28,9 +29,9 @@
 // over phases, computed at query time.
 //
 // The per-event paths are allocation-free apart from amortized vector
-// growth: tallies are sized at on_run_begin / on_phase, and on_send /
-// on_delivery only index into them and append to the peer lists (srds-lint
-// rule P1 checks the markers in ledger.cpp).
+// growth: tallies are sized at on_run_begin / on_phase / the first event of
+// a round, and on_send / on_delivery only index into them and append to
+// the peer lists (srds-lint rule P1 checks the markers in ledger.cpp).
 #pragma once
 
 #include <cstdint>
@@ -105,10 +106,13 @@ class Ledger final : public TraceSink {
   std::size_t rounds_run() const { return rounds_run_; }
 
   /// Phase names in start-round order (an implicit "pre" phase covers
-  /// rounds before the first registered mark, exactly like the tracer).
+  /// rounds before the first registered mark).
   std::size_t phase_count() const { return phases_.size(); }
   const std::string& phase_name(std::size_t p) const { return phases_[p].name; }
   std::size_t phase_start(std::size_t p) const { return phases_[p].start; }
+  /// Rounds of phase p the run executed: [start, next phase's start)
+  /// clipped to rounds_run() (0 for a phase that never began).
+  std::size_t phase_rounds(std::size_t p) const;
   /// Index of the named phase, or kAllPhases when absent.
   std::size_t phase_index(const std::string& name) const;
 
@@ -121,6 +125,11 @@ class Ledger final : public TraceSink {
   /// Sent/received tally of one MsgKind for one party (whole run).
   const PartyTally& kind_total(MsgKind k, PartyId i) const {
     return kinds_[static_cast<std::size_t>(k)][i];
+  }
+  /// Network-wide tally of round r of the current run, summed over parties
+  /// (zero for a round that carried no traffic). Not part of to_json().
+  PartyTally round_total(std::size_t r) const {
+    return r < round_totals_.size() ? round_totals_[r] : PartyTally{};
   }
 
   /// Communication locality of every party (index = party): the number of
@@ -195,6 +204,9 @@ class Ledger final : public TraceSink {
   std::size_t cur_round_ = 0;
   // kinds_[kind][party]: sent/recv tallies per message kind.
   std::vector<std::vector<PartyTally>> kinds_;
+  // round_totals_[round]: the current run's network-wide tally; grows in
+  // advance_phase, so cur_round_ always indexes a row.
+  std::vector<PartyTally> round_totals_;
   // Parties whose current-phase peer list has unsealed additions.
   std::vector<PartyId> dirty_;
   // Accumulate mode: each party's sorted peers from earlier runs.

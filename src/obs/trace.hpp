@@ -3,11 +3,12 @@
 //
 // The Simulator drives one sink (if installed) through the lifecycle of a
 // run: round boundaries, every send the network accepted, every delivery
-// outcome the fault layer chose, crash-stop events, plus out-of-band
-// annotations from the harness (protocol phase marks, off-network setup
-// spans such as SRDS key generation). All callbacks default to no-ops so
-// sinks implement only what they need; the interface is header-only and
-// adds a single pointer test per event on the simulator's hot path.
+// outcome the fault layer chose, adaptive corruption grants, plus
+// out-of-band annotations from the harness (protocol phase marks,
+// off-network setup spans such as SRDS key generation). All callbacks
+// default to no-ops so sinks implement only what they need; the interface
+// is header-only and adds a single pointer test per event on the
+// simulator's hot path.
 #pragma once
 
 #include <cstdint>
@@ -63,26 +64,12 @@ class TraceSink {
     (void)outcome;
   }
 
-  /// An honest party crash-stopped at the start of `round`.
-  virtual void on_crash(std::size_t round, PartyId party) {
-    (void)round;
-    (void)party;
-  }
-
   /// The adversary's corruption request for `party` was granted from the
   /// simulator's corruption budget at the start of `round`: the party is
   /// adversarial from this round on (docs/fault_model.md, adaptive model).
   virtual void on_corrupt(std::size_t round, PartyId party) {
     (void)round;
     (void)party;
-  }
-
-  /// Churn transition at the start of `round`: `online` false = the party
-  /// left the network, true = it rejoined with its state intact.
-  virtual void on_churn(std::size_t round, PartyId party, bool online) {
-    (void)round;
-    (void)party;
-    (void)online;
   }
 
   virtual void on_round_end(std::size_t round) { (void)round; }

@@ -1,74 +1,21 @@
 #include "obs/tracer.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <system_error>
 
 #include "obs/prof.hpp"
 
 namespace srds::obs {
 
-void RoundTracer::on_run_begin(std::size_t n_parties) { n_parties_ = n_parties; }
-
-RoundRecord& RoundTracer::at(std::size_t round) {
-  while (rounds_.size() <= round) {
-    rounds_.push_back(RoundRecord{rounds_.size()});
-  }
-  return rounds_[round];
-}
-
 void RoundTracer::on_round_begin(std::size_t round) {
-  at(round);
+  if (rounds_.size() <= round) rounds_.resize(round + 1);
   round_start_ = std::chrono::steady_clock::now();
 }
 
-void RoundTracer::on_send(std::size_t round, const Message& m) {
-  RoundRecord& r = at(round);
-  r.msgs_sent += 1;
-  r.bytes_sent += m.payload.size();
-  auto k = static_cast<std::size_t>(m.kind);
-  if (k >= r.kinds.size()) k = 0;
-  r.kinds[k].msgs += 1;
-  r.kinds[k].bytes += m.payload.size();
-}
-
-void RoundTracer::on_delivery(std::size_t round, const Message& m, Delivery outcome) {
-  RoundRecord& r = at(round);
-  switch (outcome) {
-    case Delivery::kDelivered:
-    case Delivery::kDuplicated:
-    case Delivery::kLate:
-      r.msgs_delivered += 1;
-      r.bytes_delivered += m.payload.size();
-      break;
-    case Delivery::kDropped:
-    case Delivery::kPartitioned:
-    case Delivery::kOffline:
-      r.dropped += 1;
-      break;
-    case Delivery::kDelayed:
-      r.delayed += 1;
-      break;
-  }
-}
-
-void RoundTracer::on_crash(std::size_t round, PartyId) { at(round).crashes += 1; }
-
 void RoundTracer::on_round_end(std::size_t round) {
   auto now = std::chrono::steady_clock::now();
-  at(round).wall_ns += static_cast<std::uint64_t>(
+  if (rounds_.size() <= round) rounds_.resize(round + 1);
+  rounds_[round].wall_ns += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(now - round_start_).count());
-}
-
-void RoundTracer::on_run_end(std::size_t rounds) {
-  rounds_run_ = std::max(rounds_run_, rounds);
-}
-
-void RoundTracer::on_phase(std::size_t start_round, const std::string& name) {
-  marks_.push_back(Mark{start_round, name});
-  std::stable_sort(marks_.begin(), marks_.end(),
-                   [](const Mark& a, const Mark& b) { return a.round < b.round; });
 }
 
 void RoundTracer::on_span(const std::string& name, std::uint64_t wall_ns) {
@@ -77,122 +24,7 @@ void RoundTracer::on_span(const std::string& name, std::uint64_t wall_ns) {
 
 void RoundTracer::clear() { *this = RoundTracer{}; }
 
-std::vector<PhaseTotal> RoundTracer::phase_totals() const {
-  std::vector<PhaseTotal> phases;
-  if (marks_.empty() || marks_.front().round > 0) {
-    phases.push_back(PhaseTotal{"pre", 0, 0, 0, 0, 0, {}});
-  }
-  for (const Mark& m : marks_) {
-    phases.push_back(PhaseTotal{m.name, m.round, 0, 0, 0, 0, {}});
-  }
-  const std::size_t end = std::max(rounds_run_, rounds_.size());
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    const std::size_t stop =
-        std::min(p + 1 < phases.size() ? phases[p + 1].start : end, end);
-    if (stop > phases[p].start) phases[p].rounds = stop - phases[p].start;
-    for (std::size_t r = phases[p].start; r < stop && r < rounds_.size(); ++r) {
-      phases[p].wall_ns += rounds_[r].wall_ns;
-      phases[p].msgs_sent += rounds_[r].msgs_sent;
-      phases[p].bytes_sent += rounds_[r].bytes_sent;
-      for (std::size_t k = 0; k < phases[p].kinds.size(); ++k) {
-        phases[p].kinds[k].msgs += rounds_[r].kinds[k].msgs;
-        phases[p].kinds[k].bytes += rounds_[r].kinds[k].bytes;
-      }
-    }
-  }
-  return phases;
-}
-
-namespace {
-
-Json kinds_json(const std::array<KindTally, static_cast<std::size_t>(MsgKind::kCount)>& kinds) {
-  Json out = Json::object();
-  for (std::size_t k = 0; k < kinds.size(); ++k) {
-    if (kinds[k].msgs == 0) continue;
-    Json t = Json::object();
-    t.set("msgs", kinds[k].msgs);
-    t.set("bytes", kinds[k].bytes);
-    out.set(msg_kind_name(static_cast<MsgKind>(k)), std::move(t));
-  }
-  return out;
-}
-
-}  // namespace
-
-Json RoundTracer::to_json(bool per_round) const {
-  Json out = Json::object();
-  out.set("n", n_parties_);
-  out.set("rounds", rounds_run_);
-
-  std::uint64_t bytes = 0, msgs = 0, wall = 0, dropped = 0, delayed = 0, crashes = 0;
-  std::array<KindTally, static_cast<std::size_t>(MsgKind::kCount)> kinds{};
-  for (const RoundRecord& r : rounds_) {
-    bytes += r.bytes_sent;
-    msgs += r.msgs_sent;
-    wall += r.wall_ns;
-    dropped += r.dropped;
-    delayed += r.delayed;
-    crashes += r.crashes;
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      kinds[k].msgs += r.kinds[k].msgs;
-      kinds[k].bytes += r.kinds[k].bytes;
-    }
-  }
-  Json totals = Json::object();
-  totals.set("bytes_sent", bytes);
-  totals.set("msgs_sent", msgs);
-  totals.set("wall_ns", wall);
-  totals.set("dropped", dropped);
-  totals.set("delayed", delayed);
-  totals.set("crashes", crashes);
-  totals.set("kinds", kinds_json(kinds));
-  out.set("totals", std::move(totals));
-
-  Json phases = Json::array();
-  for (const PhaseTotal& p : phase_totals()) {
-    Json j = Json::object();
-    j.set("name", p.name);
-    j.set("start", p.start);
-    j.set("rounds", p.rounds);
-    j.set("wall_ns", p.wall_ns);
-    j.set("msgs_sent", p.msgs_sent);
-    j.set("bytes_sent", p.bytes_sent);
-    j.set("kinds", kinds_json(p.kinds));
-    phases.push_back(std::move(j));
-  }
-  out.set("phases", std::move(phases));
-
-  Json spans = Json::array();
-  for (const Span& s : spans_) {
-    Json j = Json::object();
-    j.set("name", s.name);
-    j.set("wall_ns", s.wall_ns);
-    spans.push_back(std::move(j));
-  }
-  out.set("spans", std::move(spans));
-
-  if (per_round) {
-    Json rounds = Json::array();
-    for (const RoundRecord& r : rounds_) {
-      Json j = Json::object();
-      j.set("round", r.round);
-      j.set("wall_ns", r.wall_ns);
-      j.set("msgs_sent", r.msgs_sent);
-      j.set("bytes_sent", r.bytes_sent);
-      j.set("msgs_delivered", r.msgs_delivered);
-      j.set("bytes_delivered", r.bytes_delivered);
-      j.set("dropped", r.dropped);
-      j.set("delayed", r.delayed);
-      j.set("crashes", r.crashes);
-      j.set("kinds", kinds_json(r.kinds));
-      rounds.push_back(std::move(j));
-    }
-    out.set("per_round", std::move(rounds));
-  }
-  return out;
-}
-
-Json RoundTracer::chrome_trace() const {
+Json RoundTracer::chrome_trace(const Ledger& ledger) const {
   // Round r spans trace time [r, r+1) ms; ts/dur are microseconds.
   constexpr std::uint64_t kRoundUs = 1000;
   Json events = Json::array();
@@ -211,54 +43,53 @@ Json RoundTracer::chrome_trace() const {
   meta(1, "thread_name", "phases");
   meta(2, "thread_name", "rounds");
 
-  const std::size_t end = std::max(rounds_run_, rounds_.size());
-  for (const PhaseTotal& p : phase_totals()) {
-    if (p.rounds == 0) continue;
+  auto wall_of = [&](std::size_t r) { return r < rounds_.size() ? rounds_[r].wall_ns : 0; };
+
+  for (std::size_t p = 0; p < ledger.phase_count(); ++p) {
+    const std::size_t start = ledger.phase_start(p), rounds = ledger.phase_rounds(p);
+    if (rounds == 0) continue;
+    std::uint64_t wall_ns = 0;
+    for (std::size_t r = start; r < start + rounds; ++r) wall_ns += wall_of(r);
     Json e = Json::object();
-    e.set("name", p.name);
+    e.set("name", ledger.phase_name(p));
     e.set("cat", "phase");
     e.set("ph", "X");
-    e.set("ts", static_cast<std::uint64_t>(p.start) * kRoundUs);
-    e.set("dur", static_cast<std::uint64_t>(p.rounds) * kRoundUs);
+    e.set("ts", static_cast<std::uint64_t>(start) * kRoundUs);
+    e.set("dur", static_cast<std::uint64_t>(rounds) * kRoundUs);
     e.set("pid", 1);
     e.set("tid", 1);
     Json args = Json::object();
-    args.set("bytes_sent", p.bytes_sent);
-    args.set("msgs_sent", p.msgs_sent);
-    args.set("wall_ns", p.wall_ns);
-    args.set("kinds", kinds_json(p.kinds));
+    args.set("bytes_sent", ledger.stat(LedgerField::kBytesSent, p).total);
+    args.set("msgs_sent", ledger.stat(LedgerField::kMsgsSent, p).total);
+    args.set("wall_ns", wall_ns);
     e.set("args", std::move(args));
     events.push_back(std::move(e));
   }
 
-  for (const RoundRecord& r : rounds_) {
-    if (r.round >= end) break;
+  for (std::size_t r = 0; r < ledger.rounds_run(); ++r) {
+    const PartyTally t = ledger.round_total(r);
     Json e = Json::object();
-    e.set("name", "round " + std::to_string(r.round));
+    e.set("name", "round " + std::to_string(r));
     e.set("cat", "round");
     e.set("ph", "X");
-    e.set("ts", static_cast<std::uint64_t>(r.round) * kRoundUs);
+    e.set("ts", static_cast<std::uint64_t>(r) * kRoundUs);
     e.set("dur", kRoundUs);
     e.set("pid", 1);
     e.set("tid", 2);
     Json args = Json::object();
-    args.set("wall_ns", r.wall_ns);
-    args.set("msgs_sent", r.msgs_sent);
-    args.set("bytes_sent", r.bytes_sent);
-    args.set("dropped", r.dropped);
-    args.set("delayed", r.delayed);
-    args.set("crashes", r.crashes);
-    args.set("kinds", kinds_json(r.kinds));
+    args.set("wall_ns", wall_of(r));
+    args.set("msgs_sent", t.msgs_sent);
+    args.set("bytes_sent", t.bytes_sent);
     e.set("args", std::move(args));
     events.push_back(std::move(e));
 
     Json c = Json::object();
     c.set("name", "bytes_sent");
     c.set("ph", "C");
-    c.set("ts", static_cast<std::uint64_t>(r.round) * kRoundUs);
+    c.set("ts", static_cast<std::uint64_t>(r) * kRoundUs);
     c.set("pid", 1);
     Json cargs = Json::object();
-    cargs.set("bytes", r.bytes_sent);
+    cargs.set("bytes", t.bytes_sent);
     c.set("args", std::move(cargs));
     events.push_back(std::move(c));
   }
@@ -323,18 +154,6 @@ Json RoundTracer::chrome_trace() const {
   out.set("traceEvents", std::move(events));
   out.set("displayTimeUnit", "ms");
   return out;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  // CI points artifact writers (BENCH_/TRACE_/PROF_ json) at not-yet-existing
-  // directories; create missing parents instead of failing the write.
-  std::error_code ec;
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path(), ec);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (!f) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 }  // namespace srds::obs

@@ -115,7 +115,7 @@ BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
   sim_->set_ledger(cfg_.ledger);
   sim_->set_corruption_budget(corruption_budget);
   if (plan.has_value() && plan->any()) sim_->set_fault_plan(*plan);
-  if (cfg_.trace) sim_->add_trace_sink(cfg_.trace);
+  sim_->set_trace_sink(cfg_.trace);
   for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(cfg_.trace),
                                static_cast<obs::TraceSink*>(&sim_->ledger())}) {
     if (sink) sink->on_phase(0, "service");

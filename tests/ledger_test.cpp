@@ -1,9 +1,9 @@
 // Tests for the per-party accounting plane (obs/ledger.hpp) and the
 // complexity-budget auditor (obs/budget.hpp). The ledger is driven here
 // through raw TraceSink events with hand-picked payloads, so every charge
-// is known exactly; the pinned seeded π_BA run and its RoundTracer
-// cross-check live in tests/trace_test.cpp, and the brute-force locality
-// and tally oracle under faults in tests/net_stats_test.cpp.
+// is known exactly; the pinned seeded π_BA run and its per-round rows
+// live in tests/trace_test.cpp, and the brute-force locality, tally and
+// per-round oracle under faults in tests/net_stats_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>

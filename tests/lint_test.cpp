@@ -22,6 +22,7 @@
 #include "baseline.hpp"
 #include "graph.hpp"
 #include "lint.hpp"
+#include "obs/json.hpp"
 #include "taint.hpp"
 
 namespace srds::lint {
@@ -595,9 +596,10 @@ TEST(LintBaseline, ParseRejectsGarbage) {
   EXPECT_NE(error.find("baseline"), std::string::npos);
 }
 
-// Regression: artifact writes into a directory that does not exist yet must
-// create the parents instead of failing (fresh CI workspace handing the
-// linter artifacts/LINT_x.json before anything created artifacts/).
+// Regression: srds-lint's artifact writes (obs::write_text_file) into a
+// directory that does not exist yet must create the parents instead of
+// failing (fresh CI workspace handing the linter artifacts/LINT_x.json
+// before anything created artifacts/).
 TEST(LintBaseline, WriteTextFileCreatesMissingParentDirs) {
   namespace fs = std::filesystem;
   const fs::path root =
@@ -605,7 +607,7 @@ TEST(LintBaseline, WriteTextFileCreatesMissingParentDirs) {
   fs::remove_all(root.parent_path().parent_path());
   const fs::path target = root / "LINT_x.json";
   ASSERT_FALSE(fs::exists(root));
-  EXPECT_TRUE(write_text_file(target.string(), "{}\n"));
+  EXPECT_TRUE(obs::write_text_file(target.string(), "{}\n"));
   std::ifstream in(target);
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());

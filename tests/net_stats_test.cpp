@@ -3,6 +3,7 @@
 // under every fault class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 
@@ -186,8 +187,9 @@ TEST(NetworkStats, MaxIfFiltersParties) {
 // --- Brute-force oracle ----------------------------------------------------
 
 /// Test-only reference books: a std::set of peers and a tally per party,
-/// for the whole run and per phase, kept the obvious way from the raw sink
-/// events (phase = the last mark at or before the event's round).
+/// for the whole run and per phase, plus a network-wide tally per round,
+/// kept the obvious way from the raw sink events (phase = the last mark at
+/// or before the event's round).
 class OracleSink final : public obs::TraceSink {
  public:
   struct Books {
@@ -201,6 +203,7 @@ class OracleSink final : public obs::TraceSink {
   void on_run_begin(std::size_t n) override {
     if (!accumulate_ || whole.tally.size() != n) whole = fresh(n);
     phases.assign(starts_.size(), fresh(n));
+    per_round.clear();
   }
   void on_send(std::size_t round, const Message& m) override {
     for (Books* b : {&whole, &phases[phase_of(round)]}) {
@@ -208,6 +211,8 @@ class OracleSink final : public obs::TraceSink {
       b->tally[m.from].msgs_sent += 1;
       b->peers[m.from].insert(m.to);
     }
+    row(round).bytes_sent += m.payload.size();
+    row(round).msgs_sent += 1;
   }
   void on_delivery(std::size_t round, const Message& m, obs::Delivery d) override {
     if (d != obs::Delivery::kDelivered && d != obs::Delivery::kDuplicated &&
@@ -219,14 +224,21 @@ class OracleSink final : public obs::TraceSink {
       b->tally[m.to].msgs_recv += 1;
       b->peers[m.to].insert(m.from);
     }
+    row(round).bytes_recv += m.payload.size();
+    row(round).msgs_recv += 1;
   }
 
   Books whole;
   std::vector<Books> phases;
+  std::vector<obs::PartyTally> per_round;  // this run's, index = round
 
  private:
   static Books fresh(std::size_t n) {
     return Books{std::vector<obs::PartyTally>(n), std::vector<std::set<PartyId>>(n)};
+  }
+  obs::PartyTally& row(std::size_t round) {
+    if (per_round.size() <= round) per_round.resize(round + 1);
+    return per_round[round];
   }
   std::size_t phase_of(std::size_t round) const {
     std::size_t p = 0;
@@ -340,6 +352,13 @@ void expect_matches_oracle(const obs::Ledger& led, const OracleSink& oracle) {
           << "phase " << p << " party " << i;
     }
   }
+  // Each round's network-wide row, late receives in their arrival round.
+  ASSERT_FALSE(oracle.per_round.empty());
+  for (std::size_t r = 0; r <= std::max(oracle.per_round.size(), led.rounds_run()); ++r) {
+    const obs::PartyTally want =
+        r < oracle.per_round.size() ? oracle.per_round[r] : obs::PartyTally{};
+    EXPECT_EQ(led.round_total(r), want) << "round " << r;
+  }
   // A phase range is the union of its phases.
   const std::vector<std::size_t> tail = led.locality(1, 3);
   for (PartyId i = 0; i < kOracleN; ++i) {
@@ -352,7 +371,7 @@ void expect_matches_oracle(const obs::Ledger& led, const OracleSink& oracle) {
 TEST(LedgerOracle, ChaosRunMatchesBruteForceBooks) {
   Simulator sim = make_chaos_sim(1);
   OracleSink oracle(kOracleStarts, false);
-  sim.add_trace_sink(&oracle);
+  sim.set_trace_sink(&oracle);
   sim.ledger().on_phase(0, "a");
   sim.ledger().on_phase(3, "b");
   sim.ledger().on_phase(6, "c");
@@ -386,7 +405,7 @@ TEST(LedgerOracle, AccumulateModeCarriesPeersAcrossRuns) {
   for (std::size_t salt : {1u, 0u}) {
     Simulator sim = make_chaos_sim(salt);
     sim.set_ledger(&led);
-    sim.add_trace_sink(&oracle);
+    sim.set_trace_sink(&oracle);
     led.on_phase(0, "a");
     led.on_phase(3, "b");
     led.on_phase(6, "c");

@@ -1,16 +1,17 @@
-// Tests for the round/phase tracer: a scripted-simulator unit test, the
-// π_BA smoke test (tracer accounting must agree with the Ledger the
-// simulator counts into), Chrome trace export, and the determinism guard (two runs
-// with identical seed and fault plan produce byte-identical Reporter JSON
-// apart from the timestamp).
+// Tests for the trace plane: the Ledger's per-round rows on a scripted run
+// and on seeded π_BA runs (pinned books, and the Chrome trace's phase args
+// equal to the Ledger's), the per-protocol BENCH phase rows pinned at n=64,
+// Chrome trace export, and the determinism guard (two runs with identical
+// seed and fault plan produce byte-identical Reporter JSON apart from the
+// timestamp).
 #include <gtest/gtest.h>
 
 #include "ba/runner.hpp"
+#include "bench_util.hpp"
 #include "json_parser.hpp"
 #include "net/simulator.hpp"
 #include "obs/prof.hpp"
 #include "obs/tracer.hpp"
-#include "report.hpp"
 
 namespace srds {
 namespace {
@@ -47,109 +48,44 @@ class SilentSink final : public Party {
   bool done() const override { return true; }
 };
 
-TEST(RoundTracer, ScriptedRunMatchesNetworkStats) {
-  obs::RoundTracer tracer;
-  tracer.on_phase(0, "warmup");
-  tracer.on_phase(3, "main");
-
+TEST(Ledger, ScriptedRunFillsPerRoundRows) {
   std::vector<std::unique_ptr<Party>> parties;
   parties.push_back(std::make_unique<KindSender>(0, 5, 40, MsgKind::kBoostFlood));
   parties.push_back(std::make_unique<SilentSink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
-  sim.set_trace_sink(&tracer);
+  obs::Ledger& led = sim.ledger();
+  led.on_phase(0, "warmup");
+  led.on_phase(3, "main");
   std::size_t rounds = sim.run(32);
 
   EXPECT_EQ(rounds, 6u);  // five sending rounds, then one to notice done()
-  EXPECT_EQ(tracer.rounds_run(), rounds);
-  EXPECT_EQ(tracer.n_parties(), 2u);
+  EXPECT_EQ(led.rounds_run(), rounds);
+  EXPECT_EQ(led.n_parties(), 2u);
 
-  std::uint64_t traced_bytes = 0, traced_msgs = 0;
-  for (const auto& r : tracer.rounds()) {
-    traced_bytes += r.bytes_sent;
-    traced_msgs += r.msgs_sent;
+  // Rounds 0..4 each carry one 40 B message, delivered (and so received)
+  // in its send round on the fault-free network; round 5 is silent.
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::uint64_t k = r < 5 ? 1 : 0;
+    const obs::PartyTally row = led.round_total(r);
+    EXPECT_EQ(row, (obs::PartyTally{40 * k, 40 * k, k, k})) << "round " << r;
   }
-  EXPECT_EQ(traced_bytes, 5u * 40u);
-  EXPECT_EQ(traced_msgs, 5u);
-  // Cross-check against the ledger the simulator counted into.
-  EXPECT_EQ(traced_bytes, sim.ledger().total(0).bytes_sent);
-  EXPECT_EQ(traced_msgs, sim.ledger().total(0).msgs_sent);
-
-  auto phases = tracer.phase_totals();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0].name, "warmup");
-  EXPECT_EQ(phases[0].rounds, 3u);
-  EXPECT_EQ(phases[0].bytes_sent, 3u * 40u);
-  EXPECT_EQ(phases[1].name, "main");
-  EXPECT_EQ(phases[1].start, 3u);
-  EXPECT_EQ(phases[1].bytes_sent, 2u * 40u);
+  EXPECT_EQ(led.total(0).bytes_sent, 5u * 40u);
+  EXPECT_EQ(led.total(0).msgs_sent, 5u);
   // Every byte is tagged with the sender's MsgKind.
-  const auto flood = static_cast<std::size_t>(MsgKind::kBoostFlood);
-  EXPECT_EQ(phases[0].kinds[flood].bytes, phases[0].bytes_sent);
-  std::size_t phase_rounds = 0;
-  for (const auto& p : phases) phase_rounds += p.rounds;
-  EXPECT_EQ(phase_rounds, tracer.rounds_run());
+  EXPECT_EQ(led.kind_total(MsgKind::kBoostFlood, 0).bytes_sent, 5u * 40u);
+
+  // The two marks split the six rounds 3 + 3.
+  ASSERT_EQ(led.phase_count(), 2u);
+  EXPECT_EQ(led.phase_name(0), "warmup");
+  EXPECT_EQ(led.phase_rounds(0), 3u);
+  EXPECT_EQ(led.phase_total(0, 0).bytes_sent, 3u * 40u);
+  EXPECT_EQ(led.phase_name(1), "main");
+  EXPECT_EQ(led.phase_start(1), 3u);
+  EXPECT_EQ(led.phase_rounds(1), 3u);
+  EXPECT_EQ(led.phase_total(1, 0).bytes_sent, 2u * 40u);
 }
 
 TEST(RoundTracer, PiBaSmokeAgreesWithNetworkStats) {
-  obs::RoundTracer tracer;
-  BaRunConfig cfg;
-  cfg.n = 64;
-  cfg.beta = 0.2;
-  cfg.seed = 7;
-  cfg.protocol = BoostProtocol::kPiBaSnark;
-  cfg.trace = &tracer;
-  auto r = run_ba(cfg);
-
-  ASSERT_TRUE(r.agreement);
-  // The tracer observed exactly the rounds the network ran...
-  EXPECT_EQ(tracer.rounds_run(), r.stats.rounds);
-  EXPECT_EQ(tracer.rounds_run(), r.rounds);
-  // ...and exactly the bytes/messages the Ledger counted (r.stats is its
-  // snapshot).
-  std::uint64_t traced_bytes = 0, traced_msgs = 0;
-  for (const auto& rec : tracer.rounds()) {
-    traced_bytes += rec.bytes_sent;
-    traced_msgs += rec.msgs_sent;
-  }
-  std::uint64_t stats_bytes = 0, stats_msgs = 0;
-  for (const auto& p : r.stats.party) {
-    stats_bytes += p.bytes_sent;
-    stats_msgs += p.msgs_sent;
-  }
-  EXPECT_EQ(traced_bytes, stats_bytes);
-  EXPECT_EQ(traced_msgs, stats_msgs);
-
-  // The harness registered the protocol's phase schedule; the boost phase
-  // must carry traffic and the phases partition the run.
-  auto phases = tracer.phase_totals();
-  ASSERT_GE(phases.size(), 4u);
-  EXPECT_EQ(phases[0].name, "f_ba");
-  std::size_t covered = 0;
-  bool saw_boost = false;
-  for (const auto& p : phases) {
-    covered += p.rounds;
-    if (p.name == "boost") {
-      saw_boost = true;
-      EXPECT_GT(p.bytes_sent, 0u);
-      // π_ba tags its boost traffic: signature shares must show up.
-      const auto sign = static_cast<std::size_t>(MsgKind::kBoostSign);
-      EXPECT_GT(p.kinds[sign].msgs, 0u);
-    }
-  }
-  EXPECT_TRUE(saw_boost);
-  EXPECT_EQ(covered, tracer.rounds_run());
-  // Setup work was reported as spans (tree build + SRDS keygen).
-  EXPECT_GE(tracer.to_json(false).find("spans")->items().size(), 2u);
-}
-
-TEST(Ledger, AgreesWithNetworkStatsAndTracerOnSeededRun) {
-  // One seeded fault-free run, counted once by the Ledger and observed
-  // independently by the RoundTracer (per-round aggregates). The Ledger's
-  // books are pinned to the values the pre-Ledger NetworkStats produced for
-  // this run, NetworkStats must be their snapshot, and the tracer must
-  // agree round by round and phase by phase (attribution by observed round
-  // coincides with attribution by send round only on fault-free runs,
-  // which is why this guard pins a run without a fault plan).
   obs::RoundTracer tracer;
   obs::Ledger ledger;
   BaRunConfig cfg;
@@ -158,6 +94,68 @@ TEST(Ledger, AgreesWithNetworkStatsAndTracerOnSeededRun) {
   cfg.seed = 7;
   cfg.protocol = BoostProtocol::kPiBaSnark;
   cfg.trace = &tracer;
+  cfg.ledger = &ledger;
+  auto r = run_ba(cfg);
+
+  ASSERT_TRUE(r.agreement);
+  // The ledger counted and the tracer timed exactly the rounds the network
+  // ran...
+  EXPECT_EQ(ledger.rounds_run(), r.stats.rounds);
+  EXPECT_EQ(ledger.rounds_run(), r.rounds);
+  EXPECT_EQ(tracer.rounds().size(), r.rounds);
+  // ...and the per-round rows sum to the per-party books (r.stats is their
+  // snapshot).
+  obs::PartyTally rows, parties;
+  for (std::size_t k = 0; k < ledger.rounds_run(); ++k) rows += ledger.round_total(k);
+  for (const auto& p : r.stats.party) parties += p;
+  EXPECT_EQ(rows, parties);
+  EXPECT_GT(rows.bytes_sent, 0u);
+
+  // The chrome trace's phase events carry the ledger's phase totals, and
+  // the phases partition the run.
+  PJson doc = testjson::parse(tracer.chrome_trace(ledger).dump());
+  std::size_t phase_events = 0, covered = 0, setup_spans = 0;
+  for (const PJson& e : doc.get("traceEvents")->array) {
+    const PJson* cat = e.get("cat");
+    if (cat && cat->string == "setup") ++setup_spans;
+    if (!cat || cat->string != "phase") continue;
+    ++phase_events;
+    const std::size_t p = ledger.phase_index(e.get("name")->string);
+    ASSERT_NE(p, obs::Ledger::kAllPhases);
+    const PJson* args = e.get("args");
+    EXPECT_EQ(args->get("bytes_sent")->integer,
+              static_cast<std::int64_t>(ledger.stat(obs::LedgerField::kBytesSent, p).total));
+    EXPECT_EQ(args->get("msgs_sent")->integer,
+              static_cast<std::int64_t>(ledger.stat(obs::LedgerField::kMsgsSent, p).total));
+    EXPECT_EQ(e.get("dur")->integer, static_cast<std::int64_t>(1000 * ledger.phase_rounds(p)));
+    covered += ledger.phase_rounds(p);
+  }
+  EXPECT_GE(phase_events, 4u);
+  EXPECT_EQ(ledger.phase_name(0), "f_ba");
+  EXPECT_EQ(covered, ledger.rounds_run());
+  // The boost phase carries traffic, and π_ba tags it: signature shares
+  // show up in the whole-run kind tallies.
+  EXPECT_GT(ledger.stat(obs::LedgerField::kBytesSent, ledger.phase_index("boost")).total, 0u);
+  std::uint64_t sign_msgs = 0;
+  for (PartyId i = 0; i < ledger.n_parties(); ++i) {
+    sign_msgs += ledger.kind_total(MsgKind::kBoostSign, i).msgs_sent;
+  }
+  EXPECT_GT(sign_msgs, 0u);
+  // Setup work was reported as spans (tree build + SRDS keygen).
+  EXPECT_GE(setup_spans, 2u);
+}
+
+TEST(Ledger, AgreesWithNetworkStatsOnSeededRun) {
+  // One seeded fault-free run, counted once by the Ledger. Its books are
+  // pinned to the values the pre-Ledger NetworkStats produced for this
+  // run, NetworkStats must be their snapshot, and the per-round rows and
+  // per-phase tallies must both add up to the whole-run totals.
+  obs::Ledger ledger;
+  BaRunConfig cfg;
+  cfg.n = 64;
+  cfg.beta = 0.2;
+  cfg.seed = 7;
+  cfg.protocol = BoostProtocol::kPiBaSnark;
   cfg.ledger = &ledger;
   auto r = run_ba(cfg);
   ASSERT_TRUE(r.agreement);
@@ -182,29 +180,32 @@ TEST(Ledger, AgreesWithNetworkStatsAndTracerOnSeededRun) {
     ASSERT_EQ(r.stats.party[i].locality(), locality[i]) << "party " << i;
   }
 
-  // Round-level: the tracer's per-round sent totals sum to the ledger's.
-  std::uint64_t traced_bytes = 0;
-  for (const auto& rec : tracer.rounds()) traced_bytes += rec.bytes_sent;
-  std::uint64_t ledger_sent = 0;
-  for (PartyId i = 0; i < ledger.n_parties(); ++i) {
-    ledger_sent += ledger.total(i).bytes_sent;
-  }
-  EXPECT_EQ(traced_bytes, ledger_sent);
+  // Round-level: the per-round rows sum to the whole-run totals.
+  obs::PartyTally rows;
+  for (std::size_t k = 0; k < ledger.rounds_run(); ++k) rows += ledger.round_total(k);
+  EXPECT_EQ(rows.bytes_sent, sent.total);
+  EXPECT_EQ(rows.msgs_sent, 49705u);
+  EXPECT_EQ(rows.bytes_recv, 18764031u);
 
-  // Phase-level: both sinks consumed the same on_phase marks; on a
-  // fault-free run each phase's sent bytes/messages must match too.
-  const auto phases = tracer.phase_totals();
-  ASSERT_EQ(phases.size(), ledger.phase_count());
-  for (std::size_t p = 0; p < phases.size(); ++p) {
-    EXPECT_EQ(phases[p].name, ledger.phase_name(p));
-    std::uint64_t phase_bytes = 0, phase_msgs = 0;
-    for (PartyId i = 0; i < ledger.n_parties(); ++i) {
-      phase_bytes += ledger.phase_total(p, i).bytes_sent;
-      phase_msgs += ledger.phase_total(p, i).msgs_sent;
+  // Phase-level: each phase's rows sum to its sent tally, and the phases
+  // partition the run and its traffic.
+  std::size_t covered = 0;
+  std::uint64_t phase_bytes = 0;
+  for (std::size_t p = 0; p < ledger.phase_count(); ++p) {
+    obs::PartyTally in_phase;
+    const std::size_t start = ledger.phase_start(p);
+    for (std::size_t k = start; k < start + ledger.phase_rounds(p); ++k) {
+      in_phase += ledger.round_total(k);
     }
-    EXPECT_EQ(phase_bytes, phases[p].bytes_sent) << phases[p].name;
-    EXPECT_EQ(phase_msgs, phases[p].msgs_sent) << phases[p].name;
+    EXPECT_EQ(in_phase.bytes_sent, ledger.stat(obs::LedgerField::kBytesSent, p).total)
+        << ledger.phase_name(p);
+    EXPECT_EQ(in_phase.msgs_sent, ledger.stat(obs::LedgerField::kMsgsSent, p).total)
+        << ledger.phase_name(p);
+    covered += ledger.phase_rounds(p);
+    phase_bytes += in_phase.bytes_sent;
   }
+  EXPECT_EQ(covered, r.rounds);
+  EXPECT_EQ(phase_bytes, sent.total);
 
   // The harness audited the run: the registered budgets all evaluated, and
   // the boost-phase stat the bench binaries report comes from the ledger.
@@ -215,17 +216,84 @@ TEST(Ledger, AgreesWithNetworkStatsAndTracerOnSeededRun) {
   EXPECT_GE(boost.max, boost.p50);
 }
 
+/// One phase row of a BENCH artifact's `phases` block.
+struct PinnedPhase {
+  const char* name;
+  std::size_t start, rounds;
+  std::uint64_t msgs_sent, bytes_sent;
+};
+
+TEST(PhaseMetrics, PinnedForEveryProtocolAtN64) {
+  // fig_perparty_scaling's n=64 rows (seed 101, β=0.2), as the bench writes
+  // them: a change to the phase accounting shows up here first.
+  const std::vector<std::pair<BoostProtocol, std::vector<PinnedPhase>>> pinned{
+      {BoostProtocol::kNaive,
+       {{"f_ba", 0, 10, 12696, 1311000},
+        {"f_ct", 10, 20, 25944, 20835792},
+        {"f_ae-dissem", 30, 5, 6933, 402114},
+        {"boost", 35, 2, 3276, 147420}}},
+      {BoostProtocol::kMultisig,
+       {{"f_ba", 0, 10, 11616, 1198560},
+        {"f_ct", 10, 20, 23760, 19062384},
+        {"f_ae-dissem", 30, 5, 6884, 399272},
+        {"boost", 35, 12, 10781, 858213}}},
+      {BoostProtocol::kStar,
+       {{"f_ba", 0, 10, 12696, 1311000},
+        {"f_ct", 10, 20, 25944, 20835792},
+        {"f_ae-dissem", 30, 5, 6933, 402114},
+        {"boost", 35, 2, 1449, 123165}}},
+      {BoostProtocol::kSampling,
+       {{"f_ba", 0, 10, 12696, 1311000},
+        {"f_ct", 10, 20, 25944, 20835792},
+        {"f_ae-dissem", 30, 5, 6933, 402114},
+        {"boost", 35, 3, 4442, 59737}}},
+      {BoostProtocol::kPiBaOwf,
+       {{"f_ba", 0, 10, 11616, 1198560},
+        {"f_ct", 10, 20, 23760, 19062384},
+        {"f_ae-dissem", 30, 5, 6884, 399272},
+        {"boost", 35, 12, 12087, 4669801}}},
+      {BoostProtocol::kPiBaSnark,
+       {{"f_ba", 0, 10, 11616, 1198560},
+        {"f_ct", 10, 20, 23760, 19062384},
+        {"f_ae-dissem", 30, 5, 6884, 399272},
+        {"boost", 35, 12, 14255, 1690417}}},
+  };
+  for (const auto& [protocol, phases] : pinned) {
+    obs::Ledger ledger;
+    BaRunConfig cfg;
+    cfg.n = 64;
+    cfg.beta = 0.2;
+    cfg.seed = 101;
+    cfg.protocol = protocol;
+    cfg.ledger = &ledger;
+    run_ba(cfg);
+    obs::Json expected = obs::Json::object();
+    for (const PinnedPhase& p : phases) {
+      obs::Json j = obs::Json::object();
+      j.set("start", p.start);
+      j.set("rounds", p.rounds);
+      j.set("msgs_sent", p.msgs_sent);
+      j.set("bytes_sent", p.bytes_sent);
+      expected.set(p.name, std::move(j));
+    }
+    EXPECT_EQ(bench::phase_metrics(ledger).dump(2), expected.dump(2))
+        << protocol_name(protocol);
+  }
+}
+
 TEST(RoundTracer, ChromeTraceIsWellFormedJson) {
   obs::RoundTracer tracer;
+  obs::Ledger ledger;
   BaRunConfig cfg;
   cfg.n = 64;
   cfg.beta = 0.1;
   cfg.seed = 11;
   cfg.protocol = BoostProtocol::kPiBaSnark;
   cfg.trace = &tracer;
+  cfg.ledger = &ledger;
   run_ba(cfg);
 
-  PJson doc = testjson::parse(tracer.chrome_trace().dump());
+  PJson doc = testjson::parse(tracer.chrome_trace(ledger).dump());
   const PJson* events = doc.get("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_GT(events->array.size(), 4u);
@@ -245,7 +313,7 @@ TEST(RoundTracer, ChromeTraceIsWellFormedJson) {
     }
   }
   EXPECT_GE(phase_events, 4u);
-  EXPECT_EQ(round_events, tracer.rounds_run());
+  EXPECT_EQ(round_events, ledger.rounds_run());
   EXPECT_EQ(counter_events, round_events);
 }
 
@@ -255,14 +323,16 @@ TEST(RoundTracer, ChromeTraceCarriesProfTrackOnlyWhenEnabled) {
 
   auto trace_once = [] {
     obs::RoundTracer tracer;
+    obs::Ledger ledger;
     BaRunConfig cfg;
     cfg.n = 64;
     cfg.beta = 0.1;
     cfg.seed = 11;
     cfg.protocol = BoostProtocol::kPiBaSnark;
     cfg.trace = &tracer;
+    cfg.ledger = &ledger;
     run_ba(cfg);
-    return tracer.chrome_trace().dump();
+    return tracer.chrome_trace(ledger).dump();
   };
 
   auto count_prof_events = [](const std::string& json) {
@@ -298,29 +368,21 @@ TEST(RoundTracer, ChromeTraceCarriesProfTrackOnlyWhenEnabled) {
       << "a profiled pi_ba run must surface instrumented sites in the trace";
 }
 
-/// Rebuild the metrics a bench binary would report for one traced run,
-/// excluding wall-clock (the only non-deterministic tracer signal).
-obs::Json deterministic_metrics(const BaRunResult& r, const obs::RoundTracer& tracer) {
+/// Rebuild the deterministic metrics a bench binary would report for one
+/// run (everything but wall-clock).
+obs::Json deterministic_metrics(const BaRunResult& r, const obs::Ledger& ledger) {
   obs::Json m = obs::Json::object();
   m.set("rounds", r.rounds);
   m.set("max_comm_per_party_bytes", r.boost_stats.max_bytes_total());
   m.set("total_comm_bytes", r.stats.total_bytes());
   m.set("decided_fraction", r.decided_fraction());
-  obs::Json phases = obs::Json::object();
-  for (const auto& p : tracer.phase_totals()) {
-    obs::Json j = obs::Json::object();
-    j.set("rounds", p.rounds);
-    j.set("msgs_sent", p.msgs_sent);
-    j.set("bytes_sent", p.bytes_sent);
-    phases.set(p.name, std::move(j));
-  }
-  m.set("phases", std::move(phases));
+  m.set("phases", bench::phase_metrics(ledger));
   return m;
 }
 
 TEST(DeterminismGuard, IdenticalRunsProduceByteIdenticalReports) {
   auto run_once = [] {
-    obs::RoundTracer tracer;
+    obs::Ledger ledger;
     BaRunConfig cfg;
     cfg.n = 64;
     cfg.beta = 0.2;
@@ -332,13 +394,13 @@ TEST(DeterminismGuard, IdenticalRunsProduceByteIdenticalReports) {
     plan.delay_prob = 0.1;
     plan.max_delay = 2;
     cfg.faults = plan;
-    cfg.trace = &tracer;
+    cfg.ledger = &ledger;
     auto r = run_ba(cfg);
 
     bench::Reporter rep("determinism_guard");
     rep.set_param("n", 64);
     rep.set_param("seed", 2026);
-    rep.add_row(64.0, deterministic_metrics(r, tracer));
+    rep.add_row(64.0, deterministic_metrics(r, ledger));
     return rep.to_json(/*with_timestamp=*/false).dump(2);
   };
 

@@ -41,7 +41,6 @@
 
 #include "diff.hpp"
 #include "obs/json.hpp"
-#include "obs/tracer.hpp"
 
 namespace fs = std::filesystem;
 using namespace srds::benchdiff;

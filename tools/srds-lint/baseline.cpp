@@ -1,8 +1,6 @@
 #include "baseline.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <tuple>
 
@@ -267,17 +265,6 @@ BaselineDiff diff_baseline(const std::vector<Finding>& findings, const Baseline&
     if (!current.count({e.file, e.line, e.rule})) d.stale.push_back(e);
   }
   return d;
-}
-
-bool write_text_file(const std::string& path, const std::string& content) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path p(path);
-  if (p.has_parent_path()) fs::create_directories(p.parent_path(), ec);
-  std::ofstream out(p, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
 }
 
 }  // namespace srds::lint

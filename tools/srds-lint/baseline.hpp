@@ -52,10 +52,4 @@ struct BaselineDiff {
 
 BaselineDiff diff_baseline(const std::vector<Finding>& findings, const Baseline& b);
 
-/// Write `content` to `path`, creating missing parent directories first.
-/// All artifact writes (--json, --write-baseline, --dot) go through this:
-/// a fresh CI workspace handing us `artifacts/LINT_x.json` before anything
-/// created `artifacts/` must not turn into a spurious failure exit.
-bool write_text_file(const std::string& path, const std::string& content);
-
 }  // namespace srds::lint

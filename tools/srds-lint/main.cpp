@@ -48,6 +48,7 @@
 #include "graph.hpp"
 #include "lex.hpp"
 #include "lint.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fs = std::filesystem;
@@ -317,7 +318,7 @@ int main(int argc, char** argv) {
 
   if (!dot_path.empty()) {
     const std::string dot = srds::lint::dep_graph_dot(srds::lint::build_dep_graph(inputs));
-    if (!srds::lint::write_text_file(dot_path, dot)) {
+    if (!srds::obs::write_text_file(dot_path, dot)) {
       std::cerr << "srds-lint: cannot write '" << dot_path << "'\n";
       return 2;
     }
@@ -333,7 +334,7 @@ int main(int argc, char** argv) {
     }
     const std::string dot =
         srds::lint::call_graph_dot(srds::lint::build_call_graph(inputs), mptr);
-    if (!srds::lint::write_text_file(callgraph_dot_path, dot)) {
+    if (!srds::obs::write_text_file(callgraph_dot_path, dot)) {
       std::cerr << "srds-lint: cannot write '" << callgraph_dot_path << "'\n";
       return 2;
     }
@@ -341,8 +342,8 @@ int main(int argc, char** argv) {
 
   if (!write_baseline_path.empty()) {
     const srds::lint::Baseline b = srds::lint::make_baseline(findings);
-    if (!srds::lint::write_text_file(write_baseline_path,
-                                     srds::lint::baseline_json(b).dump(2) + "\n")) {
+    if (!srds::obs::write_text_file(write_baseline_path,
+                                    srds::lint::baseline_json(b).dump(2) + "\n")) {
       std::cerr << "srds-lint: cannot write '" << write_baseline_path << "'\n";
       return 2;
     }
@@ -435,7 +436,7 @@ int main(int argc, char** argv) {
     const srds::obs::Json stats = registry.to_json();
     const std::string doc =
         srds::lint::findings_json(findings, inputs.size(), &stats).dump(2) + "\n";
-    if (!srds::lint::write_text_file(json_path, doc)) {
+    if (!srds::obs::write_text_file(json_path, doc)) {
       std::cerr << "srds-lint: cannot write '" << json_path << "'\n";
       return 2;
     }
