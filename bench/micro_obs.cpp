@@ -2,17 +2,21 @@
 // Gauge::set and Histogram::record (lock-free per-bucket atomics since the
 // sharded-bucket conversion — the contended variant is the case the old
 // per-histogram mutex serialized), registry handle lookup,
-// Reporter::add_row, and one simulator round counted into a Ledger. Every
+// Reporter::add_row, one simulator round counted into a Ledger, and one
+// nested message round trip through the sub-protocol framing layers. Every
 // benchmark reports allocs/op next to ns/op via the counting operator new
 // in micro_main.hpp: the record/inc/set paths must stay at 0.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "micro_main.hpp"
+#include "net/parallel.hpp"
 #include "net/simulator.hpp"
+#include "net/subproto.hpp"
 #include "obs/ledger.hpp"
 #include "obs/metrics.hpp"
 #include "report.hpp"
@@ -147,6 +151,83 @@ void BM_SimRoundAccounting(benchmark::State& state) {
   benchmark::DoNotOptimize(ledger.total(0).msgs_sent);
 }
 BENCHMARK(BM_SimRoundAccounting);
+
+/// Leaf of the framing round trip: counts the bodies it is handed and, if it
+/// has peers, sends one block-B-sized body to each of them every step.
+class RelayLeaf final : public SubProtocol {
+ public:
+  RelayLeaf(std::vector<PartyId> peers, std::size_t body_size)
+      : peers_(std::move(peers)), body_(body_size, 0x5a) {}
+  std::size_t rounds() const override { return 1; }
+  std::vector<std::pair<PartyId, Bytes>> step(std::size_t,
+                                              const std::vector<TaggedMsg>& inbox) override {
+    received_ += inbox.size();
+    std::vector<std::pair<PartyId, Bytes>> out;
+    if (peers_.empty()) return out;
+    out.reserve(peers_.size());
+    multicast(peers_, frame_copy(body_), out);
+    return out;
+  }
+  std::size_t received() const { return received_; }
+
+ private:
+  std::vector<PartyId> peers_;
+  Bytes body_;
+  std::size_t received_ = 0;
+};
+
+/// A block of c leaves as member 0 (`sender`) or member 1 sees it. Only the
+/// sender's leaf 0 sends, to everyone else, as in one Dolev-Strong
+/// instance's first relay.
+std::unique_ptr<ParallelProto> relay_block(std::size_t c, bool sender) {
+  std::vector<PartyId> peers;
+  for (PartyId p = 1; sender && p < c; ++p) peers.push_back(p);
+  std::vector<std::unique_ptr<SubProtocol>> children;
+  for (std::size_t i = 0; i < c; ++i) {
+    children.push_back(std::make_unique<RelayLeaf>(i == 0 ? peers : std::vector<PartyId>{},
+                                                   4 + c * 25));
+  }
+  return std::make_unique<ParallelProto>(std::move(children));
+}
+
+// One nested message round trip at c = 7, the shape of a coin-toss block-B
+// relay: member 0's 179-byte reveal goes out to six peers through
+// ParallelProto's child index, the coin toss's kind byte and the channel
+// tag, and the six frames come back in through untag_body, the kind byte and
+// a receiver's ParallelProto demux. Each frame is one buffer written once,
+// and the receiving side borrows it: allocs_per_op (15 with libstdc++) is
+// the six frame buffers plus nine per-step vectors, none per frame.
+void BM_FrameNestedRoundTrip(benchmark::State& state) {
+  constexpr std::size_t kC = 7;
+  constexpr std::uint8_t kKind = 2;
+  auto sender = relay_block(kC, true);
+  auto receiver = relay_block(kC, false);
+  const std::vector<TaggedMsg> no_inbox;
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) {
+    std::vector<std::pair<PartyId, Bytes>> wrapped;
+    prepend_into(std::array{kKind}, sender->step(0, no_inbox), wrapped);
+    std::vector<Bytes> frames;
+    frames.reserve(wrapped.size());
+    for (auto& [to, body] : wrapped) frames.push_back(tag_body(2, 0, std::move(body)));
+
+    std::vector<TaggedMsg> inbox;
+    inbox.reserve(frames.size());
+    for (const Bytes& f : frames) {
+      std::uint32_t phase;
+      std::uint64_t instance;
+      BytesView body;
+      if (!untag_body(f, phase, instance, body)) continue;
+      Reader r(body);
+      if (r.u8() != kKind) continue;
+      inbox.emplace_back(0, r.view(r.remaining()), instance);
+    }
+    benchmark::DoNotOptimize(receiver->step(0, inbox));
+  }
+  bench::report_allocs(state, a0);
+  benchmark::DoNotOptimize(static_cast<const RelayLeaf*>(receiver->child(0))->received());
+}
+BENCHMARK(BM_FrameNestedRoundTrip);
 
 }  // namespace
 

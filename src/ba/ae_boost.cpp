@@ -63,37 +63,22 @@ void AeBoostParty::make_committee_protocols(bool ba_input_bit) {
 // entry point; everything it reaches must be shardable (rule C1).
 std::vector<Message> AeBoostParty::on_round(std::size_t round,
                                             const std::vector<Message>& inbox) {
-  // Demux by phase tag.
+  // Demux by phase tag. Bodies borrow `inbox`, which outlives this call.
   std::vector<TaggedMsg> ba_in, ct_in, dissem_in, boost_in;
   for (const auto& m : inbox) {
     std::uint32_t phase;
     std::uint64_t instance;
-    Bytes body;
+    BytesView body;
     if (!untag_body(m.payload, phase, instance, body)) {
       malformed_ += 1;
       continue;
     }
     switch (phase) {
-      case 1:
-        ba_in.push_back(TaggedMsg{m.from, std::move(body)});
-        break;
-      case 2:
-        ct_in.push_back(TaggedMsg{m.from, std::move(body)});
-        break;
-      case 3:
-        dissem_in.push_back(TaggedMsg{m.from, std::move(body)});
-        break;
-      case kBoostPhase: {
-        // Re-attach the instance so subclasses can demultiplex: the boost
-        // body delivered is (u64 instance || body).
-        Writer w;
-        w.u64(instance);
-        w.raw(body);
-        boost_in.push_back(TaggedMsg{m.from, std::move(w).take()});
-        break;
-      }
-      default:
-        break;
+      case 1: ba_in.emplace_back(m.from, body, instance); break;
+      case 2: ct_in.emplace_back(m.from, body, instance); break;
+      case 3: dissem_in.emplace_back(m.from, body, instance); break;
+      case kBoostPhase: boost_in.emplace_back(m.from, body, instance); break;
+      default: break;
     }
   }
 
@@ -107,7 +92,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
       default: break;
     }
     for (auto& [to, body] : msgs) {
-      out.push_back(make_msg(me_, to, tag_body(phase, 0, body), kind));
+      out.push_back(make_msg(me_, to, tag_body(phase, 0, std::move(body)), kind));
     }
   };
 
@@ -125,7 +110,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
       for (const auto& m : inbox) {
         std::uint32_t phase;
         std::uint64_t instance;
-        Bytes body;
+        BytesView body;
         if (untag_body(m.payload, phase, instance, body) && phase == 4 &&
             m.from == *cfg_.broadcaster && body.size() == 1) {
           injected_bit_ = body[0] != 0;

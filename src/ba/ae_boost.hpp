@@ -99,9 +99,11 @@ class AeBoostParty : public Party {
   /// Rounds the subclass's boost needs (fixed, from public parameters).
   virtual std::size_t boost_rounds() const = 0;
 
-  /// One boost round (k = 0 .. boost_rounds()-1). `inbox` holds boost-phase
-  /// bodies addressed to me this round. Returned messages must already be
-  /// fully framed (use make_boost_message).
+  /// One boost round (k = 0 .. boost_rounds()-1). `inbox` holds the
+  /// boost-phase bodies addressed to me this round, each with its channel
+  /// tag's instance in TaggedMsg::instance; the bodies are valid only during
+  /// this call. Returned messages must already be fully framed (use
+  /// make_boost_message).
   virtual std::vector<Message> boost_step(std::size_t k,
                                           const std::vector<TaggedMsg>& inbox) = 0;
 
@@ -126,6 +128,11 @@ class AeBoostParty : public Party {
   Message make_boost_message(PartyId to, std::uint64_t instance, BytesView body,
                              MsgKind kind = MsgKind::kUnknown) const {
     return make_msg(me_, to, tag_body(kBoostPhase, instance, body), kind);
+  }
+  /// Same, for a body this party owns: the tag is written in front of it.
+  Message make_boost_message(PartyId to, std::uint64_t instance, Bytes&& body,
+                             MsgKind kind = MsgKind::kUnknown) const {
+    return make_msg(me_, to, tag_body(kBoostPhase, instance, std::move(body)), kind);
   }
 
   void set_output(bool y) { output_ = y; }

@@ -108,15 +108,17 @@ class PiBaAttacker final : public Adversary {
   void attack_signing(const std::vector<Message>& honest_outbox,
                       std::vector<Message>& out) {
     const CommTree& tree = *cfg_.tree;
-    // Collect honest base-signature bodies from the rushing view.
-    std::vector<Bytes> lifted;
+    // Collect honest base-signature bodies from the rushing view. untag_body
+    // already strips (phase, instance): each body is the signature itself.
+    // The views borrow `honest_outbox`, which outlives this call.
+    std::vector<BytesView> lifted;
     for (const auto& m : honest_outbox) {
       std::uint32_t phase;
       std::uint64_t instance;
-      Bytes body;
+      BytesView body;
       if (!untag_body(m.payload, phase, instance, body)) continue;
       if (phase != AeBoostParty::kBoostPhase) continue;
-      if (lifted.size() < 8) lifted.push_back(std::move(body));
+      if (lifted.size() < 8) lifted.push_back(body);
     }
     // Replay them into every leaf from every corrupted party, plus garbage.
     std::vector<PartyId> corrupt_ids;
@@ -127,12 +129,7 @@ class PiBaAttacker final : public Adversary {
     for (std::size_t leaf = 0; leaf < tree.leaf_count(); ++leaf) {
       const TreeNode& node = tree.node(leaf);
       PartyId sender = corrupt_ids[leaf % corrupt_ids.size()];
-      for (const Bytes& body : lifted) {
-        // Bodies carry the (instance || payload) inner framing of their
-        // original leaf; strip it and replay the signature into this leaf.
-        Reader r(body);
-        r.u64();  // original instance
-        Bytes sig = r.raw(r.remaining());
+      for (BytesView sig : lifted) {
         for (PartyId p : node.committee) {
           out.push_back(make_msg(sender, p,
                                  tag_body(AeBoostParty::kBoostPhase, leaf, sig),
@@ -443,7 +440,7 @@ class GridCampaignAdversary final : public CampaignAdversary {
     for (const Message& m : honest_outbox) {
       std::uint32_t phase;
       std::uint64_t instance;
-      Bytes body;
+      BytesView body;
       if (!untag_body(m.payload, phase, instance, body)) continue;
       if (phase != 3) continue;
       Reader r(body);
@@ -507,7 +504,7 @@ class GridCampaignAdversary final : public CampaignAdversary {
     for (const Message& m : corrupt_inbox) {
       std::uint32_t phase;
       std::uint64_t instance;
-      Bytes body;
+      BytesView body;
       if (!untag_body(m.payload, phase, instance, body)) continue;
       if (phase != AeBoostParty::kBoostPhase) continue;
       if (body.size() != 1 || body[0] != 'q') continue;

@@ -34,9 +34,8 @@ std::vector<Message> NaiveBoostParty::boost_step(std::size_t k,
   for (const auto& msg : inbox) {
     if (msg.from >= n || seen[msg.from]) continue;
     Reader r(msg.body);
-    r.u64();  // instance prefix
     std::uint8_t y = r.u8();
-    Bytes sig_raw = r.raw(32);
+    BytesView sig_raw = r.view(32);
     if (!r.done() || y > 1) continue;
     Bytes target{std::uint8_t('n'), std::uint8_t('v'), y};
     if (!config().registry->verify(msg.from, target, Digest::from(sig_raw))) continue;
@@ -72,14 +71,6 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
   const std::size_t n = tree.params().n;
   std::vector<Message> out;
 
-  auto split = [](const TaggedMsg& msg, std::uint64_t& instance, Bytes& body) {
-    Reader r(msg.body);
-    instance = r.u64();
-    if (!r.ok()) return false;
-    body = r.raw(r.remaining());
-    return r.ok();
-  };
-
   if (k == 0) {
     // Sign and send a singleton multisig to my home leaf's committee.
     if (!ae_blob().has_value()) return out;
@@ -100,11 +91,10 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
   if (k >= 1 && k <= h) {
     // Aggregate level k: merge valid candidates with disjoint signer sets.
     for (const auto& msg : inbox) {
-      std::uint64_t instance;
-      Bytes body;
-      if (!split(msg, instance, body) || instance >= tree.node_count()) continue;
-      if (tree.node(instance).level != k) continue;
-      node_inputs_[instance].push_back(std::move(body));
+      if (msg.instance >= tree.node_count()) continue;
+      if (tree.node(msg.instance).level != k) continue;
+      // Kept past this round: copy out of the borrowed inbox.
+      node_inputs_[msg.instance].emplace_back(msg.body.begin(), msg.body.end());
     }
     if (!ae_blob().has_value()) return out;
     for (std::size_t id : tree.level_nodes(k)) {
@@ -165,14 +155,11 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
     }
     std::vector<TaggedMsg> dissem_in;
     for (const auto& msg : inbox) {
-      std::uint64_t instance;
-      Bytes body;
-      if (split(msg, instance, body) && instance == kDissemInstance) {
-        dissem_in.push_back(TaggedMsg{msg.from, std::move(body)});
-      }
+      if (msg.instance == kDissemInstance) dissem_in.push_back(msg);
     }
     for (auto& [to, body] : cert_dissem_->step(sub, dissem_in)) {
-      out.push_back(make_boost_message(to, kDissemInstance, body, MsgKind::kBoostCert));
+      out.push_back(
+          make_boost_message(to, kDissemInstance, std::move(body), MsgKind::kBoostCert));
     }
     if (sub == h && cert_dissem_->value().has_value() &&
         !cert_dissem_->certificate().empty()) {
@@ -207,12 +194,10 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
   if (!output().has_value()) {
     std::size_t fanout = std::min(tree.params().committee_size, n);
     for (const auto& msg : inbox) {
-      std::uint64_t instance;
-      Bytes body;
-      if (!split(msg, instance, body) || instance != kPrfInstance) continue;
-      Reader r(body);
-      Bytes blob = r.bytes();
-      Bytes cert = r.bytes();
+      if (msg.instance != kPrfInstance) continue;
+      Reader r(msg.body);
+      BytesView blob = r.bytes_view();
+      BytesView cert = r.bytes_view();
       if (!r.done()) continue;
       bool y;
       Bytes s;
@@ -247,11 +232,9 @@ std::vector<Message> SamplingBoostParty::boost_step(std::size_t k,
   std::vector<Message> out;
   if (k == 0) {
     // Query a random sample.
+    const Bytes query{std::uint8_t('q')};
     for (std::size_t to : rng_.subset(n, samples_)) {
-      if (to != me()) {
-        out.push_back(
-            make_boost_message(to, 0, Bytes{std::uint8_t('q')}, MsgKind::kBoostQuery));
-      }
+      if (to != me()) out.push_back(make_boost_message(to, 0, query, MsgKind::kBoostQuery));
     }
     return out;
   }
@@ -262,7 +245,6 @@ std::vector<Message> SamplingBoostParty::boost_step(std::size_t k,
     std::vector<bool> replied(n, false);
     for (const auto& msg : inbox) {
       Reader r(msg.body);
-      r.u64();
       if (r.u8() != 'q' || !r.done()) continue;
       if (msg.from >= n || replied[msg.from]) continue;
       replied[msg.from] = true;
@@ -274,7 +256,6 @@ std::vector<Message> SamplingBoostParty::boost_step(std::size_t k,
   std::vector<bool> seen(n, false);
   for (const auto& msg : inbox) {
     Reader r(msg.body);
-    r.u64();
     if (r.u8() != 'r') continue;
     std::uint8_t y = r.u8();
     if (!r.done() || y > 1) continue;
@@ -315,13 +296,12 @@ std::vector<Message> StarBoostParty::boost_step(std::size_t k,
     }
     if (msg.from >= n || seen[msg.from]) continue;
     Reader r(msg.body);
-    r.u64();
-    Bytes blob = r.bytes();
-    Bytes sig_raw = r.raw(32);
+    BytesView blob = r.bytes_view();
+    BytesView sig_raw = r.view(32);
     if (!r.done()) continue;
     if (!config().registry->verify(msg.from, blob, Digest::from(sig_raw))) continue;
     seen[msg.from] = true;
-    committee_votes_[blob] += 1;
+    committee_votes_[Bytes(blob.begin(), blob.end())] += 1;
   }
   for (const auto& [blob, votes] : committee_votes_) {
     if (votes * 2 > committee.size()) {

@@ -13,6 +13,7 @@ constexpr std::uint8_t kStageParty = 1;
 
 Bytes make_body(std::uint8_t stage, std::uint64_t node_id, BytesView value, BytesView sigma) {
   Writer w;
+  w.reserve(1 + 8 + 4 + value.size() + 4 + sigma.size() + kFrameHeadroom);
   w.u8(stage);
   w.u64(node_id);
   w.bytes(value);

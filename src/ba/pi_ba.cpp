@@ -8,19 +8,6 @@
 
 namespace srds {
 
-namespace {
-
-/// Read the instance prefix the base class attached to boost bodies.
-bool split_instance(const TaggedMsg& msg, std::uint64_t& instance, Bytes& body) {
-  Reader r(msg.body);
-  instance = r.u64();
-  if (!r.ok()) return false;
-  body = r.raw(r.remaining());
-  return r.ok();
-}
-
-}  // namespace
-
 PiBaParty::PiBaParty(PiBaConfig config, PartyId me, bool input)
     : AeBoostParty(config.ae, me, input), cfg2_(std::move(config)) {
   prf_fanout_ = cfg2_.prf_fanout ? cfg2_.prf_fanout
@@ -74,17 +61,14 @@ std::vector<Message> PiBaParty::boost_step(std::size_t k,
     }
     std::vector<TaggedMsg> dissem_in;
     for (const auto& msg : inbox) {
-      std::uint64_t instance;
-      Bytes body;
-      if (split_instance(msg, instance, body) && instance == kDissemInstance) {
-        dissem_in.push_back(TaggedMsg{msg.from, std::move(body)});
-      }
+      if (msg.instance == kDissemInstance) dissem_in.push_back(msg);
     }
     auto msgs = cert_dissem_->step(sub, dissem_in);
     std::vector<Message> out;
     out.reserve(msgs.size());
     for (auto& [to, body] : msgs) {
-      out.push_back(make_boost_message(to, kDissemInstance, body, MsgKind::kBoostCert));
+      out.push_back(
+          make_boost_message(to, kDissemInstance, std::move(body), MsgKind::kBoostCert));
     }
     if (sub + 1 == dissem_rounds) {
       // Dissemination finished; fix my certified pair if valid.
@@ -127,9 +111,7 @@ std::vector<Message> PiBaParty::step_sign_and_send() {
 void PiBaParty::ingest_aggregation(const std::vector<TaggedMsg>& inbox, std::size_t level) {
   const CommTree& tree = *cfg2_.ae.tree;
   for (const auto& msg : inbox) {
-    std::uint64_t instance;
-    Bytes body;
-    if (!split_instance(msg, instance, body)) continue;
+    const std::uint64_t instance = msg.instance;
     if (instance >= tree.node_count()) continue;
     const TreeNode& node = tree.node(instance);
     if (node.level != level) continue;
@@ -142,7 +124,7 @@ void PiBaParty::ingest_aggregation(const std::vector<TaggedMsg>& inbox, std::siz
     if (node.is_leaf()) {
       // Base signature: the sender must own the virtual identity it claims.
       IndexRange r;
-      if (!cfg2_.scheme->index_range(body, r) || r.min != r.max) continue;
+      if (!cfg2_.scheme->index_range(msg.body, r) || r.min != r.max) continue;
       if (r.min >= tree.virtual_count() || tree.owner_of_virtual(r.min) != msg.from) {
         continue;
       }
@@ -158,7 +140,8 @@ void PiBaParty::ingest_aggregation(const std::vector<TaggedMsg>& inbox, std::siz
       }
       if (!child_member) continue;
     }
-    node_inputs_[instance].push_back(std::move(body));
+    // Kept past this round: copy out of the borrowed inbox.
+    node_inputs_[instance].emplace_back(msg.body.begin(), msg.body.end());
   }
 }
 
@@ -222,12 +205,10 @@ void PiBaParty::ingest_prf(const std::vector<TaggedMsg>& inbox) {
   if (output().has_value()) return;
   const std::size_t n = cfg2_.ae.tree->params().n;
   for (const auto& msg : inbox) {
-    std::uint64_t instance;
-    Bytes body;
-    if (!split_instance(msg, instance, body) || instance != kPrfInstance) continue;
-    Reader r(body);
-    Bytes blob = r.bytes();
-    Bytes cert = r.bytes();
+    if (msg.instance != kPrfInstance) continue;
+    Reader r(msg.body);
+    BytesView blob = r.bytes_view();
+    BytesView cert = r.bytes_view();
     if (!r.done()) continue;
     bool y;
     Bytes s;
@@ -235,8 +216,8 @@ void PiBaParty::ingest_prf(const std::vector<TaggedMsg>& inbox) {
     // Fig. 3 step 8: accept only if I am in F_s(sender) and σ verifies.
     if (!prf_subset_contains(s, msg.from, n, std::min(prf_fanout_, n), me())) continue;
     if (!cfg2_.scheme->verify(blob, cert)) continue;
-    certificate_ = cert;
-    certified_blob_ = blob;
+    certificate_.assign(cert.begin(), cert.end());
+    certified_blob_.emplace(blob.begin(), blob.end());
     set_output(y);
     return;
   }

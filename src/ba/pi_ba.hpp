@@ -65,9 +65,9 @@ class PiBaParty final : public AeBoostParty {
   void decide_with_partial_info() override;
 
  private:
-  // Inner framing of boost bodies (after the instance prefix added by the
-  // base class): instance = node id for aggregation traffic; kind bytes
-  // distinguish base signatures, aggregates, dissemination and PRF sends.
+  // Boost channel instances (TaggedMsg::instance): the node id for signing
+  // and aggregation traffic, and these two reserved ids for the certified
+  // dissemination and the PRF sends.
   static constexpr std::uint64_t kDissemInstance = 1ULL << 62;
   static constexpr std::uint64_t kPrfInstance = (1ULL << 62) + 1;
 

@@ -19,6 +19,23 @@ inline void append(Bytes& dst, BytesView src) {
   dst.insert(dst.end(), src.begin(), src.end());
 }
 
+/// Insert `header` in front of `frame`. An outer framing layer writes its
+/// header this way into the body it was handed; no allocation happens when
+/// `frame` has the spare capacity. Without it, the frame moves to a buffer of
+/// exactly the new size (vector::insert would double it, and frames in
+/// flight dominate the simulator's memory).
+inline void prepend(Bytes& frame, BytesView header) {
+  if (frame.capacity() - frame.size() >= header.size()) {
+    frame.insert(frame.begin(), header.begin(), header.end());
+    return;
+  }
+  Bytes grown;
+  grown.reserve(header.size() + frame.size());
+  grown.insert(grown.end(), header.begin(), header.end());
+  grown.insert(grown.end(), frame.begin(), frame.end());
+  frame.swap(grown);
+}
+
 /// Concatenate any number of byte views into a fresh buffer.
 template <typename... Views>
 Bytes concat(const Views&... views) {

@@ -2,18 +2,13 @@
 
 namespace srds {
 
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+// One insert per integer: byte-wise push_back grows an empty buffer
+// through capacities 1, 2, 4, ... one allocation at a time.
+void Writer::u16(std::uint16_t v) { raw(le_bytes(v)); }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void Writer::u32(std::uint32_t v) { raw(le_bytes(v)); }
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void Writer::u64(std::uint64_t v) { raw(le_bytes(v)); }
 
 void Writer::bytes(BytesView b) {
   u32(static_cast<std::uint32_t>(b.size()));

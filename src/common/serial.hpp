@@ -10,12 +10,24 @@
 // must check `ok()` after parsing an untrusted (possibly Byzantine) message.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 
 #include "common/bytes.hpp"
 
 namespace srds {
+
+/// Little-endian bytes of a fixed-width integer: the wire form Writer::u16,
+/// u32 and u64 append, for headers written in front of an existing body.
+template <typename T>
+std::array<std::uint8_t, sizeof(T)> le_bytes(T v) {
+  std::array<std::uint8_t, sizeof(T)> out;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return out;
+}
 
 /// Append-only binary writer.
 class Writer {

@@ -45,13 +45,6 @@ std::unique_ptr<ParallelProto> make_ds_block(const SimSigRegistryPtr& registry,
   return std::make_unique<ParallelProto>(std::move(instances));
 }
 
-Bytes wrap(std::uint8_t kind, BytesView inner) {
-  Writer w;
-  w.u8(kind);
-  w.raw(inner);
-  return std::move(w).take();
-}
-
 }  // namespace
 
 CoinTossProto::CoinTossProto(SimSigRegistryPtr registry, std::vector<PartyId> members,
@@ -94,11 +87,11 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
     Reader r(msg.body);
     std::uint8_t kind = r.u8();
     if (!r.ok()) continue;
-    Bytes inner = r.raw(r.remaining());
+    BytesView inner = r.view(r.remaining());
     if (kind == kKindBlockA) {
-      a_msgs.push_back(TaggedMsg{msg.from, std::move(inner)});
+      a_msgs.emplace_back(msg.from, inner, msg.instance);
     } else if (kind == kKindBlockB) {
-      b_msgs.push_back(TaggedMsg{msg.from, std::move(inner)});
+      b_msgs.emplace_back(msg.from, inner, msg.instance);
     } else if (kind == kKindShare && subround == 1) {
       // Private share delivered by a dealer in round 0.
       auto it = std::find(members_.begin(), members_.end(), msg.from);
@@ -116,18 +109,19 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
 
   if (subround < block_rounds) {
     // Block A: commitment broadcasts (+ private shares in round 0).
-    auto msgs = block_a_->step(subround, a_msgs);
-    for (auto& [to, body] : msgs) out.emplace_back(to, wrap(kKindBlockA, body));
+    prepend_into(std::array{kKindBlockA}, block_a_->step(subround, a_msgs), out);
     if (subround == 0) {
       for (std::size_t j = 0; j < members_.size(); ++j) {
-        Writer w;
-        w.u64(my_shares_[j].y);
-        w.raw(my_rhos_[j]);
         if (members_[j] == me_) {
           received_[my_idx_] = ReceivedShare{true, my_shares_[j].y, my_rhos_[j]};
-        } else {
-          out.emplace_back(members_[j], wrap(kKindShare, std::move(w).take()));
+          continue;
         }
+        Writer w;
+        w.reserve(1 + 8 + my_rhos_[j].size() + kFrameHeadroom);
+        w.u8(kKindShare);
+        w.u64(my_shares_[j].y);
+        w.raw(my_rhos_[j]);
+        out.emplace_back(members_[j], std::move(w).take());
       }
     }
     return out;
@@ -145,8 +139,7 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
     block_b_ = make_ds_block(registry_, members_, t_, domain_, kKindBlockB, me_,
                              reveal.data());
   }
-  auto msgs = block_b_->step(subround - block_rounds, b_msgs);
-  for (auto& [to, body] : msgs) out.emplace_back(to, wrap(kKindBlockB, body));
+  prepend_into(std::array{kKindBlockB}, block_b_->step(subround - block_rounds, b_msgs), out);
 
   if (subround + 1 == rounds()) decide();
   return out;

@@ -10,8 +10,11 @@ namespace srds {
 
 namespace {
 
-Bytes encode(const Bytes& value, const std::vector<std::pair<PartyId, SimSig>>& chain) {
+/// Encoded once per relay, with kFrameHeadroom spare so the copy that goes
+/// to the last recipient takes the outer headers in place too.
+Bytes encode(BytesView value, const std::vector<std::pair<PartyId, SimSig>>& chain) {
   Writer w;
+  w.reserve(4 + value.size() + 4 + chain.size() * (8 + 32) + kFrameHeadroom);
   w.bytes(value);
   w.u32(static_cast<std::uint32_t>(chain.size()));
   for (const auto& [party, sig] : chain) {
@@ -21,16 +24,18 @@ Bytes encode(const Bytes& value, const std::vector<std::pair<PartyId, SimSig>>& 
   return std::move(w).take();
 }
 
-bool decode(BytesView body, Bytes& value, std::vector<std::pair<PartyId, SimSig>>& chain) {
+/// `value` views `body`.
+bool decode(BytesView body, BytesView& value,
+            std::vector<std::pair<PartyId, SimSig>>& chain) {
   Reader r(body);
-  value = r.bytes();
+  value = r.bytes_view();
   std::uint32_t n = r.u32();
   if (!r.ok() || n > 4096) return false;
   chain.clear();
-  chain.reserve(n);
+  chain.reserve(n + 1);  // room for a relayer's own signature
   for (std::uint32_t i = 0; i < n; ++i) {
     PartyId p = r.u64();
-    Bytes sig_raw = r.raw(32);
+    BytesView sig_raw = r.view(32);
     if (!r.ok()) return false;
     chain.emplace_back(p, Digest::from(sig_raw));
   }
@@ -52,21 +57,26 @@ DolevStrongProto::DolevStrongProto(SimSigRegistryPtr registry, std::vector<Party
 
 Digest DolevStrongProto::sign_target(BytesView value) const {
   Writer w;
+  w.reserve(4 + domain_.size() + 8 + 4 + value.size());
   w.bytes(domain_);
   w.u64(sender_idx_);
   w.bytes(value);
   return sha256_tagged("ds-sign", w.data());
 }
 
-std::vector<std::pair<PartyId, Bytes>> DolevStrongProto::relay(
-    const Bytes& value, std::vector<std::pair<PartyId, SimSig>> chain) {
+void DolevStrongProto::relay(BytesView value, std::vector<std::pair<PartyId, SimSig>> chain,
+                             std::vector<std::pair<PartyId, Bytes>>& out) {
   chain.emplace_back(me_, registry_->sign(me_, sign_target(value).view()));
   Bytes body = encode(value, chain);
-  std::vector<std::pair<PartyId, Bytes>> out;
+  // One copy per recipient, each with headroom; the last takes the original.
+  out.reserve(out.size() + members_.size());
+  PartyId last = me_;
   for (PartyId p : members_) {
-    if (p != me_) out.emplace_back(p, body);
+    if (p == me_) continue;
+    if (last != me_) out.emplace_back(last, frame_copy(body));
+    last = p;
   }
-  return out;
+  if (last != me_) out.emplace_back(last, std::move(body));
 }
 
 std::vector<std::pair<PartyId, Bytes>> DolevStrongProto::step(
@@ -76,20 +86,24 @@ std::vector<std::pair<PartyId, Bytes>> DolevStrongProto::step(
   if (subround == 0) {
     if (input_.has_value() && members_[sender_idx_] == me_) {
       extracted_.push_back(*input_);
-      out = relay(*input_, {});
+      relay(*input_, {}, out);
     }
     return out;
   }
 
   // Process arrivals: accept values carrying >= subround distinct valid
   // member signatures, the sender's among them.
+  std::vector<std::pair<PartyId, SimSig>> chain;  // reused across arrivals
   for (const auto& msg : inbox) {
     if (extracted_.size() >= 2) break;
-    Bytes value;
-    std::vector<std::pair<PartyId, SimSig>> chain;
+    BytesView value;
     if (!decode(msg.body, value, chain)) continue;
     if (chain.size() < subround) continue;
-    if (std::find(extracted_.begin(), extracted_.end(), value) != extracted_.end()) continue;
+    if (std::any_of(extracted_.begin(), extracted_.end(), [&](const Bytes& e) {
+          return std::equal(e.begin(), e.end(), value.begin(), value.end());
+        })) {
+      continue;
+    }
 
     Digest target = sign_target(value);
     std::set<PartyId> signers;
@@ -106,11 +120,8 @@ std::vector<std::pair<PartyId, Bytes>> DolevStrongProto::step(
     // Do not extend chains I already signed (I relayed this value before).
     if (signers.count(me_)) continue;
 
-    extracted_.push_back(value);
-    if (subround <= t_) {
-      auto msgs = relay(value, std::move(chain));
-      out.insert(out.end(), msgs.begin(), msgs.end());
-    }
+    extracted_.emplace_back(value.begin(), value.end());
+    if (subround <= t_) relay(value, std::move(chain), out);
   }
 
   if (subround == t_ + 1) {

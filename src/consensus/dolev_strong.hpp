@@ -46,8 +46,9 @@ class DolevStrongProto final : public SubProtocol {
 
  private:
   Digest sign_target(BytesView value) const;
-  std::vector<std::pair<PartyId, Bytes>> relay(const Bytes& value,
-                                               std::vector<std::pair<PartyId, SimSig>> chain);
+  /// Sign `value` onto `chain` and append one frame per other member to `out`.
+  void relay(BytesView value, std::vector<std::pair<PartyId, SimSig>> chain,
+             std::vector<std::pair<PartyId, Bytes>>& out);
 
   SimSigRegistryPtr registry_;
   std::vector<PartyId> members_;

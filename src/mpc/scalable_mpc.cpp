@@ -53,22 +53,19 @@ class MpcParty final : public Party {
     const std::size_t h = tree.height();
     std::vector<Message> out;
 
-    // Demux.
+    // Demux. Bodies borrow `inbox`, which outlives this call.
     std::vector<TaggedMsg> agg_in, dec_in, del_in;
     for (const auto& m : inbox) {
       std::uint32_t phase;
       std::uint64_t instance;
-      Bytes body;
+      BytesView body;
       if (!untag_body(m.payload, phase, instance, body)) continue;
-      Writer w;
-      w.u64(instance);
-      w.raw(body);
       if (phase == kPhaseInput || phase == kPhaseAggregate) {
-        agg_in.push_back(TaggedMsg{m.from, std::move(w).take()});
+        agg_in.emplace_back(m.from, body, instance);
       } else if (phase == kPhaseDecrypt) {
-        dec_in.push_back(TaggedMsg{m.from, std::move(body)});
+        dec_in.emplace_back(m.from, body, instance);
       } else if (phase == kPhaseDeliver) {
-        del_in.push_back(TaggedMsg{m.from, std::move(body)});
+        del_in.emplace_back(m.from, body, instance);
       }
     }
 
@@ -139,7 +136,8 @@ class MpcParty final : public Party {
         dissem_ = std::make_unique<DisseminationProto>(shared_->tree, me_, std::move(init));
       }
       for (auto& [to, body] : dissem_->step(sub, del_in)) {
-        out.push_back(make_msg(me_, to, tag_body(kPhaseDeliver, 0, body), MsgKind::kMpc));
+        out.push_back(
+            make_msg(me_, to, tag_body(kPhaseDeliver, 0, std::move(body)), MsgKind::kMpc));
       }
       if (sub == h && dissem_->output().has_value()) {
         Reader r(*dissem_->output());
@@ -159,10 +157,9 @@ class MpcParty final : public Party {
   void ingest_aggregation(const std::vector<TaggedMsg>& inbox, std::size_t level) {
     const CommTree& tree = *shared_->tree;
     for (const auto& msg : inbox) {
-      Reader r(msg.body);
-      std::uint64_t instance = r.u64();
-      Bytes body = r.raw(r.remaining());
-      if (!r.ok() || instance >= tree.node_count()) continue;
+      const std::uint64_t instance = msg.instance;
+      const BytesView body = msg.body;
+      if (instance >= tree.node_count()) continue;
       const TreeNode& node = tree.node(instance);
       if (node.level != level) continue;
       if (std::find(node.committee.begin(), node.committee.end(), me_) ==
@@ -184,7 +181,7 @@ class MpcParty final : public Party {
         // subtree). Validate the claimed child and the sender's seat on it.
         Reader br(body);
         std::uint64_t child = br.u64();
-        Bytes ct_raw = br.raw(Ciphertext::kSize);
+        BytesView ct_raw = br.view(Ciphertext::kSize);
         if (!br.done()) continue;
         Ciphertext ct;
         if (!Ciphertext::deserialize(ct_raw, ct) || !shared_->oracle->valid(ct)) continue;

@@ -30,16 +30,16 @@ class SubProtocolHost final : public Party {
     for (const auto& m : inbox) {
       std::uint32_t phase;
       std::uint64_t inst;
-      Bytes body;
+      BytesView body;
       if (untag_body(m.payload, phase, inst, body) && phase == 0 && inst == instance_) {
-        bodies.push_back(TaggedMsg{m.from, std::move(body)});
+        bodies.emplace_back(m.from, body, inst);
       }
     }
     auto outs = proto_->step(round, bodies);
     std::vector<Message> msgs;
     msgs.reserve(outs.size());
     for (auto& [to, body] : outs) {
-      msgs.push_back(Message{me_, to, tag_body(0, instance_, body)});
+      msgs.push_back(Message{me_, to, tag_body(0, instance_, std::move(body))});
     }
     if (round + 1 >= proto_->rounds()) done_ = true;
     return msgs;

@@ -38,23 +38,15 @@ class ParallelProto final : public SubProtocol {
         malformed_ += 1;
         continue;
       }
-      Bytes inner = r.raw(r.remaining());
-      if (!r.ok()) {
-        malformed_ += 1;
-        continue;
-      }
-      per_child[idx].push_back(TaggedMsg{msg.from, std::move(inner)});
+      per_child[idx].emplace_back(msg.from, r.view(r.remaining()), msg.instance);
     }
+    // Each child's bodies come back owned; the child index is written in
+    // front of them in place.
     std::vector<std::pair<PartyId, Bytes>> out;
     for (std::size_t i = 0; i < children_.size(); ++i) {
       if (!children_[i] || subround >= children_[i]->rounds()) continue;
-      auto msgs = children_[i]->step(subround, per_child[i]);
-      for (auto& [to, body] : msgs) {
-        Writer w;
-        w.u32(static_cast<std::uint32_t>(i));
-        w.raw(body);
-        out.emplace_back(to, std::move(w).take());
-      }
+      prepend_into(le_bytes(static_cast<std::uint32_t>(i)),
+                   children_[i]->step(subround, per_child[i]), out);
     }
     return out;
   }

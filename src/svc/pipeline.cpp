@@ -33,17 +33,14 @@ std::vector<Message> InstancePipeline::on_round(std::size_t round,
       malformed_ += 1;
       continue;
     }
-    Bytes inner = r.raw(r.remaining());
-    if (!r.ok()) {
-      malformed_ += 1;
-      continue;
-    }
+    const BytesView inner = r.view(r.remaining());
     bool routed = false;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (slots_[i].id == id) {
         // Unwrapped copy with the original sender/kind: the instance's own
         // demux (phase tags) sees exactly what it would in a standalone run.
-        per_slot[i].push_back(make_msg(m.from, m.to, std::move(inner), m.kind));
+        per_slot[i].push_back(
+            make_msg(m.from, m.to, Bytes(inner.begin(), inner.end()), m.kind));
         routed = true;
         break;
       }
@@ -55,12 +52,12 @@ std::vector<Message> InstancePipeline::on_round(std::size_t round,
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
     const std::size_t local = round - s.base_round;
-    auto msgs = s.party->on_round(local, per_slot[i]);
-    for (Message& m : msgs) {
-      Writer w;
-      w.u64(s.id);
-      w.raw(m.payload);
-      out.push_back(make_msg(m.from, m.to, std::move(w).take(), m.kind));
+    // The instance id is written in front of each payload (DESIGN.md,
+    // "Message framing").
+    const auto header = le_bytes(s.id);
+    for (Message& m : s.party->on_round(local, per_slot[i])) {
+      prepend(m.payload, header);
+      out.push_back(std::move(m));
     }
   }
 

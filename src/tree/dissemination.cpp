@@ -13,6 +13,7 @@ constexpr std::uint8_t kStageParty = 1;
 
 Bytes make_body(std::uint8_t stage, std::uint64_t node_id, BytesView value) {
   Writer w;
+  w.reserve(1 + 8 + value.size() + kFrameHeadroom);
   w.u8(stage);
   w.u64(node_id);
   w.raw(value);
@@ -105,10 +106,8 @@ std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
     if (initial_value_.has_value() && !my_nodes_by_level_[h - 1].empty()) {
       const TreeNode& root = tree_->root();
       for (std::size_t child : root.children) {
-        Bytes body = make_body(kStageCommittee, child, *initial_value_);
-        for (PartyId p : tree_->node(child).committee) {
-          out.emplace_back(p, body);
-        }
+        multicast(tree_->node(child).committee,
+                  make_body(kStageCommittee, child, *initial_value_), out);
       }
       output_ = initial_value_;  // root members already know the value
     }
@@ -126,21 +125,18 @@ std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
       const TreeNode& node = tree_->node(id);
       if (level > 1) {
         for (std::size_t child : node.children) {
-          Bytes body = make_body(kStageCommittee, child, *value);
-          for (PartyId p : tree_->node(child).committee) {
-            out.emplace_back(p, body);
-          }
+          multicast(tree_->node(child).committee, make_body(kStageCommittee, child, *value),
+                    out);
         }
       } else {
         // Leaf: deliver to the owners of the leaf's virtual slots.
-        Bytes body = make_body(kStageParty, id, *value);
         std::vector<PartyId> owners;
         for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
           owners.push_back(tree_->owner_of_virtual(v));
         }
         std::sort(owners.begin(), owners.end());
         owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-        for (PartyId p : owners) out.emplace_back(p, body);
+        multicast(owners, make_body(kStageParty, id, *value), out);
       }
       // Committee members are themselves parties; make sure they also adopt
       // a party-level value even if not assigned to any leaf slot here.

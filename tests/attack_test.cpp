@@ -3,7 +3,13 @@
 // aggregates, forged-certificate floods. Safety must hold throughout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "ba/ae_boost.hpp"
+#include "ba/attack.hpp"
 #include "ba/runner.hpp"
+#include "net/subproto.hpp"
 
 namespace srds {
 namespace {
@@ -57,6 +63,48 @@ TEST(ActiveAttack, AttackInflatesAdversaryBytesNotOutcome) {
   // The attacker sends plenty (flood phases) yet changes no honest output.
   EXPECT_GT(silent.stats.total_bytes(), quiet.stats.total_bytes());
   EXPECT_EQ(silent.value, quiet.value);
+}
+
+TEST(ActiveAttack, ReplaysLiftedSignatureUnchangedIntoEveryLeaf) {
+  auto tree = std::make_shared<const CommTree>(TreeParams::scaled(64), 3);
+  PiBaAttackConfig cfg;
+  cfg.tree = tree;
+  cfg.corrupt.assign(64, false);
+  cfg.corrupt[5] = cfg.corrupt[9] = true;
+  cfg.boost_start = 40;      // the step-4 signing round
+  cfg.dissem3_start = 1000;  // keep every other attack window out of the way
+  cfg.prf_round = 1000;
+  auto attacker = make_pi_ba_attacker(cfg);
+
+  // One honest boost-sign frame in the rushing view: a base signature for
+  // leaf 0 on its way to a member of that leaf's committee.
+  Bytes sig(97);
+  for (std::size_t i = 0; i < sig.size(); ++i) sig[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  const PartyId honest = 0;
+  const std::vector<Message> honest_outbox{
+      make_msg(honest, tree->node(0).committee.front(),
+               tag_body(AeBoostParty::kBoostPhase, 0, sig), MsgKind::kBoostSign)};
+
+  const auto out = attacker->on_round(cfg.boost_start, {}, honest_outbox);
+
+  // Every replay carries the signature byte for byte (no prefix lost), and
+  // each leaf committee receives one copy per seat.
+  std::map<std::uint64_t, std::vector<PartyId>> replayed_to;
+  for (const Message& m : out) {
+    std::uint32_t phase;
+    std::uint64_t leaf;
+    BytesView body;
+    ASSERT_TRUE(untag_body(m.payload, phase, leaf, body));
+    EXPECT_EQ(phase, AeBoostParty::kBoostPhase);
+    EXPECT_TRUE(cfg.corrupt[m.from]);
+    if (body.size() != sig.size()) continue;  // the 60-byte junk signatures
+    EXPECT_EQ(Bytes(body.begin(), body.end()), sig);
+    replayed_to[leaf].push_back(m.to);
+  }
+  ASSERT_EQ(replayed_to.size(), tree->leaf_count());
+  for (std::size_t leaf = 0; leaf < tree->leaf_count(); ++leaf) {
+    EXPECT_EQ(replayed_to[leaf], tree->node(leaf).committee) << "leaf " << leaf;
+  }
 }
 
 }  // namespace

@@ -247,10 +247,12 @@ Json make_wall_doc(double ns_per_op, double spread_rel, double allocs) {
 TEST(BenchDiffWall, WallLeavesOnlyFlattenInWallMode) {
   std::vector<Sample> plain, walled;
   ASSERT_TRUE(flatten(make_wall_doc(100, 0.05, 7), plain));
+  std::size_t plain_allocs = 0;
   for (const Sample& s : plain) {
     EXPECT_EQ(s.metric.find("wall"), std::string::npos) << s.metric;
-    EXPECT_EQ(s.metric.find("allocs"), std::string::npos) << s.metric;
+    if (s.metric == "allocs_per_op") ++plain_allocs;
   }
+  EXPECT_EQ(plain_allocs, 1u) << "allocation counts gate outside wall mode too";
 
   FlattenOptions opt;
   opt.include_wall = true;
@@ -335,13 +337,51 @@ TEST(BenchDiffWall, StaleWallBaselineFails) {
   opt.include_wall = true;
   std::vector<Sample> base, fresh;
   ASSERT_TRUE(flatten(make_wall_doc(100, 0.05, 7), base, nullptr, opt));
-  // Fresh run produced no wall/alloc leaves (e.g. run without --repeats):
-  // the wall baseline entries go stale and the gate must fail rather than
+  // Fresh run flattened without wall mode (e.g. run without --repeats):
+  // the wall baseline entry goes stale and the gate must fail rather than
   // silently stop ratcheting timing.
   ASSERT_TRUE(flatten(make_wall_doc(100, 0.05, 7), fresh));
   DiffReport r = diff(base, fresh);
   EXPECT_TRUE(r.failed());
-  EXPECT_EQ(r.stale, 2u);  // wall.ns_per_op and allocs_per_op
+  EXPECT_EQ(r.stale, 1u);  // wall.ns_per_op; allocs_per_op is in both
+}
+
+/// A figure row (no wall block) with an allocation count, the shape the
+/// simulator-driven benches emit.
+Json make_figure_doc(double allocs) {
+  Json doc = make_doc(1000, 5000);
+  Json series = Json::array();
+  for (const Json& row : doc.find("series")->items()) {
+    Json r = row;
+    Json m = *row.find("metrics");
+    m.set("allocs_per_op", allocs);
+    r.set("metrics", std::move(m));
+    series.push_back(std::move(r));
+  }
+  doc.set("series", std::move(series));
+  return doc;
+}
+
+TEST(BenchDiff, FigureRowAllocRiseBeyondThresholdFails) {
+  std::vector<Sample> base, within, beyond;
+  ASSERT_TRUE(flatten(make_figure_doc(1000), base));
+  ASSERT_TRUE(flatten(make_figure_doc(1080), within));
+  ASSERT_TRUE(flatten(make_figure_doc(1200), beyond));
+  EXPECT_FALSE(diff(base, within).failed()) << "+8% is inside the 10% threshold";
+  DiffReport r = diff(base, beyond);
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.regressions, 2u);  // one per row
+  for (const Delta& d : r.deltas) {
+    EXPECT_EQ(d.sample.metric, "allocs_per_op");
+    EXPECT_EQ(d.kind, Delta::Kind::kRegression);
+    EXPECT_NEAR(d.rel, 0.2, 1e-9);
+  }
+  // And a fall is an improvement, reported for the ratchet, never a failure.
+  std::vector<Sample> fewer;
+  ASSERT_TRUE(flatten(make_figure_doc(250), fewer));
+  DiffReport down = diff(base, fewer);
+  EXPECT_FALSE(down.failed());
+  EXPECT_EQ(down.improvements, 2u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 
@@ -49,6 +50,39 @@ TEST(Serial, IntegersRoundTrip) {
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
   EXPECT_TRUE(r.done());
+}
+
+TEST(Serial, WireEncodingIsPinned) {
+  // Golden bytes: every digest and byte count in the project depends on
+  // this exact little-endian, u32-length-prefixed layout.
+  Writer w;
+  w.u8(0xab);
+  w.u16(0x1234);
+  w.u32(0xdeadbeef);
+  w.u64(0x0123456789abcdefULL);
+  w.bytes(Bytes{9, 8, 7});
+  w.str("ab");
+  w.raw(Bytes{0x55});
+  const Bytes golden{0xab,                                            // u8
+                     0x34, 0x12,                                      // u16
+                     0xef, 0xbe, 0xad, 0xde,                          // u32
+                     0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+                     0x03, 0x00, 0x00, 0x00, 9,    8,    7,           // bytes
+                     0x02, 0x00, 0x00, 0x00, 'a',  'b',               // str
+                     0x55};                                           // raw
+  EXPECT_EQ(w.data(), golden);
+  EXPECT_EQ(le_bytes(std::uint32_t{0xdeadbeef}),
+            (std::array<std::uint8_t, 4>{0xef, 0xbe, 0xad, 0xde}));
+}
+
+TEST(Serial, PrependWritesInFrontWithoutReallocating) {
+  Bytes frame;
+  frame.reserve(16);
+  frame.assign({7, 8});
+  const std::uint8_t* storage = frame.data();
+  prepend(frame, le_bytes(std::uint16_t{0x0102}));
+  EXPECT_EQ(frame, (Bytes{0x02, 0x01, 7, 8}));
+  EXPECT_EQ(frame.data(), storage);
 }
 
 TEST(Serial, BytesAndStrings) {

@@ -112,11 +112,15 @@ TEST_P(WireFuzz, SubProtocolInboxesSurviveGarbage) {
                           [](BytesView, BytesView) { return false; }, 3);
 
   for (std::size_t round = 0; round < 12; ++round) {
-    std::vector<TaggedMsg> inbox;
+    // The frames outlive the steps that borrow them.
+    std::vector<PartyId> senders;
+    std::vector<Bytes> frames;
     for (int k = 0; k < 6; ++k) {
-      inbox.push_back(TaggedMsg{static_cast<PartyId>(rng.below(64)),
-                                random_garbage(rng)});
+      senders.push_back(static_cast<PartyId>(rng.below(64)));
+      frames.push_back(random_garbage(rng));
     }
+    std::vector<TaggedMsg> inbox;
+    for (int k = 0; k < 6; ++k) inbox.emplace_back(senders[k], frames[k]);
     if (round < ds.rounds()) (void)ds.step(round, inbox);
     if (round < ct.rounds()) (void)ct.step(round, inbox);
     if (round < dis.rounds()) (void)dis.step(round, inbox);

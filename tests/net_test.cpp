@@ -1,6 +1,8 @@
 // Tests for the synchronous network simulator and sub-protocol framing.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/serial.hpp"
 #include "net/parallel.hpp"
 #include "net/simulator.hpp"
@@ -542,17 +544,33 @@ TEST(SubProto, TagRoundTrip) {
   Bytes tagged = tag_body(7, 123456789ULL, body);
   std::uint32_t phase = 0;
   std::uint64_t inst = 0;
-  Bytes out;
+  BytesView out;
   ASSERT_TRUE(untag_body(tagged, phase, inst, out));
   EXPECT_EQ(phase, 7u);
   EXPECT_EQ(inst, 123456789ULL);
-  EXPECT_EQ(out, body);
+  EXPECT_EQ(Bytes(out.begin(), out.end()), body);
+  EXPECT_EQ(out.data(), tagged.data() + kTagSize);  // a view, not a copy
+  // The owned overload writes the same tag in front of the body, in place.
+  EXPECT_EQ(tag_body(7, 123456789ULL, Bytes(body)), tagged);
 }
+
+TEST(SubProto, OwnedTagReusesCapacity) {
+  Bytes body = frame_copy(to_bytes("payload"));
+  const std::uint8_t* storage = body.data();
+  Bytes tagged = tag_body(1, 2, std::move(body));
+  EXPECT_EQ(tagged.data(), storage);  // headroom took the tag: no reallocation
+  EXPECT_EQ(tagged.size(), kTagSize + 7);
+}
+
+// A TaggedMsg borrows its body, so one built from a temporary buffer would
+// dangle: that overload is deleted.
+static_assert(!std::is_constructible_v<TaggedMsg, PartyId, Bytes&&>);
+static_assert(std::is_constructible_v<TaggedMsg, PartyId, const Bytes&>);
 
 TEST(SubProto, UntagRejectsShortPayload) {
   std::uint32_t phase;
   std::uint64_t inst;
-  Bytes body;
+  BytesView body;
   EXPECT_FALSE(untag_body(Bytes{1, 2, 3}, phase, inst, body));
 }
 
@@ -560,7 +578,7 @@ TEST(SubProto, EmptyBodyAllowed) {
   Bytes tagged = tag_body(1, 2, Bytes{});
   std::uint32_t phase;
   std::uint64_t inst;
-  Bytes body;
+  BytesView body;
   ASSERT_TRUE(untag_body(tagged, phase, inst, body));
   EXPECT_TRUE(body.empty());
 }
@@ -575,7 +593,7 @@ class ProbeProto final : public SubProtocol {
 
   std::vector<std::pair<PartyId, Bytes>> step(
       std::size_t subround, const std::vector<TaggedMsg>& inbox) override {
-    for (const auto& m : inbox) got_.push_back(m.body);
+    for (const auto& m : inbox) got_.emplace_back(m.body.begin(), m.body.end());
     return {{0, Bytes{tag_, static_cast<std::uint8_t>(subround)}}};
   }
 
@@ -601,20 +619,14 @@ TEST(ParallelProtoFraming, ChildrenMayDifferInRoundsAndGarbageIsCounted) {
   // to it is dropped silently (late traffic for a shorter child is
   // legitimate); a truncated index header or an out-of-range index is an
   // attack signal and must be counted as malformed.
+  // The frames outlive the step that borrows them.
+  const Bytes ended{0, 0, 0, 0, 0x7};        // ended child — silent drop, NOT malformed
+  const Bytes out_of_range{9, 0, 0, 0, 0x7};  // out-of-range child index — malformed
+  const Bytes truncated{1, 2};               // truncated index header — malformed
   std::vector<TaggedMsg> inbox;
-  {
-    Writer w;
-    w.u32(0);  // ended child — silent drop, NOT malformed
-    w.u8(0x7);
-    inbox.push_back(TaggedMsg{1, std::move(w).take()});
-  }
-  {
-    Writer w;
-    w.u32(9);  // out-of-range child index — malformed
-    w.u8(0x7);
-    inbox.push_back(TaggedMsg{1, std::move(w).take()});
-  }
-  inbox.push_back(TaggedMsg{1, Bytes{1, 2}});  // truncated index header — malformed
+  inbox.emplace_back(1, ended);
+  inbox.emplace_back(1, out_of_range);
+  inbox.emplace_back(1, truncated);
 
   auto out1 = par.step(1, inbox);
   ASSERT_EQ(out1.size(), 1u);  // only the 3-round child emits now

@@ -6,12 +6,16 @@
 // stub side).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "consensus/dolev_strong.hpp"
+#include "net/parallel.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "obs/json.hpp"
 #include "obs/prof.hpp"
@@ -212,6 +216,122 @@ TEST(ProfJson, DisabledProfilingStillSnapshotsRecordedSites) {
   ASSERT_NE(sites, nullptr);
   ASSERT_EQ(sites->items().size(), 1u);
   EXPECT_EQ(sites->items().front().find("name")->as_string(), "svc/daemon/step");
+}
+
+// --- Framing allocations (DESIGN.md, "Message framing") ---
+
+/// Member 0's view of a block of c parallel Dolev-Strong broadcasts, the
+/// shape of the coin toss's block B: member 0 broadcasts `input`.
+std::unique_ptr<ParallelProto> ds_block(const SimSigRegistryPtr& registry, std::size_t c,
+                                        const Bytes& input) {
+  std::vector<PartyId> members(c);
+  for (PartyId p = 0; p < c; ++p) members[p] = p;
+  std::vector<std::unique_ptr<SubProtocol>> children;
+  for (std::size_t s = 0; s < c; ++s) {
+    std::optional<Bytes> mine;
+    if (s == 0) mine = input;
+    children.push_back(std::make_unique<DolevStrongProto>(
+        registry, members, s, (c - 1) / 3, Bytes{2, static_cast<std::uint8_t>(s)}, 0,
+        std::move(mine)));
+  }
+  return std::make_unique<ParallelProto>(std::move(children));
+}
+
+TEST(FramingAllocs, NestedRelayCostsOneAllocationPerFrame) {
+  ASSERT_TRUE(alloc_hooks_active());
+  constexpr std::size_t c = 7;
+  auto registry = std::make_shared<const SimSigRegistry>(c, 1);
+  const Bytes reveal(4 + c * 25, 0x5a);  // block B's reveal vector for c = 7
+  std::vector<PartyId> members(c);
+  for (PartyId p = 0; p < c; ++p) members[p] = p;
+  // The leaf alone: the same sender's broadcast without the outer layers.
+  DolevStrongProto leaf(registry, members, 0, (c - 1) / 3, Bytes{2, 0}, 0, reveal);
+  auto block = ds_block(registry, c, reveal);
+
+  std::uint64_t a0 = alloc_ops();
+  const auto bare = leaf.step(0, {});
+  const std::uint64_t leaf_allocs = alloc_ops() - a0;
+  ASSERT_EQ(bare.size(), c - 1);
+
+  std::vector<std::pair<PartyId, Bytes>> ct_out;
+  std::vector<Bytes> frames;
+  frames.reserve(c);
+  a0 = alloc_ops();
+  // ParallelProto's child index, then the coin toss's kind byte, then the
+  // channel tag: each written in front of the body it was handed.
+  prepend_into(std::array<std::uint8_t, 1>{2}, block->step(0, {}), ct_out);
+  for (auto& [to, body] : ct_out) frames.push_back(tag_body(2, 0, std::move(body)));
+  const std::uint64_t nested_allocs = alloc_ops() - a0;
+  ASSERT_EQ(frames.size(), c - 1);
+
+  // The leaf's buffers: one per frame, plus five that do not scale with the
+  // recipients (its signature chain, the signed target, its outbox vector,
+  // and its list of extracted values with the kept copy of this one).
+  EXPECT_EQ(leaf_allocs, (c - 1) + 5);
+  // The outer layers add no allocation per frame: only ParallelProto's
+  // per-child demux vector.
+  EXPECT_EQ(nested_allocs, leaf_allocs + 1);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].size(), kTagSize + 1 + 4 + bare[i].second.size());
+    EXPECT_EQ(frames[i].capacity(), bare[i].second.capacity()) << "reallocated on the way out";
+  }
+}
+
+/// Child that counts the bodies it is handed and remembers where the first
+/// one lives; it keeps and sends nothing.
+class SinkChild final : public SubProtocol {
+ public:
+  std::size_t rounds() const override { return 2; }
+  std::vector<std::pair<PartyId, Bytes>> step(std::size_t,
+                                              const std::vector<TaggedMsg>& inbox) override {
+    if (!inbox.empty() && first_ == nullptr) first_ = inbox.front().body.data();
+    seen_ += inbox.size();
+    return {};
+  }
+  std::size_t seen() const { return seen_; }
+  const std::uint8_t* first() const { return first_; }
+
+ private:
+  std::size_t seen_ = 0;
+  const std::uint8_t* first_ = nullptr;
+};
+
+TEST(FramingAllocs, InboundDemuxBorrowsEveryBody) {
+  ASSERT_TRUE(alloc_hooks_active());
+  constexpr std::size_t c = 7, per_child = 64, k = c * per_child;
+  std::vector<std::unique_ptr<SubProtocol>> children;
+  for (std::size_t i = 0; i < c; ++i) children.push_back(std::make_unique<SinkChild>());
+  ParallelProto par(std::move(children));
+
+  std::vector<Bytes> frames;  // the round's inbox storage, outliving the step
+  for (std::size_t j = 0; j < k; ++j) {
+    Writer w;
+    w.u32(static_cast<std::uint32_t>(j % c));
+    w.raw(Bytes(40, static_cast<std::uint8_t>(j)));
+    frames.push_back(tag_body(2, 0, std::move(w).take()));
+  }
+  std::vector<TaggedMsg> inbox;
+  inbox.reserve(k);
+
+  const std::uint64_t a0 = alloc_ops();
+  for (const Bytes& f : frames) {
+    std::uint32_t phase;
+    std::uint64_t instance;
+    BytesView body;
+    ASSERT_TRUE(untag_body(f, phase, instance, body));
+    inbox.emplace_back(1, body, instance);
+  }
+  (void)par.step(1, inbox);
+  const std::uint64_t allocs = alloc_ops() - a0;
+
+  // Only ParallelProto's per-child vectors allocate, growing geometrically
+  // to per_child entries each: nothing is allocated per message.
+  EXPECT_LE(allocs, 1 + c * std::bit_width(per_child));
+  for (std::size_t i = 0; i < c; ++i) {
+    const auto* child = static_cast<const SinkChild*>(par.child(i));
+    EXPECT_EQ(child->seen(), per_child);
+    EXPECT_EQ(child->first(), frames[i].data() + kTagSize + 4) << "child " << i << " got a copy";
+  }
 }
 
 }  // namespace

@@ -27,12 +27,14 @@ std::string fmt_x(double x) {
 
 /// Leaves that change run-to-run without the measured numbers changing.
 /// They never become samples — identical logical runs must diff clean.
-/// (Wall mode re-admits wall.ns_per_op and allocs_per_op explicitly, with
-/// their own noise-aware gate, rather than through this walk.)
+/// (Wall mode re-admits wall.ns_per_op explicitly, with its own noise-aware
+/// gate, rather than through this walk.) allocs_per_op is not volatile: a
+/// seeded run's allocation count repeats exactly, so it gates with the
+/// exact threshold wherever a row carries it.
 bool volatile_key(const std::string& key) {
   return key == "timestamp" || key == "git_describe" || key == "prof" ||
-         contains(key, "wall") || contains(key, "span") || contains(key, "allocs") ||
-         ends_with(key, "_ns");
+         contains(key, "wall") || contains(key, "span") ||
+         (contains(key, "allocs") && key != "allocs_per_op") || ends_with(key, "_ns");
 }
 
 void walk(const obs::Json& v, std::string& path, const Sample& proto,
@@ -141,9 +143,9 @@ bool flatten(const obs::Json& doc, std::vector<Sample>& out, std::string* err,
     std::string path;
     walk(*metrics, path, proto, out);
     if (!options.include_wall) continue;
-    // Wall mode: lift the schema-3 wall/alloc leaves into gated samples,
-    // tagging the wall sample with the row's measured spread so the diff
-    // can widen the threshold on noisy rows.
+    // Wall mode: lift the schema-3 wall leaf into a gated sample, tagged
+    // with the row's measured spread so the diff can widen the threshold on
+    // noisy rows.
     if (const obs::Json* wall = metrics->find("wall"); wall && wall->is_object()) {
       if (const obs::Json* ns = wall->find("ns_per_op")) {
         Sample s = proto;
@@ -155,12 +157,6 @@ bool flatten(const obs::Json& doc, std::vector<Sample>& out, std::string* err,
         }
         if (std::isfinite(s.value)) out.push_back(std::move(s));
       }
-    }
-    if (const obs::Json* allocs = metrics->find("allocs_per_op")) {
-      Sample s = proto;
-      s.metric = "allocs_per_op";
-      s.value = allocs->as_double(std::numeric_limits<double>::quiet_NaN());
-      if (std::isfinite(s.value)) out.push_back(std::move(s));
     }
   }
   return true;

@@ -54,17 +54,20 @@ Direction classify(const std::string& metric);
 
 struct FlattenOptions {
   /// Wall mode (schema 3): promote each row's wall.ns_per_op (carrying its
-  /// spread_rel) and allocs_per_op into samples so the ratchet can gate
-  /// timing and allocation costs. Off by default — wall clocks are volatile
-  /// and must never break the deterministic diff.
+  /// spread_rel) into a sample so the ratchet can gate timing. Off by
+  /// default — wall clocks are volatile and must never break the
+  /// deterministic diff.
   bool include_wall = false;
 };
 
 /// Flatten a parsed BENCH document into samples. Returns false (with *err)
 /// when the document lacks the expected "bench"/"series" shape. Volatile
 /// leaves (timestamp, git_describe, anything wall-clock, allocs, prof)
-/// never become samples, so identical logical runs diff clean — unless
-/// wall mode explicitly opts the wall/alloc leaves in.
+/// never become samples, so identical logical runs diff clean — except
+/// allocs_per_op, which repeats exactly for a seeded run and becomes a
+/// higher-is-worse sample under the exact threshold at any depth of a row
+/// (a figure's per-protocol "naive.allocs_per_op" too), and the wall leaf
+/// that wall mode opts in.
 bool flatten(const obs::Json& doc, std::vector<Sample>& out, std::string* err = nullptr,
              const FlattenOptions& options = {});
 

@@ -7,10 +7,11 @@
 //                           fresh --json-out run); artifacts pair by file
 //                           name in directory mode
 //     --threshold PCT       relative change that counts as a regression
-//                           (default 10, i.e. 10%)
+//                           (default 10, i.e. 10%); it also gates every
+//                           row's allocs_per_op, which repeats exactly
 //     --wall-threshold PCT  ALSO gate wall-clock medians (wall.ns_per_op)
-//                           and allocs_per_op from schema-3 artifacts. A
-//                           wall median regresses only when it moves beyond
+//                           from schema-3 artifacts. A wall median
+//                           regresses only when it moves beyond
 //                           both this threshold and 3x the larger measured
 //                           spread of the two runs (noise-aware ratchet).
 //                           Off by default: wall clocks are volatile.
