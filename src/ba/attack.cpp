@@ -23,8 +23,9 @@ class PiBaAttacker final : public Adversary {
   explicit PiBaAttacker(PiBaAttackConfig config)
       : cfg_(std::move(config)), rng_(cfg_.seed ^ 0x61747461636bULL) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>& honest_outbox) override {
+  std::vector<Message> on_round(
+      std::size_t round, const std::vector<Message>&,
+      const std::vector<std::vector<Message>>& honest_outboxes) override {
     std::vector<Message> out;
     const CommTree& tree = *cfg_.tree;
     const std::size_t h = tree.height();
@@ -39,7 +40,7 @@ class PiBaAttacker final : public Adversary {
     // rushing view and replay them into *every* leaf committee; also spray
     // malformed signatures. ---
     if (round == cfg_.boost_start) {
-      attack_signing(honest_outbox, out);
+      attack_signing(honest_outboxes, out);
     }
 
     // --- Step-5 aggregation: garbage candidates to every parent committee
@@ -105,20 +106,22 @@ class PiBaAttacker final : public Adversary {
     });
   }
 
-  void attack_signing(const std::vector<Message>& honest_outbox,
+  void attack_signing(const std::vector<std::vector<Message>>& honest_outboxes,
                       std::vector<Message>& out) {
     const CommTree& tree = *cfg_.tree;
     // Collect honest base-signature bodies from the rushing view. untag_body
     // already strips (phase, instance): each body is the signature itself.
-    // The views borrow `honest_outbox`, which outlives this call.
+    // The views borrow `honest_outboxes`, which outlives this call.
     std::vector<BytesView> lifted;
-    for (const auto& m : honest_outbox) {
-      std::uint32_t phase;
-      std::uint64_t instance;
-      BytesView body;
-      if (!untag_body(m.payload, phase, instance, body)) continue;
-      if (phase != AeBoostParty::kBoostPhase) continue;
-      if (lifted.size() < 8) lifted.push_back(body);
+    for (const auto& outbox : honest_outboxes) {
+      for (const auto& m : outbox) {
+        std::uint32_t phase;
+        std::uint64_t instance;
+        BytesView body;
+        if (!untag_body(m.payload, phase, instance, body)) continue;
+        if (phase != AeBoostParty::kBoostPhase) continue;
+        if (lifted.size() < 8) lifted.push_back(body);
+      }
     }
     // Replay them into every leaf from every corrupted party, plus garbage.
     std::vector<PartyId> corrupt_ids;
@@ -260,10 +263,11 @@ class GridCampaignAdversary final : public CampaignAdversary {
 
   const std::vector<PartitionWindow>& partitions() const { return partitions_; }
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
-                                const std::vector<Message>& honest_outbox) override {
+  std::vector<Message> on_round(
+      std::size_t round, const std::vector<Message>& corrupt_inbox,
+      const std::vector<std::vector<Message>>& honest_outboxes) override {
     std::vector<Message> out;
-    if (round == cfg_.dissem_start) lift_blob(honest_outbox);
+    if (round == cfg_.dissem_start) lift_blob(honest_outboxes);
     if (!good_blob_.has_value()) return out;
 
     const std::size_t h = cfg_.tree->height();
@@ -436,23 +440,25 @@ class GridCampaignAdversary final : public CampaignAdversary {
 
   /// Rushing lift of the true (y, s) from the root committee's dissemination
   /// push; the forged blob flips y and keeps s.
-  void lift_blob(const std::vector<Message>& honest_outbox) {
-    for (const Message& m : honest_outbox) {
-      std::uint32_t phase;
-      std::uint64_t instance;
-      BytesView body;
-      if (!untag_body(m.payload, phase, instance, body)) continue;
-      if (phase != 3) continue;
-      Reader r(body);
-      r.u8();   // stage
-      r.u64();  // node id
-      Bytes value = r.raw(r.remaining());
-      bool y;
-      Bytes s;
-      if (!r.ok() || !decode_ys(value, y, s)) continue;
-      good_blob_ = std::move(value);
-      evil_blob_ = encode_ys(!y, s);
-      return;
+  void lift_blob(const std::vector<std::vector<Message>>& honest_outboxes) {
+    for (const auto& outbox : honest_outboxes) {
+      for (const Message& m : outbox) {
+        std::uint32_t phase;
+        std::uint64_t instance;
+        BytesView body;
+        if (!untag_body(m.payload, phase, instance, body)) continue;
+        if (phase != 3) continue;
+        Reader r(body);
+        r.u8();   // stage
+        r.u64();  // node id
+        Bytes value = r.raw(r.remaining());
+        bool y;
+        Bytes s;
+        if (!r.ok() || !decode_ys(value, y, s)) continue;
+        good_blob_ = std::move(value);
+        evil_blob_ = encode_ys(!y, s);
+        return;
+      }
     }
   }
 

@@ -30,7 +30,9 @@ namespace srds {
 
 struct PiBaConfig {
   AeConfig ae;
-  SrdsSchemePtr scheme;  // over ae.tree->virtual_count() signers, finalized
+  // Over ae.tree->virtual_count() signers, finalized; shared read-only by
+  // every party (steps may run concurrently, DESIGN.md §7).
+  std::shared_ptr<const SrdsScheme> scheme;
   std::size_t prf_fanout = 0;  // 0 = default: committee_size
   std::size_t certificate_redundancy = 3;
   /// Extra retransmission rounds for the certified dissemination (step 6)

@@ -207,6 +207,7 @@ BaRunResult run_ba(const BaRunConfig& config) {
   }
 
   Simulator sim(std::move(parties), corrupt, std::move(adversary));
+  sim.set_workers(config.workers);
   sim.set_ledger(config.ledger);
   sim.set_corruption_budget(corruption_budget);
   if (plan.has_value() && plan->any()) sim.set_fault_plan(*plan);

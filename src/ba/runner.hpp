@@ -92,6 +92,12 @@ struct BaRunConfig {
   /// violated. Requires `ledger`. This is the bench binaries'
   /// --strict-budgets flag.
   bool strict_budgets = false;
+
+  /// Worker threads for the honest parties' round steps
+  /// (Simulator::set_workers): 0 = automatic (one per two CPUs in the
+  /// affinity mask, on rounds where the pool pays), k = exactly k. Outputs
+  /// are identical for every value.
+  std::size_t workers = 0;
 };
 
 /// Thrown by run_ba under strict_budgets when an audited budget fails.

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 
 #include "common/bytes.hpp"
@@ -61,8 +62,12 @@ class FheOracle : public std::enable_shared_from_this<FheOracle> {
  public:
   static std::shared_ptr<FheOracle> create(std::uint64_t seed, std::size_t threshold);
 
-  /// Public encryption (anyone can encrypt).
-  Ciphertext encrypt(std::uint64_t plaintext);
+  /// Public encryption (anyone can encrypt). The handle derives from data
+  /// the caller supplies: `source` names the encrypting party and `seq`
+  /// counts that party's own encryptions, so handles never depend on the
+  /// order in which parties step (they may encrypt concurrently). Reusing a
+  /// (source, seq) pair for one plaintext returns the same handle.
+  Ciphertext encrypt(std::uint64_t source, std::uint64_t seq, std::uint64_t plaintext);
 
   /// Homomorphic operations: valid input handles yield a fresh handle;
   /// forged handles yield nullopt.
@@ -84,10 +89,17 @@ class FheOracle : public std::enable_shared_from_this<FheOracle> {
  private:
   explicit FheOracle(std::uint64_t seed, std::size_t threshold);
   Digest tag_for(const Digest& id) const;
+  /// The plaintext behind a well-formed handle; nullopt for a forgery.
+  std::optional<std::uint64_t> plaintext_of(const Ciphertext& c) const;
+  Ciphertext record(const Digest& id, std::uint64_t plaintext);
 
   Bytes key_;
   std::size_t threshold_;
-  std::uint64_t counter_ = 0;
+  // The plaintext store is shared by every party's step, which may run on
+  // different simulator workers; every access holds mu_. Entries are
+  // insert-only and a handle always maps to one plaintext, so the table's
+  // contents do not depend on the order of the inserts.
+  mutable std::mutex mu_;
   std::map<Digest, std::uint64_t> plaintexts_;
 };
 

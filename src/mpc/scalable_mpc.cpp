@@ -47,6 +47,8 @@ class MpcParty final : public Party {
 
   std::size_t total_rounds() const { return total_rounds_; }
 
+  // srds-lint: shard-root(MpcParty::on_round) — the MPC per-party round;
+  // everything it reaches must be shardable (rule C1).
   std::vector<Message> on_round(std::size_t round,
                                 const std::vector<Message>& inbox) override {
     const CommTree& tree = *shared_->tree;
@@ -71,7 +73,7 @@ class MpcParty final : public Party {
 
     if (round == 0) {
       // Encrypt my input, send to my home leaf's committee.
-      Ciphertext ct = shared_->oracle->encrypt(input_);
+      Ciphertext ct = shared_->oracle->encrypt(me_, encryptions_++, input_);
       std::size_t leaf = tree.leaf_of_virtual(tree.virtuals_of(me_).front());
       std::vector<PartyId> recipients(tree.node(leaf).committee.begin(),
                                       tree.node(leaf).committee.end());
@@ -261,6 +263,7 @@ class MpcParty final : public Party {
   std::shared_ptr<MpcShared> shared_;
   PartyId me_;
   std::uint64_t input_;
+  std::uint64_t encryptions_ = 0;  // this party's FheOracle::encrypt seq
   bool in_committee_ = false;
   std::size_t aggregate_start_ = 0, decrypt_round_ = 0, deliver_start_ = 0,
               total_rounds_ = 0;
@@ -302,6 +305,7 @@ MpcRunResult run_scalable_sum_mpc(const MpcRunConfig& config) {
 
   Simulator sim(std::move(parties), corrupt, nullptr);
   sim.set_trace_sink(config.trace);
+  sim.set_workers(config.workers);
   result.rounds = sim.run(total_rounds + 2);
   result.stats = sim.stats();
 

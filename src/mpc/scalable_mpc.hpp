@@ -36,6 +36,8 @@ struct MpcRunConfig {
   /// Optional observability sink (non-owning; e.g. an obs::Ledger for the
   /// per-party byte distribution). Installed on the simulator for the run.
   obs::TraceSink* trace = nullptr;
+  /// Simulator worker threads (Simulator::set_workers; 0 = automatic).
+  std::size_t workers = 0;
 };
 
 struct MpcRunResult {

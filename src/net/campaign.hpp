@@ -77,11 +77,12 @@ class CampaignAdversary : public Adversary {
   std::size_t granted() const { return granted_; }
 
   /// Default: the coalition stays silent. Campaigns override.
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
-                                const std::vector<Message>& honest_outbox) override {
+  std::vector<Message> on_round(
+      std::size_t round, const std::vector<Message>& corrupt_inbox,
+      const std::vector<std::vector<Message>>& honest_outboxes) override {
     (void)round;
     (void)corrupt_inbox;
-    (void)honest_outbox;
+    (void)honest_outboxes;
     return {};
   }
 

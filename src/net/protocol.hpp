@@ -14,6 +14,11 @@ namespace srds {
 /// round; `inbox` holds the messages sent to this party in round r-1 (empty
 /// in round 0). The return value is the party's outbox for round r.
 ///
+/// Different parties' `on_round` calls in one round may run concurrently on
+/// the simulator's worker pool (DESIGN.md §7): state shared between parties
+/// must be read-only or thread-safe, and must not make a party's outputs
+/// depend on the order other parties step in.
+///
 /// Implementations must treat `inbox` as untrusted: any message may have been
 /// crafted by the adversary. Malformed messages must be dropped, never cause
 /// a throw that crosses this interface.
@@ -31,6 +36,8 @@ class Party {
 /// The adversary controls all corrupted parties jointly and is *rushing*:
 /// in each round it sees the honest parties' outgoing messages for that round
 /// (full-information network) before choosing the corrupted parties' messages.
+/// It always runs on the simulator's coordinating thread, after every honest
+/// step of the round has finished (DESIGN.md §7), so it needs no locking.
 ///
 /// An *adaptive* adversary may additionally corrupt honest parties mid-run,
 /// subject to the simulator's corruption budget (Simulator::
@@ -44,12 +51,16 @@ class Adversary {
   virtual ~Adversary() = default;
 
   /// `corrupt_inbox` — messages delivered this round to corrupted parties;
-  /// `honest_outbox` — all messages honest parties are sending this round.
+  /// `honest_outboxes` — the messages honest parties are sending this round,
+  /// indexed by sender: `honest_outboxes[i]` is party i's outbox in emission
+  /// order, empty for parties that did not step (corrupt, crashed, offline).
+  /// Read in sender order, it is the order the network delivers in. The
+  /// view is valid only for this call.
   /// Returns the corrupted parties' messages for this round (each message's
   /// `from` must be a corrupted party; the simulator enforces this).
-  virtual std::vector<Message> on_round(std::size_t round,
-                                        const std::vector<Message>& corrupt_inbox,
-                                        const std::vector<Message>& honest_outbox) = 0;
+  virtual std::vector<Message> on_round(
+      std::size_t round, const std::vector<Message>& corrupt_inbox,
+      const std::vector<std::vector<Message>>& honest_outboxes) = 0;
 
   /// Parties this adversary wants to corrupt at the start of `round`,
   /// in priority order. Only consulted when a corruption budget is set;
@@ -77,7 +88,7 @@ class Adversary {
 class SilentAdversary final : public Adversary {
  public:
   std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     return {};
   }
 };

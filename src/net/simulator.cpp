@@ -1,6 +1,8 @@
 #include "net/simulator.hpp"
 
+#include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/prof.hpp"
 
@@ -13,7 +15,8 @@ Simulator::Simulator(std::vector<std::unique_ptr<Party>> parties, std::vector<bo
       crashed_(parties_.size(), false),
       offline_(parties_.size(), false),
       adversary_(std::move(adversary)),
-      stats_(parties_.size()) {
+      stats_(parties_.size()),
+      pool_(std::make_unique<WorkerPool>()) {
   if (corrupt_.size() != parties_.size()) {
     throw std::invalid_argument("Simulator: corrupt mask size mismatch");
   }
@@ -96,10 +99,73 @@ void Simulator::deliver(std::size_t round, Message m,
   inboxes[m.to].push_back(std::move(m));
 }
 
+void Simulator::route(std::size_t round, Message m) {
+  // Loopback is free: a party "sending to itself" is local computation,
+  // not network communication (standard accounting convention). It is
+  // also exempt from network faults.
+  if (m.from == m.to) {
+    inboxes_[m.to].push_back(std::move(m));
+    return;
+  }
+  deliver(round, std::move(m), inboxes_);
+}
+
+// srds-lint: shard-root(Simulator::step_party) — one honest party's round on
+// a pool worker; writes only slot i of outs_ and errors_.
+void Simulator::step_party(std::size_t round, PartyId i) {
+  PROF_SCOPE(obs::ProfSiteId::kSimPartyStep);
+  try {
+    outs_[i] = parties_[i]->on_round(round, inboxes_[i]);
+  } catch (...) {
+    errors_[i] = std::current_exception();
+  }
+}
+
+bool Simulator::pool_pays(std::uint64_t stepped_ns, std::size_t stepped, std::size_t msgs,
+                          std::size_t left, std::size_t lanes) {
+  // Decide only once the inline steps have run as long as a dispatch costs:
+  // one party's time (a cold cache, a page fault) is no projection, and a
+  // round that ends sooner was never worth dispatching.
+  if (stepped == 0 || left < 2 || lanes < 2 || stepped_ns < kDispatchNs) return false;
+  // Projected from the parties stepped so far: the remaining parties' step
+  // time W and messages M. k lanes save W (k - 1) / k and cost one dispatch
+  // plus a cross-core hand-off per message (DESIGN.md §7).
+  const double per_party = static_cast<double>(left) / static_cast<double>(stepped);
+  const double work_ns = static_cast<double>(stepped_ns) * per_party;
+  const double msgs_left = static_cast<double>(msgs) * per_party;
+  const double saved_ns =
+      work_ns * static_cast<double>(lanes - 1) / static_cast<double>(lanes);
+  return saved_ns > kDispatchNs + msgs_left * kHandoffNsPerMsg;
+}
+
+std::size_t Simulator::step_inline(std::size_t round, std::size_t lanes) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
+  std::size_t msgs = 0;
+  const std::size_t count = runnable_.size();
+  for (std::size_t k = 0; k < count;) {
+    const PartyId i = runnable_[k];
+    step_party(round, i);
+    msgs += outs_[i].size();
+    ++k;
+    if (lanes < 2) continue;
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0);
+    if (pool_pays(static_cast<std::uint64_t>(ns.count()), k, msgs, count - k, lanes)) {
+      return k;
+    }
+  }
+  return count;
+}
+
 void Simulator::begin_run() {
   if (begun_) return;
   begun_ = true;
-  inboxes_.resize(parties_.size());
+  const std::size_t n = parties_.size();
+  inboxes_.resize(n);
+  outs_.resize(n);
+  errors_.resize(n);
+  runnable_.reserve(n);
+  auto_workers_ = auto_workers(affinity_cpus());
   if (trace_) trace_->on_run_begin(parties_.size());
   ledger().on_run_begin(parties_.size());
 }
@@ -174,20 +240,57 @@ bool Simulator::tick() {
   if (all_done) return false;
   if (trace_) trace_->on_round_begin(round);
 
-  std::vector<Message> honest_out;
+  // Honest parties step, each writing only its own outbox and error slot
+  // (DESIGN.md §7). An explicit worker count uses the pool on every
+  // round; the automatic mode steps inline until the parties stepped so far
+  // project that the pool pays for the rest. Churned-offline parties
+  // neither execute nor send this round; their protocol state is frozen
+  // until they rejoin.
+  runnable_.clear();
   for (PartyId i = 0; i < n; ++i) {
-    if (corrupt_[i] || crashed_[i]) continue;
-    // Churned-offline parties neither execute nor send this round; their
-    // protocol state is frozen until they rejoin.
-    if (offline_[i]) continue;
-    PROF_SCOPE(obs::ProfSiteId::kSimPartyStep);
-    auto out = parties_[i]->on_round(round, inboxes_[i]);
-    for (auto& m : out) {
-      if (m.from != i || m.to >= n) {
-        throw std::logic_error("Simulator: honest party emitted ill-addressed message");
-      }
-      honest_out.push_back(std::move(m));
+    if (!corrupt_[i] && !crashed_[i] && !offline_[i]) runnable_.push_back(i);
+  }
+  {
+    PROF_SCOPE(obs::ProfSiteId::kSimStep);
+    const std::size_t count = runnable_.size();
+    std::size_t done = 0;
+    std::size_t lanes = workers_;
+    if (workers_ == 0) {
+      lanes = auto_workers_;
+      done = step_inline(round, lanes);
+    } else if (workers_ == 1 || count < 2) {
+      done = step_inline(round, 1);
     }
+    if (done < count) {
+      auto step = [this, round, done](std::size_t k) { step_party(round, runnable_[done + k]); };
+      pool_->for_each(count - done, lanes, step);
+    }
+  }
+  // Back on this thread, in party order: the first failure by party id
+  // surfaces, exactly as a sequential loop would have stopped there. The
+  // round is discarded, so a later tick sees no stale slot.
+  std::exception_ptr failure;
+  for (PartyId i : runnable_) {
+    if (errors_[i]) {
+      failure = errors_[i];
+      break;
+    }
+    for (const Message& m : outs_[i]) {
+      if (m.from != i || m.to >= n) {
+        failure = std::make_exception_ptr(
+            std::logic_error("Simulator: honest party emitted ill-addressed message"));
+        break;
+      }
+    }
+    if (failure) break;
+  }
+  if (failure) {
+    for (PartyId i : runnable_) {
+      errors_[i] = nullptr;
+      outs_[i] = {};
+      inboxes_[i].clear();
+    }
+    std::rethrow_exception(failure);
   }
 
   // Rushing adversary: sees all honest traffic of this round, plus the
@@ -197,9 +300,20 @@ bool Simulator::tick() {
     if (!corrupt_[i]) continue;
     for (auto& m : inboxes_[i]) corrupt_in.push_back(std::move(m));
   }
-  std::vector<Message> adv_out =
-      adversary_->on_round(round, corrupt_in, honest_out);
-  for (auto& m : adv_out) {
+  std::vector<Message> adv_out = adversary_->on_round(round, corrupt_in, outs_);
+
+  // Release this round's inbound mail here, on one thread: a payload is
+  // freed into the malloc arena of the thread that built it, and workers
+  // freeing into one another's arenas while they allocate contend on the
+  // arena locks (DESIGN.md §7). Borrowed TaggedMsg bodies died with the
+  // steps (§6).
+  for (auto& ib : inboxes_) ib.clear();
+  // Honest traffic in sender order, then the adversary's accepted messages.
+  for (PartyId i = 0; i < n; ++i) {
+    for (Message& m : outs_[i]) route(round, std::move(m));
+    outs_[i] = {};
+  }
+  for (Message& m : adv_out) {
     // The adversary's messages are untrusted input to the network: it
     // cannot spoof honest senders (channels are authenticated), address
     // parties outside [0, n), or exceed the payload cap. Ill-formed
@@ -209,19 +323,7 @@ bool Simulator::tick() {
       stats_.faults.adversary_rejected += 1;
       continue;
     }
-    honest_out.push_back(std::move(m));
-  }
-
-  for (auto& ib : inboxes_) ib.clear();
-  for (auto& m : honest_out) {
-    // Loopback is free: a party "sending to itself" is local computation,
-    // not network communication (standard accounting convention). It is
-    // also exempt from network faults.
-    if (m.from == m.to) {
-      inboxes_[m.to].push_back(std::move(m));
-      continue;
-    }
-    deliver(round, std::move(m), inboxes_);
+    route(round, std::move(m));
   }
   if (trace_) trace_->on_round_end(round);
   ledger().on_round_end(round);

@@ -13,6 +13,12 @@
 // via set_ledger, otherwise one the simulator owns); `stats()` is its
 // per-party snapshot, taken once at the end of the run.
 //
+// Honest parties' round steps run on a worker pool (set_workers; DESIGN.md
+// §7). Everything else — the round preamble, the ill-addressed check, the
+// rushing adversary, fault injection, delivery, the ledger and the trace
+// sink — stays on the calling thread in sequential party order, so every
+// byte and event is identical for every worker count.
+//
 // Optionally the network itself misbehaves: `set_fault_plan` installs a
 // seeded, deterministic fault-injection layer (drops, bounded delays,
 // duplication, crash-stop faults, partitions, churn — see net/faults.hpp).
@@ -21,6 +27,9 @@
 // plans throw, suspicious-but-legal ones surface findings via plan_issues().
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,6 +38,7 @@
 #include "net/faults.hpp"
 #include "net/protocol.hpp"
 #include "net/stats.hpp"
+#include "net/worker_pool.hpp"
 #include "obs/ledger.hpp"
 #include "obs/trace.hpp"
 
@@ -79,6 +89,18 @@ class Simulator {
   /// costs one pointer test per event. Call before run().
   void set_trace_sink(obs::TraceSink* sink) { trace_ = sink; }
 
+  /// Worker threads for the honest parties' round steps (DESIGN.md §7).
+  /// 0 (the default) = automatic: one per two CPUs in this process's
+  /// affinity mask (auto_workers), at most kMaxAutoWorkers, engaged in a
+  /// round only once the parties stepped inline project that the pool
+  /// pays (pool_pays); k >= 1 = exactly k (1 = sequential, capped at
+  /// WorkerPool::kMaxWorkers) on every round with two or more runnable
+  /// parties. Every byte, coin,
+  /// ledger row and trace event is identical for every value. Threads start
+  /// on the first round that uses them, never before on_run_begin. Call
+  /// before run().
+  void set_workers(std::size_t k) { workers_ = k; }
+
   /// Run until every live honest party reports done() or `max_rounds`
   /// elapse. Crash-stopped parties count as done. Returns the number of
   /// rounds executed. Implemented on top of the incremental API below;
@@ -126,12 +148,43 @@ class Simulator {
   const Party* party(PartyId i) const { return parties_[i].get(); }
 
   static constexpr std::size_t kDefaultMaxAdversaryPayload = 1u << 20;
+  /// Automatic mode's worker cap: the widest pool its policy and RSS were
+  /// measured with (DESIGN.md §7). set_workers(k) may go beyond it.
+  static constexpr std::size_t kMaxAutoWorkers = 4;
+  /// Automatic mode's worker count on a process with `cpus` CPUs in its
+  /// affinity mask: half of them, so that a round, which is only as fast as
+  /// its slowest lane, seldom waits on a worker whose CPU another busy
+  /// process (or the host of a VM) has taken (DESIGN.md §7). 1 = sequential.
+  static std::size_t auto_workers(std::size_t cpus) {
+    return std::clamp<std::size_t>(cpus / 2, 1, kMaxAutoWorkers);
+  }
+  /// Measured costs behind pool_pays (4-vCPU Xeon, DESIGN.md §7): waking
+  /// and joining the pool, and handing one message across cores (the
+  /// coordinator reading a worker-built outbox and later freeing it into
+  /// another thread's arena).
+  static constexpr double kDispatchNs = 40e3;
+  static constexpr double kHandoffNsPerMsg = 50;
+  /// Automatic mode's choice, after `stepped` parties took `stepped_ns` and
+  /// sent `msgs` messages inline: whether stepping the `left` remaining
+  /// parties on `lanes` threads saves more than it costs.
+  static bool pool_pays(std::uint64_t stepped_ns, std::size_t stepped, std::size_t msgs,
+                        std::size_t left, std::size_t lanes);
 
  private:
   /// Route one accepted outgoing message through the fault layer into
   /// `inboxes` / the delayed queue, with full accounting.
   void deliver(std::size_t round, Message m,
                std::vector<std::vector<Message>>& inboxes);
+  /// Deliver one accepted message, or hand it straight to the receiver's
+  /// inbox when it is loopback.
+  void route(std::size_t round, Message m);
+  /// Step honest party i: its outbox into outs_[i], a throw into errors_[i].
+  /// Runs inline or on a pool worker.
+  void step_party(std::size_t round, PartyId i);
+  /// Step runnable_ in order on this thread; with lanes >= 2 stop as soon
+  /// as pool_pays says the rest should go to the pool. Returns how many
+  /// parties were stepped.
+  std::size_t step_inline(std::size_t round, std::size_t lanes);
   /// Report a delivery outcome to the sink and the ledger.
   void emit_delivery(std::size_t round, const Message& m, obs::Delivery outcome);
 
@@ -155,8 +208,15 @@ class Simulator {
   std::map<std::size_t, std::vector<Message>> delayed_;  // delivery round -> msgs
 
   // Incremental-driving state. inboxes_[i] = messages to deliver to party i
-  // at the start of the next tick.
+  // at the start of the next tick; outs_[i] = party i's outbox for the
+  // current round, indexed by sender (empty for parties that did not step).
   std::vector<std::vector<Message>> inboxes_;
+  std::vector<std::vector<Message>> outs_;
+  std::vector<std::exception_ptr> errors_;  // a party step's throw, by party
+  std::vector<PartyId> runnable_;           // parties stepping this round
+  std::size_t workers_ = 0;                 // set_workers(); 0 = automatic
+  std::size_t auto_workers_ = 1;            // automatic mode's lanes, at begin_run
+  std::unique_ptr<WorkerPool> pool_;
   std::size_t cur_round_ = 0;
   bool begun_ = false;
   bool ended_ = false;

@@ -1,5 +1,6 @@
 #include "obs/prof.hpp"
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -49,6 +50,7 @@ constexpr const char* kProfSiteNames[kProfSiteCount] = {
     "svc/pipeline/step",
     "svc/daemon/step",
     "consensus/coin_toss/decide",
+    "sim/round/step",
 };
 
 struct NamedSite {
@@ -98,20 +100,18 @@ const char* prof_site_name(ProfSiteId id) {
 
 // srds-lint: hotpath(ProfSite::record_ns)
 void ProfSite::record_ns(std::uint64_t ns) {
-  // Shard by thread hash: single-threaded runs always hit shard 0's line,
-  // concurrent recorders mostly avoid each other's.
-  const std::size_t shard =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards;
-  shards_[shard].count.fetch_add(1, std::memory_order_relaxed);
-  shards_[shard].total_ns.fetch_add(ns, std::memory_order_relaxed);
-  buckets_[bucket_of_ns(ns)].fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t cur = min_.load(std::memory_order_relaxed);
-  while (ns < cur &&
-         !min_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
+  // Shard by thread hash: single-threaded runs always hit one shard,
+  // concurrent recorders mostly avoid each other's (and stay exact when
+  // they do share one).
+  Shard& s = shards_[std::hash<std::thread::id>{}(std::this_thread::get_id()) % kShards];
+  s.count.fetch_add(1, std::memory_order_relaxed);
+  s.total_ns.fetch_add(ns, std::memory_order_relaxed);
+  s.buckets[bucket_of_ns(ns)].fetch_add(1, std::memory_order_relaxed);
+  std::uint64_t cur = s.min_ns.load(std::memory_order_relaxed);
+  while (ns < cur && !s.min_ns.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
   }
-  cur = max_.load(std::memory_order_relaxed);
-  while (ns > cur &&
-         !max_.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
+  cur = s.max_ns.load(std::memory_order_relaxed);
+  while (ns > cur && !s.max_ns.compare_exchange_weak(cur, ns, std::memory_order_relaxed)) {
   }
 }
 
@@ -127,14 +127,32 @@ std::uint64_t ProfSite::total_ns() const {
   return t;
 }
 
+std::uint64_t ProfSite::min_ns() const {
+  std::uint64_t m = ~0ull;
+  for (const Shard& s : shards_) m = std::min(m, s.min_ns.load(std::memory_order_relaxed));
+  return count() ? m : 0;
+}
+
+std::uint64_t ProfSite::max_ns() const {
+  std::uint64_t m = 0;
+  for (const Shard& s : shards_) m = std::max(m, s.max_ns.load(std::memory_order_relaxed));
+  return m;
+}
+
+std::uint64_t ProfSite::bucket(std::size_t b) const {
+  std::uint64_t c = 0;
+  for (const Shard& s : shards_) c += s.buckets[b].load(std::memory_order_relaxed);
+  return c;
+}
+
 void ProfSite::reset() {
   for (Shard& s : shards_) {
     s.count.store(0, std::memory_order_relaxed);
     s.total_ns.store(0, std::memory_order_relaxed);
+    s.min_ns.store(~0ull, std::memory_order_relaxed);
+    s.max_ns.store(0, std::memory_order_relaxed);
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
   }
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  min_.store(~0ull, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 ProfSite& prof_site(ProfSiteId id) {

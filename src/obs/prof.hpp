@@ -64,6 +64,9 @@ enum class ProfSiteId : std::uint32_t {
   kSvcPipelineStep,    // svc/pipeline/step   — InstancePipeline::on_round
   kSvcDaemonStep,      // svc/daemon/step     — BaServiceDaemon::step
   kConsensusCoinDecide,// consensus/coin_toss/decide — CoinTossProto::decide
+  kSimStep,            // sim/round/step      — wall clock of a round's
+                       //   party steps, once per round (party_step and
+                       //   its children sum worker time)
   kCount,
 };
 
@@ -73,10 +76,11 @@ inline constexpr std::size_t kProfSiteCount =
 /// Hierarchical name ("module/phase/site") of a static site.
 const char* prof_site_name(ProfSiteId id);
 
-/// One profiling site: count/total sharded by thread hash (the contended
-/// fetch_adds), plus a log2 latency histogram and CAS'd min/max. All
-/// methods are safe from concurrent threads; readers aggregate with
-/// relaxed loads and tolerate tearing between fields.
+/// One profiling site: count, total, a log2 latency histogram and min/max,
+/// all sharded per recording thread, so concurrent recorders (the round
+/// loop's pool workers) never share a cache line. All methods are safe from
+/// concurrent threads; readers aggregate the shards with relaxed loads and
+/// tolerate tearing between fields.
 class ProfSite {
  public:
   static constexpr std::size_t kShards = 8;
@@ -87,13 +91,9 @@ class ProfSite {
 
   std::uint64_t count() const;
   std::uint64_t total_ns() const;
-  std::uint64_t min_ns() const {
-    return count() ? min_.load(std::memory_order_relaxed) : 0;
-  }
-  std::uint64_t max_ns() const { return max_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(std::size_t b) const {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
+  std::uint64_t min_ns() const;
+  std::uint64_t max_ns() const;
+  std::uint64_t bucket(std::size_t b) const;
 
   /// Zero every field (not atomic as a whole: concurrent recorders may
   /// land between stores; only call quiescent or accept the smear).
@@ -103,12 +103,12 @@ class ProfSite {
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> total_ns{0};
+    std::atomic<std::uint64_t> min_ns{~0ull};
+    std::atomic<std::uint64_t> max_ns{0};
+    std::atomic<std::uint64_t> buckets[kBuckets] = {};
   };
 
   Shard shards_[kShards];
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
-  std::atomic<std::uint64_t> min_{~0ull};
-  std::atomic<std::uint64_t> max_{0};
 };
 
 /// The static site table (array index, wait-free; srds-lint shard_roots

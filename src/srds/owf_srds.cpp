@@ -141,7 +141,7 @@ bool OwfSrds::extract(BytesView blob, BytesView m, std::vector<BaseSig>& out) co
   return true;
 }
 
-Bytes OwfSrds::sign(std::size_t i, BytesView m) {
+Bytes OwfSrds::sign(std::size_t i, BytesView m) const {
   PROF_SCOPE(obs::ProfSiteId::kSrdsSign);
   if (i >= entries_.size()) throw std::out_of_range("OwfSrds::sign: bad index");
   if (!finalized_) throw std::logic_error("OwfSrds::sign: keys not finalized");

@@ -204,7 +204,7 @@ Bytes SnarkSrds::make_base_signature(std::uint64_t index, const WotsKeyPair& kp,
 
 // srds-lint: shard-root(SnarkSrds::sign) — per-party signing entry; a
 // sharded simulator calls this concurrently across parties (rule C1).
-Bytes SnarkSrds::sign(std::size_t i, BytesView m) {
+Bytes SnarkSrds::sign(std::size_t i, BytesView m) const {
   PROF_SCOPE(obs::ProfSiteId::kSrdsSign);
   if (i >= vks_.size()) throw std::out_of_range("SnarkSrds::sign: bad index");
   if (!finalized_) throw std::logic_error("SnarkSrds::sign: keys not finalized");

@@ -58,7 +58,7 @@ class SnarkSrds final : public SrdsScheme {
   void finalize_keys() override;
   Bytes verification_key(std::size_t i) const override;
 
-  Bytes sign(std::size_t i, BytesView m) override;
+  Bytes sign(std::size_t i, BytesView m) const override;
   std::vector<Bytes> aggregate1(BytesView m, const std::vector<Bytes>& sigs) const override;
   Bytes aggregate2(BytesView m, const std::vector<Bytes>& filtered) const override;
   bool verify(BytesView m, BytesView sig) const override;

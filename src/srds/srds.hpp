@@ -87,7 +87,7 @@ class SrdsScheme {
 
   /// Sign(pp, i, sk_i, m). Returns the base-signature blob, or empty for ⊥
   /// (e.g., OWF-SRDS signers whose sortition coin gave no signing key).
-  virtual Bytes sign(std::size_t i, BytesView m) = 0;
+  virtual Bytes sign(std::size_t i, BytesView m) const = 0;
 
   /// Aggregate1: deterministic filter of candidate signatures (base or
   /// aggregated) into a valid subset.

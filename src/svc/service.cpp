@@ -112,6 +112,7 @@ BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
   for (PartyId i : env_.honest) parties[i] = std::make_unique<InstancePipeline>(i);
   sim_ = std::make_unique<Simulator>(std::move(parties), env_.corrupt,
                                      std::move(adversary));
+  sim_->set_workers(cfg_.workers);
   sim_->set_ledger(cfg_.ledger);
   sim_->set_corruption_budget(corruption_budget);
   if (plan.has_value() && plan->any()) sim_->set_fault_plan(*plan);

@@ -73,6 +73,11 @@ struct ServiceConfig {
   /// Throw BudgetViolation from shutdown()/audit() when the amortized
   /// per-party budget fails (requires `ledger`).
   bool strict_budgets = false;
+
+  /// Worker threads for the simulator backend's round steps
+  /// (Simulator::set_workers): 0 = automatic, k = exactly k. Outputs and
+  /// the Ledger are identical for every value.
+  std::size_t workers = 0;
 };
 
 struct ServiceStats {

@@ -81,11 +81,12 @@ TEST(ActiveAttack, ReplaysLiftedSignatureUnchangedIntoEveryLeaf) {
   Bytes sig(97);
   for (std::size_t i = 0; i < sig.size(); ++i) sig[i] = static_cast<std::uint8_t>(i * 7 + 1);
   const PartyId honest = 0;
-  const std::vector<Message> honest_outbox{
+  std::vector<std::vector<Message>> honest_outboxes(honest + 1);
+  honest_outboxes[honest].push_back(
       make_msg(honest, tree->node(0).committee.front(),
-               tag_body(AeBoostParty::kBoostPhase, 0, sig), MsgKind::kBoostSign)};
+               tag_body(AeBoostParty::kBoostPhase, 0, sig), MsgKind::kBoostSign));
 
-  const auto out = attacker->on_round(cfg.boost_start, {}, honest_outbox);
+  const auto out = attacker->on_round(cfg.boost_start, {}, honest_outboxes);
 
   // Every replay carries the signature byte for byte (no prefix lost), and
   // each leaf committee receives one copy per seat.

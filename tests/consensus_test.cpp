@@ -427,7 +427,7 @@ class EquivocatingSender : public Adversary {
   }
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     if (round != 0) return {};
     PartyId sender = fx_.members[sender_idx_];
     std::vector<Message> out;
@@ -479,7 +479,7 @@ class LateInjector final : public EquivocatingSender {
   using EquivocatingSender::EquivocatingSender;
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     // Inject at the final arrival round (t+1) with a 1-signature chain.
     if (round != fx_.t) return {};
     PartyId sender = fx_.members[sender_idx_];
@@ -681,7 +681,7 @@ class BadDealers final : public Adversary {
       : registry_(std::move(registry)), c_(c), t_(t), domain_(std::move(domain)), bad_(bad) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     std::vector<Message> out;
     if (round != 0) return out;
     Rng rng(4141);
@@ -822,7 +822,7 @@ class BitFlipAdversary final : public Adversary {
       : n_(n), corrupt_(std::move(corrupt)), rng_(777) {}
 
   std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     std::vector<Message> out;
     for (PartyId c = 0; c < n_; ++c) {
       if (!corrupt_[c]) continue;

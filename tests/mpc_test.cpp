@@ -12,7 +12,7 @@ namespace {
 
 TEST(Fhe, EncryptDecryptRoundTrip) {
   auto oracle = FheOracle::create(1, 2);
-  auto ct = oracle->encrypt(42);
+  auto ct = oracle->encrypt(0, 0, 42);
   std::vector<DecryptionShare> shares{oracle->issue_share(0), oracle->issue_share(1)};
   auto pt = oracle->decrypt(ct, shares);
   ASSERT_TRUE(pt.has_value());
@@ -21,7 +21,7 @@ TEST(Fhe, EncryptDecryptRoundTrip) {
 
 TEST(Fhe, ThresholdEnforced) {
   auto oracle = FheOracle::create(2, 3);
-  auto ct = oracle->encrypt(7);
+  auto ct = oracle->encrypt(0, 0, 7);
   std::vector<DecryptionShare> two{oracle->issue_share(0), oracle->issue_share(1)};
   EXPECT_FALSE(oracle->decrypt(ct, two).has_value());
   // Duplicate holders do not count twice.
@@ -32,8 +32,8 @@ TEST(Fhe, ThresholdEnforced) {
 
 TEST(Fhe, HomomorphicAdditionAndScaling) {
   auto oracle = FheOracle::create(3, 1);
-  auto a = oracle->encrypt(10);
-  auto b = oracle->encrypt(32);
+  auto a = oracle->encrypt(0, 0, 10);
+  auto b = oracle->encrypt(0, 1, 32);
   auto sum = oracle->add(a, b);
   ASSERT_TRUE(sum.has_value());
   auto scaled = oracle->mul_const(*sum, 3);
@@ -47,17 +47,33 @@ TEST(Fhe, DeterministicEvaluation) {
   // Two parties evaluating the same circuit over the same ciphertexts get
   // byte-identical results — the property committee voting relies on.
   auto oracle = FheOracle::create(4, 1);
-  auto a = oracle->encrypt(1);
-  auto b = oracle->encrypt(2);
+  auto a = oracle->encrypt(0, 0, 1);
+  auto b = oracle->encrypt(0, 1, 2);
   auto s1 = oracle->add(a, b);
   auto s2 = oracle->add(a, b);
   ASSERT_TRUE(s1.has_value() && s2.has_value());
   EXPECT_EQ(*s1, *s2);
 }
 
+TEST(Fhe, HandlesDoNotDependOnEncryptionOrder) {
+  // Parties may encrypt concurrently on simulator workers: a handle is a
+  // function of (source, seq, plaintext) alone, never of who went first.
+  auto o1 = FheOracle::create(9, 1);
+  auto o2 = FheOracle::create(9, 1);
+  const Ciphertext a1 = o1->encrypt(3, 0, 5);
+  const Ciphertext b1 = o1->encrypt(4, 0, 5);
+  const Ciphertext b2 = o2->encrypt(4, 0, 5);
+  const Ciphertext a2 = o2->encrypt(3, 0, 5);
+  EXPECT_EQ(a1, a2);
+  EXPECT_EQ(b1, b2);
+  // Equal plaintexts from different sources (or seqs) stay unlinkable.
+  EXPECT_FALSE(a1 == b1);
+  EXPECT_FALSE(a1 == o1->encrypt(3, 1, 5));
+}
+
 TEST(Fhe, ForgedCiphertextsRejected) {
   auto oracle = FheOracle::create(5, 1);
-  auto real = oracle->encrypt(1);
+  auto real = oracle->encrypt(0, 0, 1);
   Ciphertext forged = real;
   forged.tag.v[0] ^= 1;
   EXPECT_FALSE(oracle->valid(forged));
@@ -69,14 +85,14 @@ TEST(Fhe, ForgedCiphertextsRejected) {
 TEST(Fhe, CrossOracleSharesUseless) {
   auto o1 = FheOracle::create(6, 1);
   auto o2 = FheOracle::create(7, 1);
-  auto ct = o1->encrypt(9);
+  auto ct = o1->encrypt(0, 0, 9);
   std::vector<DecryptionShare> wrong{o2->issue_share(0)};
   EXPECT_FALSE(o1->decrypt(ct, wrong).has_value());
 }
 
 TEST(Fhe, CiphertextSerializationRoundTrip) {
   auto oracle = FheOracle::create(8, 1);
-  auto ct = oracle->encrypt(5);
+  auto ct = oracle->encrypt(0, 0, 5);
   Bytes wire = ct.serialize();
   EXPECT_EQ(wire.size(), Ciphertext::kSize);
   Ciphertext back;

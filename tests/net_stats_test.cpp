@@ -294,7 +294,7 @@ class SeizingAdversary final : public Adversary {
   void on_corrupted(std::size_t, PartyId p, Party*) override { corrupt_[p] = true; }
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     std::vector<Message> out;
     for (PartyId c = 0; c < n_; ++c) {
       if (corrupt_[c]) out.push_back(Message{c, (c + 2 + round) % n_, Bytes(9, 0x33)});

@@ -104,7 +104,7 @@ TEST(Simulator, RespectsMaxRounds) {
 class SpoofingAdversary final : public Adversary {
  public:
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     if (round > 0) return {};
     return {
         Message{0, 1, to_bytes("spoofed-as-honest")},   // party 0 is honest
@@ -168,9 +168,12 @@ class PeekingAdversary final : public Adversary {
  public:
   explicit PeekingAdversary(std::vector<std::size_t>* honest_msgs_seen)
       : seen_(honest_msgs_seen) {}
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<Message>& honest_outbox) override {
-    seen_->push_back(honest_outbox.size());
+  std::vector<Message> on_round(
+      std::size_t, const std::vector<Message>&,
+      const std::vector<std::vector<Message>>& honest_outboxes) override {
+    std::size_t msgs = 0;
+    for (const auto& outbox : honest_outboxes) msgs += outbox.size();
+    seen_->push_back(msgs);
     return {};
   }
 
@@ -327,7 +330,7 @@ TEST(FaultInjection, PartitionCutsExactlyCrossTraffic) {
 class OversizeAdversary final : public Adversary {
  public:
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     if (round > 0) return {};
     return {
         Message{2, 0, Bytes(100, 0xEE)},  // over the 8-byte cap below
@@ -461,7 +464,7 @@ class GrabbyAdversary final : public Adversary {
  public:
   explicit GrabbyAdversary(std::vector<PartyId> wants) : wants_(std::move(wants)) {}
   std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<Message>&) override {
+                                const std::vector<std::vector<Message>>&) override {
     return {};
   }
   std::vector<PartyId> corruption_requests(std::size_t round) override {

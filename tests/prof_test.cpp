@@ -205,6 +205,38 @@ TEST(AllocHooks, ActiveInThisBinaryAndCounting) {
   EXPECT_GT(alloc_ops(), before) << "heap allocation must tick the counter";
 }
 
+// The counter is sharded per thread (one cache line each); the sum must
+// still be exact once the allocating threads join — including with more
+// threads than slots, where threads share a slot. Chaos-labelled, so the
+// TSan CI job runs it.
+TEST(AllocHooks, ConcurrentAllocationsCountExactly) {
+  constexpr int kThreads = 24;  // more than the 16 per-thread slots
+  constexpr std::size_t kPerThread = 5000;
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::vector<void*>> ptrs(kThreads);
+  for (auto& p : ptrs) p.reserve(kPerThread);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t i = 0; i < kPerThread; ++i) ptrs[t].push_back(::operator new(24));
+    });
+  }
+  // Start-up (std::thread's own state objects) stays outside the window.
+  while (ready.load() < kThreads) std::this_thread::yield();
+  const std::uint64_t before = alloc_ops();
+  go.store(true);
+  for (auto& w : workers) w.join();
+  const std::uint64_t after = alloc_ops();
+  EXPECT_EQ(after - before, kThreads * kPerThread);
+  for (auto& p : ptrs) {
+    for (void* q : p) ::operator delete(q);
+  }
+}
+
 TEST(ProfJson, DisabledProfilingStillSnapshotsRecordedSites) {
   ProfGuard guard;
   prof_reset();
