@@ -151,8 +151,7 @@ void BM_ShamirReconstruct(benchmark::State& state) {
 }
 BENCHMARK(BM_ShamirReconstruct)->Arg(16)->Arg(64);
 
-// Rows below were added after BENCH_BASELINE/micro was recorded; bench-diff
-// matches rows by position, so they register last.
+// Rows below were added after BENCH_BASELINE/micro was recorded.
 
 // One Merkle interior node: two compressions (data block + padding block).
 void BM_Sha256Pair(benchmark::State& state) {

@@ -1,11 +1,10 @@
-// Micro-benchmarks for the observability plane's hot path: Counter::inc,
-// Gauge::set and Histogram::record (lock-free per-bucket atomics since the
-// sharded-bucket conversion — the contended variant is the case the old
-// per-histogram mutex serialized), registry handle lookup,
-// Reporter::add_row, one simulator round counted into a Ledger, and one
-// nested message round trip through the sub-protocol framing layers. Every
-// benchmark reports allocs/op next to ns/op via the counting operator new
-// in micro_main.hpp: the record/inc/set paths must stay at 0.
+// Micro-benchmarks for the observability plane's hot path:
+// ProfSite::record_ns (the record path under every PROF_SCOPE, alone and
+// with four threads on one site), Reporter::add_row, one simulator round
+// counted into a Ledger, and one nested message round trip through the
+// sub-protocol framing layers. Every benchmark reports allocs/op next to
+// ns/op via the counting operator new in micro_main.hpp: the record path
+// must stay at 0.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -18,82 +17,41 @@
 #include "net/simulator.hpp"
 #include "net/subproto.hpp"
 #include "obs/ledger.hpp"
-#include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 #include "report.hpp"
 
 namespace {
 
 using namespace srds;
 
-void BM_CounterInc(benchmark::State& state) {
-  obs::Counter c;
-  const std::uint64_t a0 = bench::alloc_ops();
-  for (auto _ : state) c.inc();
-  bench::report_allocs(state, a0);
-  benchmark::DoNotOptimize(c.value());
-}
-BENCHMARK(BM_CounterInc);
-
-void BM_GaugeSet(benchmark::State& state) {
-  obs::Gauge g;
-  double v = 0.0;
-  const std::uint64_t a0 = bench::alloc_ops();
-  for (auto _ : state) g.set(v += 1.5);
-  bench::report_allocs(state, a0);
-  benchmark::DoNotOptimize(g.value());
-}
-BENCHMARK(BM_GaugeSet);
-
-void BM_HistogramRecord(benchmark::State& state) {
-  obs::Histogram h;
+void BM_ProfSiteRecord(benchmark::State& state) {
+  obs::ProfSite site;
   std::uint64_t v = 1;
   const std::uint64_t a0 = bench::alloc_ops();
   for (auto _ : state) {
-    h.record(v & 0xffff);
+    site.record_ns(v & 0xffff);
     v = v * 2862933555777941757ULL + 3037000493ULL;  // cheap LCG spread
   }
   bench::report_allocs(state, a0);
-  benchmark::DoNotOptimize(h.count());
+  benchmark::DoNotOptimize(site.count());
 }
-BENCHMARK(BM_HistogramRecord);
+BENCHMARK(BM_ProfSiteRecord);
 
-// The contended case: all benchmark threads hammer one histogram, exactly
-// what every per-party record() does in a sharded simulator round.
-void BM_HistogramRecordContended(benchmark::State& state) {
-  static obs::Histogram h;
+// The contended case: all benchmark threads record into one site, as the
+// round loop's pool workers do into sim/round/party_step and the crypto
+// sites beneath it on a traced run.
+void BM_ProfSiteRecordContended(benchmark::State& state) {
+  static obs::ProfSite site;
   std::uint64_t v = static_cast<std::uint64_t>(state.thread_index()) + 1;
   const std::uint64_t a0 = bench::alloc_ops();
   for (auto _ : state) {
-    h.record(v & 0xffff);
+    site.record_ns(v & 0xffff);
     v = v * 2862933555777941757ULL + 3037000493ULL;
   }
   bench::report_allocs(state, a0);
-  benchmark::DoNotOptimize(h.count());
+  benchmark::DoNotOptimize(site.count());
 }
-BENCHMARK(BM_HistogramRecordContended)->Threads(4);
-
-void BM_HistogramQuantile(benchmark::State& state) {
-  obs::Histogram h;
-  for (std::uint64_t v = 0; v < 4096; ++v) h.record(v);
-  const std::uint64_t a0 = bench::alloc_ops();
-  for (auto _ : state) benchmark::DoNotOptimize(h.quantile_bound(0.9));
-  bench::report_allocs(state, a0);
-}
-BENCHMARK(BM_HistogramQuantile);
-
-// Handle lookup pays the registry mutex + key canonicalization; the point
-// of stable handles is to pay it once, outside the loop. Measured so the
-// cost of doing it wrong is a number, not folklore.
-void BM_RegistryLookup(benchmark::State& state) {
-  obs::Registry reg;
-  reg.counter("msgs_sent", {{"protocol", "pi_ba"}});
-  const std::uint64_t a0 = bench::alloc_ops();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.counter("msgs_sent", {{"protocol", "pi_ba"}}));
-  }
-  bench::report_allocs(state, a0);
-}
-BENCHMARK(BM_RegistryLookup);
+BENCHMARK(BM_ProfSiteRecordContended)->Threads(4);
 
 void BM_ReporterAddRow(benchmark::State& state) {
   bench::Reporter rep("micro_obs_rows");

@@ -93,22 +93,11 @@ BaRunResult run_ba(const BaRunConfig& config) {
   // keys during the setup phase; the harness performs those calls centrally
   // (trusted-PKI dealer for OWF, bulletin-board collection for SNARK).
   SrdsSchemePtr scheme;
-  if (config.protocol == BoostProtocol::kPiBaOwf) {
-    OwfSrdsParams p;
-    p.n_signers = tree->virtual_count();
-    p.expected_signers = std::min(config.expected_signers, p.n_signers);
-    p.backend = config.backend;
-    scheme = std::make_shared<OwfSrds>(p, rng.next());
-  } else if (config.protocol == BoostProtocol::kPiBaSnark) {
-    SnarkSrdsParams p;
-    p.n_signers = tree->virtual_count();
-    p.backend = config.backend;
-    scheme = std::make_shared<SnarkSrds>(p, rng.next());
-  }
-  if (scheme) {
+  if (config.protocol == BoostProtocol::kPiBaOwf ||
+      config.protocol == BoostProtocol::kPiBaSnark) {
     timed_span(config.trace, "srds-keygen", [&] {
-      for (std::size_t i = 0; i < scheme->signer_count(); ++i) scheme->keygen(i);
-      scheme->finalize_keys();
+      scheme = make_instance_scheme(config.protocol, config.backend, config.expected_signers,
+                                    tree->virtual_count(), rng.next());
     });
   }
 

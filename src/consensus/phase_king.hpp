@@ -1,10 +1,11 @@
 // Phase-King Byzantine agreement (Berman-Garay-Perry style, the two-round
 // per-phase variant), tolerating t < n/4.
 //
-// Included as the information-theoretic, setup-free baseline: it needs no
-// signatures and no PKI, but every party talks to every other party in every
-// phase — Θ(n) communication per party per phase and t+1 phases. The
-// benchmark harness uses it to anchor the "no-setup" corner of Table 1.
+// The information-theoretic, setup-free baseline: it needs no signatures
+// and no PKI, but every party talks to every other party in every phase —
+// Θ(n) communication per party per phase and t+1 phases. It is a tested
+// reference implementation (tests/consensus_test.cpp); no protocol or bench
+// runs it. The committees' f_ba is CommitteeBaProto over Dolev-Strong.
 //
 // Phase k (kings are members[0..t] in order):
 //   round A: everyone sends its current bit to everyone; each party computes

@@ -1,16 +1,13 @@
-// obs profiling layer: lock-free scoped timers + optional HW counters.
+// obs profiling layer: lock-free scoped timers.
 //
 // The Ledger audits the paper's *bit* budgets; this file is the equivalent
-// runtime layer for *time and allocation* (ROADMAP items 3 and 4 — sharding
-// the simulator and optimizing the crypto/serialization hot path — only
-// count if regressions are caught). A `PROF_SCOPE(site)` expands to a RAII
-// timer that aggregates into the site's sharded atomics:
+// runtime layer for *time*. A `PROF_SCOPE(site)` expands to a RAII timer
+// that aggregates into the site's sharded atomics:
 //
 //   * wait-free and allocation-free on the record path (srds-lint rule P1
 //     checks the hotpath markers in prof.cpp): relaxed fetch_add into a
 //     per-thread-hashed shard for count/total, relaxed fetch_add into one
-//     log2 bucket, CAS loops for min/max — the same shape as
-//     obs::Histogram::record;
+//     log2 bucket, CAS loops for min/max;
 //   * disabled by default: one seq_cst bool load and no clock read when
 //     profiling is off, so instrumented hot paths cost ~nothing in
 //     deterministic runs;
@@ -33,11 +30,9 @@
 // explicitly tear-tolerant reporting, never an invariant.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 
 #include "obs/json.hpp"
 
@@ -115,17 +110,12 @@ class ProfSite {
 /// [allow] boundary — the table itself lives in prof.cpp).
 ProfSite& prof_site(ProfSiteId id);
 
-/// Dynamically-registered site (mutex'd registration; the returned handle
-/// is stable for process lifetime). For bench/daemon-level names that are
-/// not compile-time sites; never call on a hot path.
-ProfSite& prof_site_named(const std::string& name);
-
 /// Global enable flag. Off by default: PROF_SCOPE reads it once per scope
 /// and skips the clock entirely when off.
 bool prof_enabled();
 void prof_set_enabled(bool on);
 
-/// Zero all sites (static and named).
+/// Zero every site.
 void prof_reset();
 
 /// Tear-tolerant snapshot of every site with count > 0:
@@ -153,40 +143,6 @@ class ProfTimer {
 
   ProfSite* site_;
   std::int64_t start_ns_;
-};
-
-// -- Hardware counters (perf_event_open) -----------------------------------
-
-/// Counter values from one ProfHwSession measurement window.
-struct ProfHwCounters {
-  bool available = false;  // false: the kernel/container forbade perf_event
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t cache_misses = 0;
-
-  Json to_json() const;
-};
-
-/// A perf_event_open session over {cycles, instructions, cache-misses}.
-/// Opening degrades gracefully: in containers without perf_event access
-/// (EACCES/EPERM/ENOSYS) `available()` is false and start/stop/read are
-/// no-ops returning an unavailable ProfHwCounters. Not a hot-path tool —
-/// open once around a measured region.
-class ProfHwSession {
- public:
-  ProfHwSession();
-  ~ProfHwSession();
-
-  ProfHwSession(const ProfHwSession&) = delete;
-  ProfHwSession& operator=(const ProfHwSession&) = delete;
-
-  bool available() const { return fds_[0] >= 0; }
-  void start();
-  void stop();
-  ProfHwCounters read() const;
-
- private:
-  int fds_[3] = {-1, -1, -1};  // cycles, instructions, cache-misses
 };
 
 }  // namespace srds::obs

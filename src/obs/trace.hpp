@@ -29,19 +29,6 @@ enum class Delivery : std::uint8_t {
   kOffline,      // lost because the receiver was churned offline
 };
 
-inline const char* delivery_name(Delivery d) {
-  switch (d) {
-    case Delivery::kDelivered: return "delivered";
-    case Delivery::kDuplicated: return "duplicated";
-    case Delivery::kLate: return "late";
-    case Delivery::kDropped: return "dropped";
-    case Delivery::kPartitioned: return "partitioned";
-    case Delivery::kDelayed: return "delayed";
-    case Delivery::kOffline: return "offline";
-  }
-  return "?";
-}
-
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "diff.hpp"
@@ -382,6 +383,44 @@ TEST(BenchDiff, FigureRowAllocRiseBeyondThresholdFails) {
   DiffReport down = diff(base, fewer);
   EXPECT_FALSE(down.failed());
   EXPECT_EQ(down.improvements, 2u);
+}
+
+/// A micro suite's BENCH document: one google-benchmark row per name, x its
+/// position, each with a distinct allocation count.
+Json make_micro_doc(const std::vector<std::pair<const char*, double>>& rows) {
+  Json doc = Json::object();
+  doc.set("schema", 3);
+  doc.set("bench", "micro_obs");
+  Json series = Json::array();
+  int x = 0;
+  for (const auto& [name, allocs] : rows) {
+    Json m = Json::object();
+    m.set("name", name);
+    m.set("allocs_per_op", allocs);
+    Json row = Json::object();
+    row.set("x", x++);
+    row.set("metrics", std::move(m));
+    series.push_back(std::move(row));
+  }
+  doc.set("series", std::move(series));
+  return doc;
+}
+
+TEST(BenchDiff, MicroRowsMatchByNameNotPosition) {
+  // Deleting benchmark A moves B and C up one position; matched by x they
+  // would gate against A's and B's counts.
+  std::vector<Sample> base, fresh;
+  ASSERT_TRUE(flatten(make_micro_doc({{"BM_A", 1}, {"BM_B", 10}, {"BM_C", 100}}), base));
+  ASSERT_TRUE(flatten(make_micro_doc({{"BM_B", 10}, {"BM_C", 100}}), fresh));
+  DiffReport r = diff(base, fresh, {/*threshold=*/0.0});
+  EXPECT_EQ(r.stale, 1u);
+  EXPECT_EQ(r.compared, 2u);
+  EXPECT_EQ(r.regressions, 0u);
+  EXPECT_EQ(r.improvements, 0u);
+  EXPECT_EQ(r.added, 0u);
+  ASSERT_EQ(r.deltas.size(), 1u);
+  EXPECT_EQ(r.deltas[0].kind, Delta::Kind::kStale);
+  EXPECT_EQ(r.deltas[0].sample.label, "BM_A");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the observability primitives: the hand-rolled JSON writer
-// (validated against the independent parser in json_parser.hpp), the
-// metrics registry with log-scale histograms, and the shared bench CLI.
+// (validated against the independent parser in json_parser.hpp), the bench
+// Reporter, the shared bench CLI and the allocation-hook stub.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "json_parser.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "report.hpp"
 
 namespace srds {
@@ -129,101 +128,6 @@ TEST(JsonWriter, DumpIsDeterministic) {
     return doc.dump(2);
   };
   EXPECT_EQ(build(), build());
-}
-
-TEST(Histogram, BucketBoundaries) {
-  using obs::Histogram;
-  EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 0u);
-  EXPECT_EQ(Histogram::bucket_of(2), 1u);
-  EXPECT_EQ(Histogram::bucket_of(3), 1u);
-  EXPECT_EQ(Histogram::bucket_of(4), 2u);
-  EXPECT_EQ(Histogram::bucket_of(7), 2u);
-  EXPECT_EQ(Histogram::bucket_of(8), 3u);
-  EXPECT_EQ(Histogram::bucket_of(1024), 10u);
-  EXPECT_EQ(Histogram::bucket_of(1025), 10u);
-  EXPECT_EQ(Histogram::bucket_of(2047), 10u);
-  EXPECT_EQ(Histogram::bucket_of(~0ull), 63u);
-}
-
-TEST(Histogram, RecordsStats) {
-  obs::Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.mean(), 0.0);
-  for (std::uint64_t v : {1ull, 2ull, 3ull, 100ull}) h.record(v);
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.sum(), 106u);
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_EQ(h.max(), 100u);
-  EXPECT_DOUBLE_EQ(h.mean(), 26.5);
-  EXPECT_EQ(h.bucket(0), 1u);  // 1
-  EXPECT_EQ(h.bucket(1), 2u);  // 2, 3
-  EXPECT_EQ(h.bucket(6), 1u);  // 100 in [64,128)
-  // Quantiles: the 0.5 bound must cover buckets holding >= half the mass.
-  EXPECT_EQ(h.quantile_bound(0.5), 4u);    // buckets 0..1 hold 3/4
-  EXPECT_EQ(h.quantile_bound(1.0), 128u);  // everything below 2^7
-}
-
-TEST(Histogram, QuantileBoundEdgeCases) {
-  obs::Histogram empty;
-  EXPECT_EQ(empty.quantile_bound(0.5), 0u);  // no samples: 0, not a boundary
-  EXPECT_EQ(empty.quantile_bound(0.0), 0u);
-  EXPECT_EQ(empty.quantile_bound(1.0), 0u);
-
-  // A single sample: every positive quantile lands in its bucket.
-  obs::Histogram one;
-  one.record(5);  // bucket 2 = [4, 8)
-  EXPECT_EQ(one.quantile_bound(0.5), 8u);
-  EXPECT_EQ(one.quantile_bound(1.0), 8u);
-  // q = 0 has target mass 0, satisfied by the very first bucket boundary.
-  EXPECT_EQ(one.quantile_bound(0.0), 2u);
-  // Out-of-range q clamps rather than misbehaving.
-  EXPECT_EQ(one.quantile_bound(-1.0), one.quantile_bound(0.0));
-  EXPECT_EQ(one.quantile_bound(2.0), one.quantile_bound(1.0));
-
-  // Exact power of two sits at the *bottom* of its bucket: the reported
-  // bound is the bucket's exclusive upper boundary, one power higher.
-  obs::Histogram pow2;
-  pow2.record(8);  // bucket 3 = [8, 16)
-  EXPECT_EQ(pow2.quantile_bound(1.0), 16u);
-
-  // Samples in the top bucket cannot report 2^64; the bound saturates.
-  obs::Histogram huge;
-  huge.record(~0ull);
-  EXPECT_EQ(huge.quantile_bound(1.0), ~0ull);
-}
-
-TEST(Registry, LabelOrderIsCanonical) {
-  obs::Registry reg;
-  auto& a = reg.counter("msgs", {{"proto", "pi_ba"}, {"n", "64"}});
-  auto& b = reg.counter("msgs", {{"n", "64"}, {"proto", "pi_ba"}});
-  EXPECT_EQ(&a, &b);
-  a.inc(5);
-  EXPECT_EQ(b.value(), 5u);
-  auto& c = reg.counter("msgs", {{"n", "128"}, {"proto", "pi_ba"}});
-  EXPECT_NE(&a, &c);
-  EXPECT_EQ(reg.size(), 2u);
-}
-
-TEST(Registry, ExportsAllMetricTypes) {
-  obs::Registry reg;
-  reg.counter("sends").inc(3);
-  reg.gauge("fill", {{"phase", "boost"}}).set(0.75);
-  reg.histogram("msg_bytes").record(100);
-  reg.histogram("msg_bytes").record(5000);
-
-  PJson p = testjson::parse(reg.to_json().dump());
-  ASSERT_NE(p.get("counters"), nullptr);
-  ASSERT_EQ(p.get("counters")->array.size(), 1u);
-  EXPECT_EQ(p.get("counters")->array[0].get("value")->integer, 3);
-  ASSERT_EQ(p.get("gauges")->array.size(), 1u);
-  EXPECT_EQ(p.get("gauges")->array[0].get("labels")->get("phase")->string, "boost");
-  const PJson& h = p.get("histograms")->array[0];
-  EXPECT_EQ(h.get("count")->integer, 2);
-  EXPECT_EQ(h.get("sum")->integer, 5100);
-  EXPECT_EQ(h.get("buckets")->get("2^6")->integer, 1);
-  EXPECT_EQ(h.get("buckets")->get("2^12")->integer, 1);
 }
 
 TEST(Reporter, SchemaAndParams) {

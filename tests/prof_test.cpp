@@ -1,6 +1,6 @@
 // Tests for the obs profiling layer (src/obs/prof.hpp): the lock-free
 // record path under real concurrency, the tear-tolerant snapshot contract,
-// scoped-timer enable/disable semantics, graceful perf_event absence, and
+// scoped-timer enable/disable semantics, the log2 bucket boundaries, and
 // the alloc-hook linkage model (this binary links the counting OBJECT
 // library, so alloc_hooks_active() must be true here — obs_test asserts the
 // stub side).
@@ -11,7 +11,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "consensus/dolev_strong.hpp"
@@ -65,6 +67,28 @@ TEST(ProfSites, RecordMathAndBuckets) {
   EXPECT_EQ(site.min_ns(), 0u) << "min of an empty site reads as 0";
 }
 
+// Bucket b holds [2^b, 2^(b+1)); bucket 0 also takes 0, and the top bucket
+// ends at ~0ull. The snapshot names the bucket "2^b".
+TEST(ProfSites, BucketBoundaries) {
+  ProfGuard guard;
+  const std::pair<std::uint64_t, std::size_t> cases[] = {
+      {0, 0}, {1, 0},     {2, 1},     {3, 1},     {4, 2},     {7, 2},
+      {8, 3}, {1024, 10}, {1025, 10}, {2047, 10}, {~0ull, 63}};
+  ProfSite& site = prof_site(ProfSiteId::kCryptoSha256);
+  for (const auto& [ns, b] : cases) {
+    prof_reset();
+    site.record_ns(ns);
+    EXPECT_EQ(site.bucket(b), 1u) << ns;
+    const Json snap = prof_to_json();
+    ASSERT_EQ(snap.find("sites")->items().size(), 1u);
+    const Json* buckets = snap.find("sites")->items().front().find("buckets");
+    ASSERT_NE(buckets, nullptr);
+    ASSERT_EQ(buckets->members().size(), 1u) << ns;
+    EXPECT_EQ(buckets->members().front().first, "2^" + std::to_string(b)) << ns;
+    EXPECT_DOUBLE_EQ(buckets->members().front().second.as_double(0.0), 1.0) << ns;
+  }
+}
+
 TEST(ProfScope, DisabledScopeRecordsNothingAndEnabledRecords) {
   ProfGuard guard;
   prof_reset();
@@ -85,18 +109,6 @@ TEST(ProfScope, DisabledScopeRecordsNothingAndEnabledRecords) {
   EXPECT_EQ(site.count(), 2u);
   EXPECT_GE(site.max_ns(), site.min_ns());
   EXPECT_GE(site.total_ns(), site.max_ns());
-}
-
-TEST(ProfSites, NamedSitesAreStableHandles) {
-  ProfGuard guard;
-  ProfSite& a = prof_site_named("test/dynamic/site");
-  ProfSite& b = prof_site_named("test/dynamic/site");
-  EXPECT_EQ(&a, &b) << "same name must return the same site";
-  ProfSite& c = prof_site_named("test/dynamic/other");
-  EXPECT_NE(&a, &c);
-  a.record_ns(5);
-  prof_reset();
-  EXPECT_EQ(a.count(), 0u) << "prof_reset covers named sites";
 }
 
 // The core lock-free claim: concurrent recorders lose no events. Sharded
@@ -170,27 +182,6 @@ TEST(ProfConcurrency, SnapshotUnderFireIsTearTolerant) {
   const Json& s = sites->items().front();
   EXPECT_EQ(s.find("name")->as_string(), "srds/sign");
   EXPECT_DOUBLE_EQ(s.find("mean_ns")->as_double(0.0), 42.0);
-}
-
-TEST(ProfHw, PerfCountersDegradeGracefully) {
-  // Containers routinely forbid perf_event_open; either outcome is valid,
-  // but the API must never throw or crash and must report honestly.
-  ProfHwSession session;
-  session.start();
-  // Burn a little work so an available session has something to count.
-  volatile std::uint64_t sink = 0;
-  for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i * i;
-  session.stop();
-  ProfHwCounters c = session.read();
-  EXPECT_EQ(c.available, session.available());
-  if (session.available()) {
-    EXPECT_GT(c.cycles + c.instructions, 0u);
-    Json j = c.to_json();
-    EXPECT_NE(j.find("cycles"), nullptr);
-  } else {
-    EXPECT_EQ(c.cycles, 0u);
-    EXPECT_EQ(c.instructions, 0u);
-  }
 }
 
 TEST(AllocHooks, ActiveInThisBinaryAndCounting) {

@@ -85,7 +85,7 @@ std::string Sample::key() const {
   k.push_back('\x1f');
   k += label;
   k.push_back('\x1f');
-  k += fmt_x(x);
+  if (!by_name) k += fmt_x(x);
   k.push_back('\x1f');
   k += metric;
   return k;
@@ -139,6 +139,10 @@ bool flatten(const obs::Json& doc, std::vector<Sample>& out, std::string* err,
     } else if (const obs::Json* s = metrics->find("sweep");
                s && s->type() == obs::Json::Type::kString) {
       proto.label = s->as_string();
+    } else if (const obs::Json* name = metrics->find("name");
+               name && name->type() == obs::Json::Type::kString) {
+      proto.label = name->as_string();
+      proto.by_name = true;
     }
     std::string path;
     walk(*metrics, path, proto, out);

@@ -11,6 +11,10 @@
 //   * metric — the dotted path of the numeric leaf inside "metrics"
 //              (nested objects/arrays flatten as "per_party.boost.max",
 //              "budgets.2.max_bits", ...).
+// A google-benchmark row (a string metrics.name and no protocol/sweep) is
+// identified by (bench, name, metric) instead: its x is only its position
+// in the suite, so adding or deleting a benchmark never shifts the others
+// onto the wrong baseline row.
 //
 // Each metric carries a direction: for cost metrics (bytes/bits/msgs/
 // rounds/locality and the per-party stat leaves) HIGHER is worse, for
@@ -42,9 +46,11 @@ struct Sample {
   /// deterministic threshold.
   bool wall = false;
   double spread_rel = 0;  // row's measured (max-min)/median across repeats
+  bool by_name = false;   // label is a micro row's name; x is not in the key
 
   /// Stable map key — x is rendered with the writer's shortest round-trip
-  /// formatting so 512 and 512.0 collide as intended.
+  /// formatting so 512 and 512.0 collide as intended; a by_name sample
+  /// leaves x out.
   std::string key() const;
 };
 

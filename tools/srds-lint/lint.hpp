@@ -183,9 +183,9 @@ bool has_blocking(const std::vector<Finding>& findings);
 ///    "stats":{...}?}
 /// Byte-identical across runs on identical input (no timestamps; findings
 /// pre-sorted by lint_files). `stats`, when given, is attached verbatim —
-/// the CLI passes the obs metrics registry export there (per-rule counts
-/// are deterministic; pass timings obviously are not, same contract as the
-/// BENCH_*.json `elapsed` fields).
+/// the CLI passes a flat object there: the call-graph census and baseline
+/// counts (deterministic) and the pass timings (obviously not, same
+/// contract as the BENCH_*.json `elapsed` fields).
 obs::Json findings_json(const std::vector<Finding>& findings, std::size_t files_scanned,
                         const obs::Json* stats = nullptr);
 

@@ -49,7 +49,6 @@
 #include "lex.hpp"
 #include "lint.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace fs = std::filesystem;
 
@@ -388,52 +387,33 @@ int main(int argc, char** argv) {
                 diff.stale.size());
   }
 
-  // Per-rule counts + pass timings through the obs metrics registry, so the
-  // LINT_*.json stats block is the same shape downstream tooling already
-  // reads from the bench artifacts. Counts are deterministic; timings are
-  // wall-clock by nature (steady_clock durations, not time-of-day).
-  srds::obs::Registry registry;
-  registry.counter("lint_files_scanned").inc(inputs.size());
-  for (const auto& r : srds::lint::rules()) {
-    auto& errors = registry.counter("lint_violations", {{"rule", r.id}});
-    auto& warns = registry.counter("lint_warnings", {{"rule", r.id}});
-    auto& supp = registry.counter("lint_suppressed", {{"rule", r.id}});
-    for (const auto& f : findings) {
-      if (f.rule != r.id) continue;
-      if (f.suppressed) {
-        supp.inc();
-      } else if (f.severity == srds::lint::Severity::kError) {
-        errors.inc();
-      } else {
-        warns.inc();
-      }
-    }
-  }
+  // The stats block: the call-graph census (deterministic counts; the
+  // C1/P2/T2 passes ran inside lint_files), the baseline diff and the pass
+  // timings, which are wall-clock by nature (steady_clock durations, not
+  // time-of-day). Per-rule counts are not repeated here: `findings` and
+  // `summary` carry them.
+  srds::obs::Json stats = srds::obs::Json::object();
+  stats.set("lint_callgraph_functions", cg_stats.functions);
+  stats.set("lint_callgraph_call_edges", cg_stats.call_edges);
+  stats.set("lint_callgraph_external_calls", cg_stats.external_calls);
+  stats.set("lint_callgraph_shard_roots", cg_stats.shard_roots);
+  stats.set("lint_callgraph_hotpath_funcs", cg_stats.hotpath_funcs);
+  stats.set("lint_callgraph_shard_reachable", cg_stats.shard_reachable);
+  stats.set("lint_callgraph_hotpath_reachable", cg_stats.hotpath_reachable);
+  stats.set("lint_callgraph_allowed_skips", cg_stats.allowed_skips);
   if (have_baseline) {
-    registry.counter("lint_baseline_listed").inc(baseline.entries.size());
-    registry.counter("lint_baseline_new").inc(diff.fresh.size());
-    registry.counter("lint_baseline_stale").inc(diff.stale.size());
+    stats.set("lint_baseline_listed", baseline.entries.size());
+    stats.set("lint_baseline_new", diff.fresh.size());
+    stats.set("lint_baseline_stale", diff.stale.size());
   }
-  // Call-graph census (deterministic counts; the C1/P2/T2 passes ran inside
-  // lint_files).
-  registry.counter("lint_callgraph_functions").inc(cg_stats.functions);
-  registry.counter("lint_callgraph_call_edges").inc(cg_stats.call_edges);
-  registry.counter("lint_callgraph_external_calls").inc(cg_stats.external_calls);
-  registry.counter("lint_callgraph_shard_roots").inc(cg_stats.shard_roots);
-  registry.counter("lint_callgraph_hotpath_funcs").inc(cg_stats.hotpath_funcs);
-  registry.counter("lint_callgraph_shard_reachable").inc(cg_stats.shard_reachable);
-  registry.counter("lint_callgraph_hotpath_reachable").inc(cg_stats.hotpath_reachable);
-  registry.counter("lint_callgraph_allowed_skips").inc(cg_stats.allowed_skips);
   const auto ms = [](auto d) {
     return std::chrono::duration<double, std::milli>(d).count();
   };
-  registry.gauge("lint_pass_ms", {{"pass", "io"}}).set(ms(t_io - t_start));
-  registry.gauge("lint_pass_ms", {{"pass", "lint"}}).set(ms(t_lint - t_io));
-  registry.gauge("lint_pass_ms", {{"pass", "total"}})
-      .set(ms(std::chrono::steady_clock::now() - t_start));
+  stats.set("lint_pass_ms_io", ms(t_io - t_start));
+  stats.set("lint_pass_ms_lint", ms(t_lint - t_io));
+  stats.set("lint_pass_ms_total", ms(std::chrono::steady_clock::now() - t_start));
 
   if (!json_path.empty()) {
-    const srds::obs::Json stats = registry.to_json();
     const std::string doc =
         srds::lint::findings_json(findings, inputs.size(), &stats).dump(2) + "\n";
     if (!srds::obs::write_text_file(json_path, doc)) {
