@@ -59,8 +59,6 @@ void AeBoostParty::make_committee_protocols(bool ba_input_bit) {
   }
 }
 
-// srds-lint: shard-root(AeBoostParty::on_round) — the per-party round
-// entry point; everything it reaches must be shardable (rule C1).
 std::vector<Message> AeBoostParty::on_round(std::size_t round,
                                             const std::vector<Message>& inbox) {
   // Demux by phase tag. Bodies borrow `inbox`, which outlives this call.

@@ -30,8 +30,6 @@ std::size_t PiBaParty::boost_rounds() const {
   return 1 + h + (h + 1 + cfg2_.dissem_retries) + 1 + 1;
 }
 
-// srds-lint: shard-root(PiBaParty::boost_step) — the boost-phase round
-// body; everything it reaches must be shardable (rule C1).
 std::vector<Message> PiBaParty::boost_step(std::size_t k,
                                            const std::vector<TaggedMsg>& inbox) {
   const std::size_t h = cfg2_.ae.tree->height();

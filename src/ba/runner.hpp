@@ -93,10 +93,10 @@ struct BaRunConfig {
   /// --strict-budgets flag.
   bool strict_budgets = false;
 
-  /// Worker threads for the honest parties' round steps
-  /// (Simulator::set_workers): 0 = automatic (one per two CPUs in the
-  /// affinity mask, on rounds where the pool pays), k = exactly k. Outputs
-  /// are identical for every value.
+  /// Worker threads for the honest parties' round steps: 0 = automatic,
+  /// k = exactly k, as Simulator::set_workers documents (the automatic
+  /// count and its cap are defined there). Outputs are identical for every
+  /// value.
   std::size_t workers = 0;
 };
 

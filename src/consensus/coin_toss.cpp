@@ -75,8 +75,6 @@ CoinTossProto::CoinTossProto(SimSigRegistryPtr registry, std::vector<PartyId> me
                            commitments.data());
 }
 
-// srds-lint: shard-root(CoinTossProto::step) — coin-toss sub-protocol
-// round body; everything it reaches must be shardable (rule C1).
 std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
     std::size_t subround, const std::vector<TaggedMsg>& inbox) {
   const std::size_t block_rounds = t_ + 2;

@@ -34,8 +34,6 @@ CommitteeBaProto::CommitteeBaProto(SimSigRegistryPtr registry, std::vector<Party
     : members_(members),
       inner_(make_instances(registry, members_, t, domain, me, input)) {}
 
-// srds-lint: shard-root(CommitteeBaProto::step) — committee sub-protocol
-// round body; everything it reaches must be shardable (rule C1).
 std::vector<std::pair<PartyId, Bytes>> CommitteeBaProto::step(
     std::size_t subround, const std::vector<TaggedMsg>& inbox) {
   auto out = inner_.step(subround, inbox);

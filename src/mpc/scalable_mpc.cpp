@@ -47,8 +47,6 @@ class MpcParty final : public Party {
 
   std::size_t total_rounds() const { return total_rounds_; }
 
-  // srds-lint: shard-root(MpcParty::on_round) — the MPC per-party round;
-  // everything it reaches must be shardable (rule C1).
   std::vector<Message> on_round(std::size_t round,
                                 const std::vector<Message>& inbox) override {
     const CommTree& tree = *shared_->tree;

@@ -110,8 +110,8 @@ void Simulator::route(std::size_t round, Message m) {
   deliver(round, std::move(m), inboxes_);
 }
 
-// srds-lint: shard-root(Simulator::step_party) — one honest party's round on
-// a pool worker; writes only slot i of outs_ and errors_.
+// One honest party's round on a pool worker; writes only slot i of outs_
+// and errors_.
 void Simulator::step_party(std::size_t round, PartyId i) {
   PROF_SCOPE(obs::ProfSiteId::kSimPartyStep);
   try {

@@ -10,8 +10,7 @@ namespace srds::obs {
 namespace {
 
 // The static site table. File-scope mutable state is confined to this TU:
-// everything outside reaches it through prof_site()/prof_enabled(), which
-// are the declared traversal boundaries in tools/srds-lint/shard_roots.toml.
+// everything outside reaches it through prof_site()/prof_enabled().
 ProfSite g_prof_sites[kProfSiteCount];
 
 // Default (seq_cst) ordering: read once per PROF_SCOPE, not per event, and

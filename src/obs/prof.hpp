@@ -106,8 +106,8 @@ class ProfSite {
   Shard shards_[kShards];
 };
 
-/// The static site table (array index, wait-free; srds-lint shard_roots
-/// [allow] boundary — the table itself lives in prof.cpp).
+/// The static site table (array index, wait-free; the table itself lives
+/// in prof.cpp).
 ProfSite& prof_site(ProfSiteId id);
 
 /// Global enable flag. Off by default: PROF_SCOPE reads it once per scope

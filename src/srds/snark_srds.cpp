@@ -202,8 +202,8 @@ Bytes SnarkSrds::make_base_signature(std::uint64_t index, const WotsKeyPair& kp,
   return std::move(w).take();
 }
 
-// srds-lint: shard-root(SnarkSrds::sign) — per-party signing entry; a
-// sharded simulator calls this concurrently across parties (rule C1).
+// Per-party signing; the simulator's pool workers call this concurrently
+// across parties.
 Bytes SnarkSrds::sign(std::size_t i, BytesView m) const {
   PROF_SCOPE(obs::ProfSiteId::kSrdsSign);
   if (i >= vks_.size()) throw std::out_of_range("SnarkSrds::sign: bad index");

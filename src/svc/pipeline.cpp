@@ -20,8 +20,6 @@ std::vector<InstancePipeline::Retired> InstancePipeline::take_retired() {
   return out;
 }
 
-// srds-lint: shard-root(InstancePipeline::on_round) — the service daemon's
-// per-party round; everything it reaches must be shardable (rule C1).
 std::vector<Message> InstancePipeline::on_round(std::size_t round,
                                                 const std::vector<Message>& inbox) {
   PROF_SCOPE(obs::ProfSiteId::kSvcPipelineStep);

@@ -1,5 +1,5 @@
 // Tests for Dolev-Strong broadcast, committee BA, coin tossing, Shamir
-// sharing and phase-king — including adversarial executions.
+// sharing — including adversarial executions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "consensus/committee_ba.hpp"
 #include "consensus/dolev_strong.hpp"
 #include "consensus/field.hpp"
-#include "consensus/phase_king.hpp"
 #include "consensus/shamir.hpp"
 #include "crypto/commit.hpp"
 #include "crypto/sha256.hpp"
@@ -771,109 +770,6 @@ TEST(CoinToss, PinnedCoinWithBadDealersAtC41) {
   // Control: the same dealers dealing valid shares do contribute, so the
   // bad dealings above reached the consistency check and were zeroed there.
   EXPECT_NE(coin_against_dealers(false), coin);
-}
-
-// --- Phase King ---
-
-std::unique_ptr<Simulator> pk_sim(std::size_t n, std::size_t t, const std::vector<bool>& inputs,
-                                  const std::vector<bool>& corrupt,
-                                  std::unique_ptr<Adversary> adv) {
-  std::vector<PartyId> members(n);
-  for (PartyId i = 0; i < n; ++i) members[i] = i;
-  auto factory = [&](PartyId i) -> std::unique_ptr<SubProtocol> {
-    return std::make_unique<PhaseKingProto>(members, t, i, inputs[i]);
-  };
-  return make_subproto_sim(n, corrupt, factory, std::move(adv));
-}
-
-TEST(PhaseKing, ValidityAllSame) {
-  const std::size_t n = 9, t = 2;
-  std::vector<bool> inputs(n, true), corrupt(n, false);
-  auto sim = pk_sim(n, t, inputs, corrupt, nullptr);
-  sim->run(32);
-  for (PartyId i = 0; i < n; ++i) {
-    auto* pk = hosted<PhaseKingProto>(*sim, i);
-    ASSERT_NE(pk, nullptr);
-    ASSERT_TRUE(pk->output().has_value());
-    EXPECT_TRUE(*pk->output());
-  }
-}
-
-TEST(PhaseKing, AgreementMixedInputs) {
-  const std::size_t n = 9, t = 2;
-  std::vector<bool> inputs(n, false), corrupt(n, false);
-  for (std::size_t i = 0; i < n; i += 2) inputs[i] = true;
-  auto sim = pk_sim(n, t, inputs, corrupt, nullptr);
-  sim->run(32);
-  std::set<bool> outs;
-  for (PartyId i = 0; i < n; ++i) {
-    auto* pk = hosted<PhaseKingProto>(*sim, i);
-    ASSERT_TRUE(pk->output().has_value());
-    outs.insert(*pk->output());
-  }
-  EXPECT_EQ(outs.size(), 1u);
-}
-
-/// Byzantine bit-flippers: corrupt parties vote randomly and, when king,
-/// send different bits to different parties.
-class BitFlipAdversary final : public Adversary {
- public:
-  BitFlipAdversary(std::size_t n, std::vector<bool> corrupt)
-      : n_(n), corrupt_(std::move(corrupt)), rng_(777) {}
-
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
-    std::vector<Message> out;
-    for (PartyId c = 0; c < n_; ++c) {
-      if (!corrupt_[c]) continue;
-      for (PartyId to = 0; to < n_; ++to) {
-        if (to == c) continue;
-        std::uint8_t tag = rng_.chance(0.5) ? 1 : 2;  // vote or king msg
-        std::uint8_t bit = rng_.chance(0.5) ? 1 : 0;
-        out.push_back(Message{c, to, tag_body(0, 0, Bytes{tag, bit})});
-      }
-    }
-    return out;
-  }
-
- private:
-  std::size_t n_;
-  std::vector<bool> corrupt_;
-  Rng rng_;
-};
-
-TEST(PhaseKing, AgreementUnderByzantineFlips) {
-  const std::size_t n = 13, t = 3;  // 4t < n
-  std::vector<bool> inputs(n, false), corrupt(n, false);
-  for (std::size_t i = 0; i < n; i += 3) inputs[i] = true;
-  corrupt[1] = corrupt[5] = corrupt[9] = true;  // 3 corrupt
-  auto adv = std::make_unique<BitFlipAdversary>(n, corrupt);
-  auto sim = pk_sim(n, t, inputs, corrupt, std::move(adv));
-  sim->run(32);
-  std::set<bool> outs;
-  for (PartyId i = 0; i < n; ++i) {
-    if (corrupt[i]) continue;
-    auto* pk = hosted<PhaseKingProto>(*sim, i);
-    ASSERT_NE(pk, nullptr);
-    ASSERT_TRUE(pk->output().has_value());
-    outs.insert(*pk->output());
-  }
-  EXPECT_EQ(outs.size(), 1u) << "honest parties disagree";
-}
-
-TEST(PhaseKing, ValidityUnderByzantineFlips) {
-  const std::size_t n = 13, t = 3;
-  std::vector<bool> inputs(n, true), corrupt(n, false);
-  corrupt[2] = corrupt[6] = corrupt[10] = true;
-  auto adv = std::make_unique<BitFlipAdversary>(n, corrupt);
-  auto sim = pk_sim(n, t, inputs, corrupt, std::move(adv));
-  sim->run(32);
-  for (PartyId i = 0; i < n; ++i) {
-    if (corrupt[i]) continue;
-    auto* pk = hosted<PhaseKingProto>(*sim, i);
-    ASSERT_TRUE(pk->output().has_value());
-    EXPECT_TRUE(*pk->output()) << "validity broken for party " << i;
-  }
 }
 
 }  // namespace

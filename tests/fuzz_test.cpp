@@ -14,7 +14,6 @@
 #include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/multisig.hpp"
-#include "crypto/threshold_sig.hpp"
 #include "crypto/wots.hpp"
 #include "mpc/fhe.hpp"
 #include "srds/owf_srds.hpp"
@@ -57,8 +56,6 @@ TEST_P(WireFuzz, StructDeserializersNeverCrash) {
     (void)MerklePath::deserialize(junk, path);
     Multisig ms;
     (void)Multisig::deserialize(junk, ms);
-    PartialThresholdSig pts;
-    (void)PartialThresholdSig::deserialize(junk, pts);
     Ciphertext ct;
     (void)Ciphertext::deserialize(junk, ct);
   }

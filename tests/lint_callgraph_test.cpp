@@ -1,7 +1,7 @@
 // srds-lint call-graph engine tests (callgraph.hpp): graph construction,
-// resolution fallback, cycle termination, the C1/P2/T2 interprocedural
-// passes, shard-roots manifest semantics (roots, allows, stale entries,
-// parse errors), stale markers, the census stats, and the DOT export.
+// resolution fallback, cycle termination, the P2/T2 interprocedural
+// passes, hotpath-allow manifest semantics (allows, stale entries, parse
+// errors), stale markers and the census stats.
 //
 // Fixtures live in tests/lint_fixtures/ next to the per-rule ones and are
 // linted under *logical* paths (the engine scopes rules by repo-relative
@@ -50,9 +50,10 @@ const Finding* find_at(const std::vector<Finding>& fs, const std::string& rule,
   return nullptr;
 }
 
-std::vector<std::pair<std::string, std::string>> shard_inputs() {
-  return {{"src/mpc/cg_shard_root.cpp", fixture("cg_shard_root.cpp")},
-          {"src/mpc/cg_shard_state.cpp", fixture("cg_shard_state.cpp")}};
+std::vector<std::pair<std::string, std::string>> overload_inputs() {
+  return {{"src/srds/cg_overload_a.cpp", fixture("cg_overload_a.cpp")},
+          {"src/srds/cg_overload_b.cpp", fixture("cg_overload_b.cpp")},
+          {"src/srds/cg_overload_c.cpp", fixture("cg_overload_c.cpp")}};
 }
 
 // ---------------------------------------------------------------------------
@@ -60,23 +61,36 @@ std::vector<std::pair<std::string, std::string>> shard_inputs() {
 // ---------------------------------------------------------------------------
 
 TEST(CallGraphBuild, FindsDefinitionsAndCrossFileEdges) {
-  const CallGraph cg = build_call_graph(shard_inputs());
+  const CallGraph cg = build_call_graph(
+      {{"src/mpc/party.cpp", "std::vector<int> DemoParty::on_round(std::size_t round) {\n"
+                             "  prepare(round);\n"
+                             "  return {};\n"
+                             "}\n"
+                             "void DemoParty::prepare(std::size_t round) {\n"
+                             "  bump_counter(round);\n"
+                             "  Config::instance();\n"
+                             "}\n"},
+       {"src/mpc/state.cpp", "void bump_counter(std::size_t round) {\n"
+                             "  (void)round;\n"
+                             "}\n"}});
   ASSERT_EQ(cg.files.size(), 2u);
-  ASSERT_EQ(cg.defs.size(), 7u);  // on_round, prepare + 5 helpers
+  ASSERT_EQ(cg.defs.size(), 3u);
 
-  // on_round's `prepare(round)` resolves to the same-class member.
-  const FuncDef* on_round = nullptr;
-  for (const FuncDef& d : cg.defs) {
-    if (d.body.qual == "DemoParty::on_round") on_round = &d;
-  }
-  ASSERT_NE(on_round, nullptr);
-  bool prepare_edge = false;
-  for (const CallSite& cs : on_round->calls) {
-    for (std::size_t cal : cg.resolve(*on_round, cs)) {
-      if (cg.defs[cal].body.qual == "DemoParty::prepare") prepare_edge = true;
+  const auto edge = [&](const std::string& from, const std::string& to) {
+    for (const FuncDef& d : cg.defs) {
+      if (d.body.qual != from) continue;
+      for (const CallSite& cs : d.calls) {
+        for (std::size_t cal : cg.resolve(d, cs)) {
+          if (cg.defs[cal].body.qual == to) return true;
+        }
+      }
     }
-  }
-  EXPECT_TRUE(prepare_edge);
+    return false;
+  };
+  // `prepare(round)` resolves to the same-class member, `bump_counter` to
+  // the definition in the other file.
+  EXPECT_TRUE(edge("DemoParty::on_round", "DemoParty::prepare"));
+  EXPECT_TRUE(edge("DemoParty::prepare", "bump_counter"));
 
   // `Config::instance()` names no scanned definition: an external call.
   EXPECT_GT(cg.external_calls, 0u);
@@ -102,70 +116,38 @@ TEST(CallGraphBuild, StlMemberCallsStayOpaque) {
 }
 
 // ---------------------------------------------------------------------------
-// C1: concurrency readiness from shard roots.
+// The traversal engine, probed through P2.
 // ---------------------------------------------------------------------------
 
-TEST(LintC1, PlantedViolationsReportedWithCrossFileCallPath) {
-  const auto fs = lint_files(shard_inputs(), {});
-  const std::set<std::pair<std::string, std::size_t>> expected = {
-      {"C1", 12},  // file-scope mutable write in bump_counter
-      {"C1", 16},  // function-local static in cached_weight
-      {"C1", 23},  // unordered iteration in sum_votes
-      {"C1", 28},  // RNG engine in draw
-      {"C1", 33},  // singleton accessor in read_config
-  };
-  EXPECT_EQ(rule_hits(fs, "C1"), expected);
-
-  // The acceptance criterion: a shared-static write behind two hops of
-  // calls is reported with the full path from the root.
-  const Finding* f = find_at(fs, "C1", 12);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->file, "src/mpc/cg_shard_state.cpp");
-  EXPECT_NE(f->message.find("g_round_counter"), std::string::npos) << f->message;
-  EXPECT_NE(f->message.find(
-                "call path: DemoParty::on_round -> DemoParty::prepare -> bump_counter"),
-            std::string::npos)
-      << f->message;
-}
-
-TEST(LintC1, CycleTerminatesAndReportsOnce) {
+TEST(LintP2, CycleTerminatesAndReportsOnce) {
   const auto fs =
       lint_files({{"src/consensus/cg_cycle.cpp", fixture("cg_cycle.cpp")}}, {});
-  const std::set<std::pair<std::string, std::size_t>> expected = {{"C1", 10}};
-  EXPECT_EQ(rule_hits(fs, "C1"), expected);
-  const Finding* f = find_at(fs, "C1", 10);
+  const std::set<std::pair<std::string, std::size_t>> expected = {{"P2", 10}};
+  EXPECT_EQ(rule_hits(fs, "P2"), expected);
+  const Finding* f = find_at(fs, "P2", 10);
   ASSERT_NE(f, nullptr);
   EXPECT_NE(f->message.find("call path: ping -> pong"), std::string::npos) << f->message;
 }
 
-TEST(LintC1, UnresolvedCallFallsBackToEveryCandidate) {
-  const auto fs = lint_files({{"src/srds/cg_overload_a.cpp", fixture("cg_overload_a.cpp")},
-                              {"src/srds/cg_overload_b.cpp", fixture("cg_overload_b.cpp")},
-                              {"src/srds/cg_overload_c.cpp", fixture("cg_overload_c.cpp")}},
-                             {});
+TEST(LintP2, UnresolvedCallFallsBackToEveryCandidate) {
+  const auto fs = lint_files(overload_inputs(), {});
   // Both same-name candidates are treated as reachable (over-approximation
-  // by design): the global write in b and the static in c.
-  const std::set<std::pair<std::string, std::size_t>> expected = {{"C1", 6}, {"C1", 4}};
-  EXPECT_EQ(rule_hits(fs, "C1"), expected);
+  // by design): the allocation in b and the type erasure in c.
+  const std::set<std::pair<std::string, std::size_t>> expected = {{"P2", 6}, {"P2", 4}};
+  EXPECT_EQ(rule_hits(fs, "P2"), expected);
 }
 
-TEST(LintC1, StaleMarkersOfBothKindsAreFindings) {
+TEST(LintP1, StaleNamedMarkerIsAFinding) {
   const auto fs =
       lint_files({{"src/ba/cg_stale_markers.cpp", fixture("cg_stale_markers.cpp")}}, {});
   EXPECT_EQ(rule_hits(fs, "P1"),
-            (std::set<std::pair<std::string, std::size_t>>{{"P1", 5}}));
-  EXPECT_EQ(rule_hits(fs, "C1"),
-            (std::set<std::pair<std::string, std::size_t>>{{"C1", 6}}));
-  const Finding* p1 = find_at(fs, "P1", 5);
+            (std::set<std::pair<std::string, std::size_t>>{{"P1", 4}}));
+  const Finding* p1 = find_at(fs, "P1", 4);
   ASSERT_NE(p1, nullptr);
   EXPECT_NE(p1->message.find("RemovedFast::send"), std::string::npos) << p1->message;
-  const Finding* c1 = find_at(fs, "C1", 6);
-  ASSERT_NE(c1, nullptr);
-  EXPECT_NE(c1->message.find("RemovedParty::on_round"), std::string::npos) << c1->message;
-  EXPECT_NE(c1->message.find("deleted or renamed"), std::string::npos) << c1->message;
 }
 
-TEST(LintC1, QualifiedNameNeverMatchesADifferentClass) {
+TEST(LintP2, QualifiedNameNeverMatchesADifferentClass) {
   Lexed lx = lex("struct A { void run() { } };\nstruct B { void run() { } };\n");
   const auto funcs = function_bodies(lx);
   ASSERT_EQ(funcs.size(), 2u);
@@ -175,27 +157,24 @@ TEST(LintC1, QualifiedNameNeverMatchesADifferentClass) {
 }
 
 // ---------------------------------------------------------------------------
-// The shard-roots manifest.
+// The hotpath-allow manifest.
 // ---------------------------------------------------------------------------
 
-TEST(ShardManifest, ParsesRootsAndAllows) {
+TEST(ShardManifest, ParsesAllowsAndRejectsRoots) {
   ShardManifest m;
   std::string error;
   ASSERT_TRUE(parse_shard_manifest("# comment\n"
-                                   "[roots]\n"
-                                   "functions = [\n"
-                                   "  \"A::run\",\n"
-                                   "  \"helper\",\n"
-                                   "]\n"
                                    "[allow]\n"
                                    "\"B::guard\" = \"cold error path\"\n",
                                    m, error))
       << error;
-  ASSERT_EQ(m.roots.size(), 2u);
-  EXPECT_EQ(m.roots[0], "A::run");
   ASSERT_EQ(m.allows.size(), 1u);
   EXPECT_EQ(m.allows[0].first, "B::guard");
   EXPECT_EQ(m.allows[0].second, "cold error path");
+
+  // [allow] is the only section: P2 roots come from hotpath markers alone.
+  EXPECT_FALSE(parse_shard_manifest("[roots]\nfunctions = [\"A::run\"]\n", m, error));
+  EXPECT_NE(error.find("unknown section 'roots'"), std::string::npos) << error;
 }
 
 TEST(ShardManifest, AllowWithoutJustificationIsAParseError) {
@@ -205,32 +184,19 @@ TEST(ShardManifest, AllowWithoutJustificationIsAParseError) {
   EXPECT_NE(error.find("line 2"), std::string::npos) << error;
 }
 
-TEST(ShardManifest, ManifestRootsSeedTheTraversal) {
-  Config cfg;
-  cfg.shard_manifest = "[roots]\nfunctions = [\"helper\"]\n";
-  const auto fs = lint_files({{"src/srds/cg_overload_b.cpp", fixture("cg_overload_b.cpp")},
-                              {"src/srds/cg_overload_c.cpp", fixture("cg_overload_c.cpp")}},
-                             cfg);
-  const std::set<std::pair<std::string, std::size_t>> expected = {{"C1", 6}, {"C1", 4}};
-  EXPECT_EQ(rule_hits(fs, "C1"), expected);
-}
-
 TEST(ShardManifest, StaleEntriesAreFindingsAgainstTheManifest) {
   Config cfg;
-  cfg.shard_manifest =
-      "[roots]\nfunctions = [\"gone_root\"]\n[allow]\n\"gone_guard\" = \"cold path\"\n";
-  cfg.shard_manifest_path = "tools/srds-lint/shard_roots.toml";
+  cfg.shard_manifest = "[allow]\n\"gone_guard\" = \"cold path\"\n";
+  cfg.shard_manifest_path = "tools/srds-lint/hotpath_allow.toml";
   const auto fs =
       lint_files({{"src/consensus/cg_cycle.cpp", fixture("cg_cycle.cpp")}}, cfg);
   std::size_t stale = 0;
   for (const Finding& f : fs) {
-    if (f.rule != "C1" || f.file != cfg.shard_manifest_path) continue;
+    if (f.rule != "P2" || f.file != cfg.shard_manifest_path) continue;
     ++stale;
-    EXPECT_TRUE(f.message.find("gone_root") != std::string::npos ||
-                f.message.find("gone_guard") != std::string::npos)
-        << f.message;
+    EXPECT_NE(f.message.find("gone_guard"), std::string::npos) << f.message;
   }
-  EXPECT_EQ(stale, 2u);
+  EXPECT_EQ(stale, 1u);
 }
 
 TEST(ShardManifest, AllowedFunctionStopsTheTraversal) {
@@ -238,7 +204,7 @@ TEST(ShardManifest, AllowedFunctionStopsTheTraversal) {
   cfg.shard_manifest = "[allow]\n\"pong\" = \"recursion fixture: deliberately dirty\"\n";
   const auto fs =
       lint_files({{"src/consensus/cg_cycle.cpp", fixture("cg_cycle.cpp")}}, cfg);
-  EXPECT_TRUE(rule_hits(fs, "C1").empty());
+  EXPECT_TRUE(rule_hits(fs, "P2").empty());
 }
 
 TEST(ShardManifest, ParseFailureIsItselfAFinding) {
@@ -248,10 +214,10 @@ TEST(ShardManifest, ParseFailureIsItselfAFinding) {
       lint_files({{"src/consensus/cg_cycle.cpp", fixture("cg_cycle.cpp")}}, cfg);
   const Finding* f = nullptr;
   for (const Finding& g : fs) {
-    if (g.rule == "C1" && g.file == cfg.shard_manifest_path) f = &g;
+    if (g.rule == "P2" && g.file == cfg.shard_manifest_path) f = &g;
   }
   ASSERT_NE(f, nullptr);
-  EXPECT_NE(f->message.find("bad shard-roots manifest"), std::string::npos) << f->message;
+  EXPECT_NE(f->message.find("bad hotpath-allow manifest"), std::string::npos) << f->message;
 }
 
 // ---------------------------------------------------------------------------
@@ -288,29 +254,24 @@ TEST(LintT2, OutOfScopeFilesAreExempt) {
 }
 
 // ---------------------------------------------------------------------------
-// Census + DOT export.
+// Census.
 // ---------------------------------------------------------------------------
 
 TEST(CallGraphStatsTest, CensusCountsRootsAndReachability) {
   CallGraphStats stats;
-  const auto fs = lint_files(shard_inputs(), {}, &stats);
-  (void)fs;
-  EXPECT_EQ(stats.functions, 7u);
-  EXPECT_EQ(stats.shard_roots, 1u);
-  EXPECT_EQ(stats.shard_reachable, 7u);  // the whole closure, root included
-  EXPECT_EQ(stats.hotpath_funcs, 0u);
-  EXPECT_GT(stats.call_edges, 0u);
+  (void)lint_files(overload_inputs(), {}, &stats);
+  EXPECT_EQ(stats.functions, 3u);
+  EXPECT_EQ(stats.hotpath_funcs, 1u);
+  EXPECT_EQ(stats.hotpath_reachable, 3u);  // the whole closure, root included
+  EXPECT_EQ(stats.call_edges, 2u);         // run_round -> both helpers
+  EXPECT_EQ(stats.allowed_skips, 0u);
   EXPECT_GT(stats.external_calls, 0u);
-}
 
-TEST(CallGraphDot, RootsAreMarkedAndEdgesEmitted) {
-  const CallGraph cg =
-      build_call_graph({{"src/consensus/cg_cycle.cpp", fixture("cg_cycle.cpp")}});
-  const std::string dot = call_graph_dot(cg, nullptr);
-  EXPECT_NE(dot.find("peripheries=2"), std::string::npos) << dot;
-  EXPECT_NE(dot.find("ping"), std::string::npos) << dot;
-  EXPECT_NE(dot.find("pong"), std::string::npos) << dot;
-  EXPECT_NE(dot.find("->"), std::string::npos) << dot;
+  Config cfg;
+  cfg.shard_manifest = "[allow]\n\"helper\" = \"census fixture\"\n";
+  (void)lint_files(overload_inputs(), cfg, &stats);
+  EXPECT_EQ(stats.hotpath_reachable, 1u);
+  EXPECT_EQ(stats.allowed_skips, 2u);
 }
 
 }  // namespace

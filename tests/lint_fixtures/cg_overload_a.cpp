@@ -2,7 +2,7 @@
 // falls back to every same-name definition (cg_overload_b.cpp and
 // cg_overload_c.cpp) — the documented over-approximation.
 
-// srds-lint: shard-root(run_round)
+// srds-lint: hotpath(run_round)
 void run_round() {
   helper(1);
 }

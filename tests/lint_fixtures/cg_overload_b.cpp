@@ -1,7 +1,7 @@
 // Call-graph fixture: first `helper` overload candidate (see
-// cg_overload_a.cpp). Planted: file-scope mutable state write.
-int g_votes = 0;
+// cg_overload_a.cpp). Planted: a heap allocation.
+int* g_votes = nullptr;
 
 void helper(int x) {
-  g_votes += x;
+  g_votes = new int(x);
 }

@@ -1,6 +1,6 @@
 // Call-graph fixture: second `helper` overload candidate (see
-// cg_overload_a.cpp). Planted: function-local static.
+// cg_overload_a.cpp). Planted: type erasure.
 void helper(int x) {
-  static int calls = 0;
-  calls += x;
+  std::function<int(int)> f = [](int v) { return v; };
+  f(x);
 }

@@ -1,9 +1,7 @@
-// Call-graph fixture: both marker kinds naming functions that no longer
-// exist. Stale markers are findings (P1 for hotpath, C1 for shard-root),
-// never silently dropped.
+// Call-graph fixture: a named hotpath marker whose function no longer
+// exists. Stale markers are findings (P1), never silently dropped.
 
 // srds-lint: hotpath(RemovedFast::send)
-// srds-lint: shard-root(RemovedParty::on_round)
 
 void unrelated(int x) {
   (void)x;

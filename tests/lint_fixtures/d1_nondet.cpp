@@ -13,8 +13,8 @@ int wall_clock_seed() {
   std::random_device rd;          // line 13: random_device
   long t = time(nullptr);         // line 14: time()
   auto now = std::chrono::system_clock::now();  // line 15: system_clock
-  (void)now;
-  return x + static_cast<int>(rd()) + static_cast<int>(t);
+  std::mt19937 eng(now.time_since_epoch().count());  // line 16: <random> engine
+  return x + static_cast<int>(rd()) + static_cast<int>(t) + static_cast<int>(eng());
 }
 
 void container_order() {

@@ -20,12 +20,12 @@ if [ -f build/compile_commands.json ]; then
   "$LINT" --tests-dir tests \
     --compile-db build/compile_commands.json \
     --layers tools/srds-lint/layers.toml \
-    --shard-roots tools/srds-lint/shard_roots.toml \
+    --hotpath-allow tools/srds-lint/hotpath_allow.toml \
     --baseline LINT_BASELINE.json \
     --quiet src
 else
   "$LINT" --tests-dir tests --layers tools/srds-lint/layers.toml \
-    --shard-roots tools/srds-lint/shard_roots.toml \
+    --hotpath-allow tools/srds-lint/hotpath_allow.toml \
     --baseline LINT_BASELINE.json --quiet src
 fi
 

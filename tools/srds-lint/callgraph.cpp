@@ -30,27 +30,6 @@ bool is_non_callee_keyword(const std::string& s) {
   return is_control_keyword(s) || k.count(s) != 0;
 }
 
-bool is_unordered_type(const std::string& s) {
-  return s == "unordered_map" || s == "unordered_set" || s == "unordered_multimap" ||
-         s == "unordered_multiset";
-}
-
-/// std <random> engine types whose construction inside shard-reachable code
-/// sidesteps the seeded src/common/rng chain. random_device/rand/srand are
-/// rule D1's (everywhere, not just reachable code) — not duplicated here.
-bool is_rng_engine(const std::string& s) {
-  static const std::set<std::string> k = {
-      "mt19937",       "mt19937_64",    "minstd_rand", "minstd_rand0",
-      "default_random_engine", "knuth_b", "ranlux24",  "ranlux48",
-      "ranlux24_base", "ranlux48_base"};
-  return k.count(s) != 0;
-}
-
-bool is_iter_member(const std::string& s) {
-  return s == "begin" || s == "end" || s == "cbegin" || s == "cend" || s == "rbegin" ||
-         s == "rend";
-}
-
 /// Member names that read as STL container/string/smart-pointer API. A
 /// member call through a receiver whose type a token scanner cannot see
 /// would otherwise name-match any class that mimics STL naming (obs::Json's
@@ -69,10 +48,6 @@ bool is_opaque_member(const std::string& s) {
       "has_value", "value_or",     "load",     "store",      "exchange",  "fetch_add",
       "fetch_sub", "lock",         "unlock",   "try_lock",   "first",     "second"};
   return k.count(s) != 0;
-}
-
-bool is_rng_home(const std::string& path) {
-  return path_under(path, "src/common") && path.find("/rng.") != std::string::npos;
 }
 
 // Mirrors taint.cpp's T1 notion of a validation point / byte read.
@@ -171,138 +146,6 @@ std::vector<CallSite> extract_calls(const Lexed& lx, const FuncBody& fb) {
   return out;
 }
 
-/// Mutable namespace-scope variable declarations of a file. Statements are
-/// scanned outside every function and class body; anything const/constexpr,
-/// type-introducing, or involving parentheses is skipped, so the survivors
-/// are plain `Type name;` / `Type name = init;` mutable state.
-void collect_globals(const Lexed& lx, const std::vector<FuncBody>& funcs,
-                     std::map<std::string, std::size_t>& out) {
-  const std::vector<Tok>& toks = lx.toks;
-  std::vector<char> in_body(toks.size(), 0);
-  std::vector<char> body_open(toks.size(), 0);
-  for (const FuncBody& fb : funcs) {
-    for (std::size_t k = fb.open_tok; k <= fb.close_tok && k < toks.size(); ++k) in_body[k] = 1;
-    if (fb.open_tok < toks.size()) body_open[fb.open_tok] = 1;
-  }
-  enum Kind { kNs, kClass, kOther };
-  std::vector<Kind> scopes;
-  std::vector<const Tok*> stmt;
-  auto collecting = [&] {
-    for (Kind k : scopes) {
-      if (k != kNs) return false;
-    }
-    return true;
-  };
-  auto evaluate = [&] {
-    if (stmt.size() < 2) return;
-    static const std::set<std::string> kSkip = {
-        "const",  "constexpr", "using",   "typedef",  "extern",  "friend",
-        "template", "operator", "static_assert", "enum", "struct", "class",
-        "union",  "namespace", "requires", "concept"};
-    std::size_t idents = 0;
-    for (const Tok* t : stmt) {
-      if (t->text == "(") return;
-      if (t->kind == Tok::kIdent) {
-        if (kSkip.count(t->text)) return;
-        ++idents;
-      }
-    }
-    if (idents < 2) return;
-    // Name: the identifier before '=' (skipping array extents), else the
-    // last identifier of the declaration.
-    std::size_t limit = stmt.size();
-    for (std::size_t k = 0; k < stmt.size(); ++k) {
-      if (stmt[k]->text == "=") {
-        limit = k;
-        break;
-      }
-    }
-    std::size_t k = limit;
-    while (k > 0) {
-      const Tok* t = stmt[k - 1];
-      if (t->text == "]" || t->text == "[" || t->kind == Tok::kNum) {
-        --k;
-        continue;
-      }
-      break;
-    }
-    if (k == 0 || stmt[k - 1]->kind != Tok::kIdent) return;
-    const Tok* name = stmt[k - 1];
-    out.emplace(name->text, name->line);  // first declaration wins
-  };
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Tok& t = toks[i];
-    if (in_body[i]) {
-      if (body_open[i]) stmt.clear();  // `void f() {` left a dangling declarator
-      continue;
-    }
-    if (t.text == "{") {
-      // Classify the scope this brace opens by its head.
-      std::size_t b = i;
-      Kind kind = kOther;
-      for (int steps = 0; b > 0 && steps < 64; ++steps) {
-        const Tok& p = toks[b - 1];
-        if (p.kind == Tok::kIdent) {
-          if (p.text == "namespace") {
-            kind = kNs;
-            break;
-          }
-          if (p.text == "class" || p.text == "struct" || p.text == "union" ||
-              p.text == "enum") {
-            kind = kClass;
-            break;
-          }
-          --b;
-          continue;
-        }
-        if (p.kind == Tok::kNum || p.text == "::" || p.text == "<" || p.text == ">" ||
-            p.text == ":" || p.text == "," || p.text == "&" || p.text == "*") {
-          --b;
-          continue;
-        }
-        break;
-      }
-      scopes.push_back(kind);
-      if (kind != kOther) stmt.clear();
-      continue;
-    }
-    if (t.text == "}") {
-      if (!scopes.empty()) {
-        if (scopes.back() != kOther) stmt.clear();
-        scopes.pop_back();
-      }
-      continue;
-    }
-    if (!collecting()) continue;
-    if (t.text == ";") {
-      evaluate();
-      stmt.clear();
-      continue;
-    }
-    stmt.push_back(&t);
-  }
-}
-
-/// Names declared anywhere in the file (members included) with an
-/// unordered container type.
-void collect_unordered_vars(const Lexed& lx, std::set<std::string>& out) {
-  const std::vector<Tok>& toks = lx.toks;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Tok::kIdent || !is_unordered_type(toks[i].text)) continue;
-    if (toks[i + 1].text != "<") continue;
-    int depth = 0;
-    std::size_t j = i + 1;
-    for (; j < toks.size(); ++j) {
-      if (toks[j].text == "<") ++depth;
-      else if (toks[j].text == ">" && --depth == 0) { ++j; break; }
-    }
-    while (j < toks.size() && (toks[j].text == "&" || toks[j].text == "*")) ++j;
-    if (j >= toks.size() || toks[j].kind != Tok::kIdent) continue;
-    if (j + 1 < toks.size() && toks[j + 1].text == "(") continue;  // function decl
-    out.insert(toks[j].text);
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -357,8 +200,6 @@ CallGraph build_call_graph(
     fc.path = path;
     fc.lx = lex(content);
     const std::vector<FuncBody> funcs = function_bodies(fc.lx);
-    collect_globals(fc.lx, funcs, fc.globals);
-    collect_unordered_vars(fc.lx, fc.unordered_vars);
     const std::size_t file_idx = cg.files.size();
     for (const FuncBody& fb : funcs) {
       FuncDef def;
@@ -381,13 +222,12 @@ CallGraph build_call_graph(
 }
 
 // ---------------------------------------------------------------------------
-// shard_roots.toml.
+// hotpath_allow.toml.
 // ---------------------------------------------------------------------------
 
 bool parse_shard_manifest(const std::string& text, ShardManifest& out, std::string& error) {
   out = ShardManifest{};
-  std::string section;
-  bool in_array = false;
+  bool in_allow = false;
   std::size_t lineno = 0;
   std::size_t start = 0;
   while (start <= text.size()) {
@@ -411,32 +251,16 @@ bool parse_shard_manifest(const std::string& text, ShardManifest& out, std::stri
       error = "line " + std::to_string(lineno) + ": " + why;
       return false;
     };
-    if (in_array) {
-      for (std::size_t i = 0; i < line.size();) {
-        if (line[i] == '"') {
-          std::size_t close = line.find('"', i + 1);
-          if (close == std::string::npos) return fail("unterminated string");
-          out.roots.push_back(line.substr(i + 1, close - i - 1));
-          i = close + 1;
-        } else if (line[i] == ']') {
-          in_array = false;
-          break;
-        } else if (line[i] == ',' || line[i] == ' ' || line[i] == '\t') {
-          ++i;
-        } else {
-          return fail("unexpected character in functions array");
-        }
-      }
-      continue;
-    }
     if (line.front() == '[') {
       if (line.back() != ']') return fail("malformed section header");
-      section = trim(line.substr(1, line.size() - 2));
-      if (section != "roots" && section != "allow") {
-        return fail("unknown section '" + section + "' (expected [roots] or [allow])");
+      const std::string section = trim(line.substr(1, line.size() - 2));
+      if (section != "allow") {
+        return fail("unknown section '" + section + "' (expected [allow])");
       }
+      in_allow = true;
       continue;
     }
+    if (!in_allow) return fail("entry outside the [allow] section");
     std::size_t eq = line.find('=');
     if (eq == std::string::npos) return fail("expected `key = value`");
     std::string key = trim(line.substr(0, eq));
@@ -444,42 +268,14 @@ bool parse_shard_manifest(const std::string& text, ShardManifest& out, std::stri
     if (key.size() >= 2 && key.front() == '"' && key.back() == '"') {
       key = key.substr(1, key.size() - 2);
     }
-    if (section == "roots") {
-      if (key != "functions") return fail("unknown [roots] key '" + key + "'");
-      if (val.empty() || val.front() != '[') return fail("functions must be an array");
-      in_array = true;
-      // Re-feed the remainder of this line through the array scanner.
-      for (std::size_t i = 1; i < val.size();) {
-        if (val[i] == '"') {
-          std::size_t close = val.find('"', i + 1);
-          if (close == std::string::npos) return fail("unterminated string");
-          out.roots.push_back(val.substr(i + 1, close - i - 1));
-          i = close + 1;
-        } else if (val[i] == ']') {
-          in_array = false;
-          break;
-        } else if (val[i] == ',' || val[i] == ' ' || val[i] == '\t') {
-          ++i;
-        } else {
-          return fail("unexpected character in functions array");
-        }
-      }
-    } else if (section == "allow") {
-      if (val.size() < 2 || val.front() != '"' || val.back() != '"') {
-        return fail("allow entry '" + key + "' needs a quoted justification");
-      }
-      std::string just = val.substr(1, val.size() - 2);
-      if (trim(just).empty()) {
-        return fail("allow entry '" + key + "' needs a non-empty justification");
-      }
-      out.allows.emplace_back(key, trim(just));
-    } else {
-      return fail("entry outside any section");
+    if (val.size() < 2 || val.front() != '"' || val.back() != '"') {
+      return fail("allow entry '" + key + "' needs a quoted justification");
     }
-  }
-  if (in_array) {
-    error = "unterminated functions array";
-    return false;
+    std::string just = val.substr(1, val.size() - 2);
+    if (trim(just).empty()) {
+      return fail("allow entry '" + key + "' needs a non-empty justification");
+    }
+    out.allows.emplace_back(key, trim(just));
   }
   return true;
 }
@@ -550,42 +346,6 @@ std::string call_path(const CallGraph& cg, const Reach& r, std::size_t d) {
   return out;
 }
 
-/// C1 root definitions (inline shard-root markers + manifest [roots]) and
-/// [allow]-listed definitions, resolved the way check_callgraph resolves
-/// them but without emitting findings — for the DOT exporter.
-void shard_roots_and_allows(const CallGraph& cg, const ShardManifest* manifest,
-                            std::set<std::size_t>& roots,
-                            std::set<std::size_t>& allowed) {
-  std::size_t di = 0;
-  for (std::size_t fi = 0; fi < cg.files.size(); ++fi) {
-    std::vector<FuncBody> funcs;
-    const std::size_t base = di;
-    while (di < cg.defs.size() && cg.defs[di].file == fi) {
-      funcs.push_back(cg.defs[di].body);
-      ++di;
-    }
-    for (const Marker& m : parse_markers(cg.files[fi].lx)) {
-      if (m.kind != "shard-root") continue;
-      std::string err;
-      const std::size_t local = resolve_marker(m, funcs, &err);
-      if (local != static_cast<std::size_t>(-1)) roots.insert(base + local);
-    }
-  }
-  if (manifest) {
-    for (const std::string& name : manifest->roots) {
-      for (std::size_t d = 0; d < cg.defs.size(); ++d) {
-        if (marker_name_matches(name, cg.defs[d].body)) roots.insert(d);
-      }
-    }
-    for (const auto& [name, just] : manifest->allows) {
-      (void)just;
-      for (std::size_t d = 0; d < cg.defs.size(); ++d) {
-        if (marker_name_matches(name, cg.defs[d].body)) allowed.insert(d);
-      }
-    }
-  }
-}
-
 void add(std::vector<Finding>& out, const std::string& file, std::size_t line,
          const char* rule, std::string msg) {
   Finding f;
@@ -594,117 +354,6 @@ void add(std::vector<Finding>& out, const std::string& file, std::size_t line,
   f.rule = rule;
   f.message = std::move(msg);
   out.push_back(std::move(f));
-}
-
-// ---------------------------------------------------------------------------
-// C1 body scans.
-// ---------------------------------------------------------------------------
-
-void c1_scan_def(const CallGraph& cg, const Reach& r, std::size_t di,
-                 std::vector<Finding>& out) {
-  const FuncDef& def = cg.defs[di];
-  const FileCtx& fc = cg.files[def.file];
-  const std::vector<Tok>& toks = fc.lx.toks;
-  const FuncBody& fb = def.body;
-  const std::string where = "shard-reachable function '" + fb.qual + "' (call path: " +
-                            call_path(cg, r, di) + ")";
-
-  std::set<std::string> flagged_globals;
-  for (std::size_t i = fb.open_tok + 1; i < fb.close_tok && i < toks.size(); ++i) {
-    const Tok& t = toks[i];
-    if (t.kind != Tok::kIdent) continue;
-    const Tok* prev = (i > 0) ? &toks[i - 1] : nullptr;
-    const Tok* next = (i + 1 < toks.size()) ? &toks[i + 1] : nullptr;
-    const bool member_access = prev && (prev->text == "." || prev->text == "->");
-
-    // Function-local static mutable state: shared across every party the
-    // shard executes.
-    if (t.text == "static") {
-      bool is_const = false;
-      std::size_t name_tok = kNpos;
-      for (std::size_t j = i + 1; j < fb.close_tok && j < i + 32 && j < toks.size(); ++j) {
-        const std::string& x = toks[j].text;
-        if (x == ";" || x == "=" || x == "{" || x == "(") break;
-        if (x == "const" || x == "constexpr") is_const = true;
-        if (toks[j].kind == Tok::kIdent) name_tok = j;
-      }
-      if (!is_const && name_tok != kNpos) {
-        add(out, fc.path, t.line, "C1",
-            "function-local static '" + toks[name_tok].text + "' in " + where +
-                "; function statics are shared across every party a shard executes and "
-                "break deterministic sharding");
-      }
-      continue;
-    }
-
-    // File-scope mutable state access.
-    if (!member_access && fc.globals.count(t.text) &&
-        !(prev && prev->kind == Tok::kIdent) &&  // `int g;` re-declares locally
-        flagged_globals.insert(t.text).second) {
-      add(out, fc.path, t.line, "C1",
-          "file-scope mutable state '" + t.text + "' (declared at " + fc.path + ":" +
-              std::to_string(fc.globals.at(t.text)) + ") accessed in " + where +
-              "; cross-party shared state breaks deterministic sharding");
-      continue;
-    }
-
-    // Unordered-container iteration: hash order leaks into emission order.
-    if (t.text == "for" && next && next->text == "(") {
-      int depth = 0;
-      std::size_t colon = kNpos;
-      std::size_t close = kNpos;
-      for (std::size_t j = i + 1; j < fb.close_tok && j < toks.size(); ++j) {
-        if (toks[j].text == "(") ++depth;
-        else if (toks[j].text == ")") {
-          if (--depth == 0) { close = j; break; }
-        } else if (depth == 1 && toks[j].text == ":" && colon == kNpos) {
-          colon = j;
-        }
-      }
-      if (colon != kNpos && close != kNpos) {
-        for (std::size_t j = colon + 1; j < close; ++j) {
-          if (toks[j].kind == Tok::kIdent && fc.unordered_vars.count(toks[j].text)) {
-            add(out, fc.path, toks[j].line, "C1",
-                "range-for over unordered container '" + toks[j].text + "' in " + where +
-                    "; hash iteration order is unspecified and leaks into message "
-                    "emission order");
-            break;
-          }
-        }
-      }
-      continue;
-    }
-    if (!member_access && fc.unordered_vars.count(t.text) && next &&
-        (next->text == "." || next->text == "->") && i + 3 < toks.size() &&
-        toks[i + 2].kind == Tok::kIdent && is_iter_member(toks[i + 2].text) &&
-        toks[i + 3].text == "(") {
-      add(out, fc.path, t.line, "C1",
-          "iteration over unordered container '" + t.text + "' (." + toks[i + 2].text +
-              "()) in " + where +
-              "; hash iteration order is unspecified and leaks into message emission "
-              "order");
-      continue;
-    }
-
-    // RNG engine construction outside the seeded chain.
-    if (!member_access && is_rng_engine(t.text) && !is_rng_home(fc.path)) {
-      add(out, fc.path, t.line, "C1",
-          "std RNG engine '" + t.text + "' in " + where +
-              "; randomness outside the seeded src/common/rng chain breaks bit-identical "
-              "sharded replay");
-      continue;
-    }
-  }
-
-  // Singleton accessors: a `X::instance()` handout is simulator-owned shared
-  // state escaping into party code.
-  for (const CallSite& cs : def.calls) {
-    if (cs.name == "instance" && !cs.qual_hint.empty()) {
-      add(out, fc.path, cs.line, "C1",
-          "singleton accessor '" + cs.qual_hint + "::instance()' called in " + where +
-              "; simulator-owned singletons are cross-shard shared state");
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -855,56 +504,25 @@ std::vector<Finding> check_callgraph(const CallGraph& cg, const ShardManifest* m
                                      CallGraphStats* stats) {
   std::vector<Finding> out;
 
-  // Roots from inline markers. Hotpath resolution errors are P1's job
-  // (check_p1 reports them per file); shard-root errors are reported here.
-  std::set<std::size_t> shard_roots, hotpath_marked;
-  std::vector<std::size_t> file_def_base(cg.files.size(), 0);
-  {
-    std::size_t di = 0;
-    for (std::size_t fi = 0; fi < cg.files.size(); ++fi) {
-      file_def_base[fi] = di;
-      while (di < cg.defs.size() && cg.defs[di].file == fi) ++di;
-    }
-  }
-  for (std::size_t fi = 0; fi < cg.files.size(); ++fi) {
-    const FileCtx& fc = cg.files[fi];
+  // Roots from inline hotpath markers. Marker resolution errors are P1's
+  // job (check_p1 reports them per file).
+  std::set<std::size_t> hotpath_marked;
+  for (std::size_t fi = 0, base = 0; fi < cg.files.size(); ++fi) {
     std::vector<FuncBody> funcs;
-    for (std::size_t d = file_def_base[fi]; d < cg.defs.size() && cg.defs[d].file == fi; ++d) {
+    for (std::size_t d = base; d < cg.defs.size() && cg.defs[d].file == fi; ++d) {
       funcs.push_back(cg.defs[d].body);
     }
-    for (const Marker& m : parse_markers(fc.lx)) {
+    for (const Marker& m : parse_markers(cg.files[fi].lx)) {
       std::string err;
       const std::size_t local = resolve_marker(m, funcs, &err);
-      if (m.kind == "shard-root") {
-        if (local == kNpos) {
-          add(out, fc.path, m.line, "C1", "srds-lint: shard-root marker " + err);
-        } else {
-          shard_roots.insert(file_def_base[fi] + local);
-        }
-      } else if (m.kind == "hotpath" && local != kNpos) {
-        hotpath_marked.insert(file_def_base[fi] + local);
-      }
+      if (local != kNpos) hotpath_marked.insert(base + local);
     }
+    base += funcs.size();
   }
 
-  // Roots + allows from the manifest.
+  // Traversal stops from the manifest's [allow] section.
   std::set<std::size_t> allowed;
   if (manifest) {
-    for (const std::string& name : manifest->roots) {
-      bool any = false;
-      for (std::size_t d = 0; d < cg.defs.size(); ++d) {
-        if (marker_name_matches(name, cg.defs[d].body)) {
-          shard_roots.insert(d);
-          any = true;
-        }
-      }
-      if (!any) {
-        add(out, manifest_path, 0, "C1",
-            "shard-root manifest entry '" + name +
-                "' matches no function definition in the scanned set; was the target "
-                "deleted or renamed?");
-      }
-    }
     for (const auto& [name, just] : manifest->allows) {
       (void)just;
       bool any = false;
@@ -915,22 +533,12 @@ std::vector<Finding> check_callgraph(const CallGraph& cg, const ShardManifest* m
         }
       }
       if (!any) {
-        add(out, manifest_path, 0, "C1",
-            "shard-root manifest [allow] entry '" + name +
+        add(out, manifest_path, 0, "P2",
+            "hotpath-allow manifest entry '" + name +
                 "' matches no function definition in the scanned set; remove the stale "
                 "entry");
       }
     }
-  }
-
-  // C1: everything reachable from a shard root (roots included).
-  const std::vector<std::size_t> c1_roots(shard_roots.begin(), shard_roots.end());
-  const Reach c1 = reach_from(cg, c1_roots, allowed);
-  std::size_t c1_reachable = 0;
-  for (std::size_t d = 0; d < cg.defs.size(); ++d) {
-    if (!c1.vis[d]) continue;
-    ++c1_reachable;
-    c1_scan_def(cg, c1, d, out);
   }
 
   // P2: the P1 discipline, propagated from every hotpath-marked function to
@@ -1006,56 +614,11 @@ std::vector<Finding> check_callgraph(const CallGraph& cg, const ShardManifest* m
     }
     stats->call_edges = edges;
     stats->external_calls = cg.external_calls;
-    stats->shard_roots = shard_roots.size();
     stats->hotpath_funcs = hotpath_marked.size();
-    stats->shard_reachable = c1_reachable;
     stats->hotpath_reachable = p2_reachable;
-    stats->allowed_skips = c1.allowed_skips + p2.allowed_skips;
+    stats->allowed_skips = p2.allowed_skips;
   }
   return out;
-}
-
-std::string call_graph_dot(const CallGraph& cg, const ShardManifest* manifest) {
-  // Same root/allow resolution as check_callgraph, minus the findings.
-  std::set<std::size_t> roots, allowed;
-  shard_roots_and_allows(cg, manifest, roots, allowed);
-  const Reach r = reach_from(cg, {roots.begin(), roots.end()}, allowed);
-
-  std::string dot = "digraph srds_callgraph {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n";
-  auto node_id = [](std::size_t d) { return "f" + std::to_string(d); };
-  std::set<std::size_t> shown;
-  for (std::size_t d = 0; d < cg.defs.size(); ++d) {
-    if (r.vis[d]) shown.insert(d);
-  }
-  // Allowed nodes adjacent to the reachable set, dashed: the escape hatch
-  // is visible in the artifact.
-  for (std::size_t d : std::set<std::size_t>(shown)) {
-    for (const CallSite& cs : cg.defs[d].calls) {
-      for (std::size_t cal : cg.resolve(cg.defs[d], cs)) {
-        if (allowed.count(cal)) shown.insert(cal);
-      }
-    }
-  }
-  for (std::size_t d : shown) {
-    dot += "  " + node_id(d) + " [label=\"" + cg.defs[d].body.qual + "\"";
-    if (roots.count(d)) dot += ", peripheries=2";
-    if (allowed.count(d)) dot += ", style=dashed";
-    dot += "];\n";
-  }
-  for (std::size_t d : shown) {
-    if (allowed.count(d)) continue;  // traversal stopped here
-    std::set<std::size_t> targets;
-    for (const CallSite& cs : cg.defs[d].calls) {
-      for (std::size_t cal : cg.resolve(cg.defs[d], cs)) {
-        if (shown.count(cal)) targets.insert(cal);
-      }
-    }
-    for (std::size_t cal : targets) {
-      dot += "  " + node_id(d) + " -> " + node_id(cal) + ";\n";
-    }
-  }
-  dot += "}\n";
-  return dot;
 }
 
 }  // namespace srds::lint

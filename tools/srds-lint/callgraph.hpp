@@ -1,19 +1,5 @@
-// Symbol-level call graph + the interprocedural passes built on it.
+// Symbol-level call graph + the interprocedural passes built on it:
 //
-// ROADMAP item 3 shards the simulator across threads; the blocker is
-// proving every function reachable from a party's per-round entry point is
-// free of cross-party shared mutable state and iteration-order
-// nondeterminism. That proof is this file:
-//
-//   C1  concurrency readiness. Roots are functions marked
-//       `// srds-lint: shard-root` (the Party::on_round / step /
-//       boost_step implementations) or declared in the shard_roots.toml
-//       manifest. Everything reachable from a root must not: touch
-//       file-scope mutable state, hold function-local `static` state,
-//       iterate an unordered container (hash order leaks into message
-//       emission order), construct an RNG outside src/common/rng, or call
-//       a singleton accessor. Each finding carries the call path from the
-//       root, so the fix site is obvious.
 //   P2  interprocedural hot-path hygiene. P1 stops at the marked
 //       function's braces; P2 walks the graph from every hotpath-marked
 //       function and applies the same no-throw/no-new/no-std::function
@@ -33,13 +19,12 @@
 // same-file, then *every* definition with that name; a name with no
 // definition in the scanned set is an external call (counted, never
 // traversed). Over-approximation errs toward more findings, which is the
-// right direction for a readiness gate — the manifest's [allow] section is
-// the justified escape hatch.
+// right direction for a gate — the hotpath_allow.toml manifest's [allow]
+// section is the justified escape hatch.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -69,13 +54,6 @@ struct FuncDef {
 struct FileCtx {
   std::string path;
   Lexed lx;
-  /// Mutable file-scope (namespace-scope) variable declarations:
-  /// name -> declaration line. const/constexpr/using/typedef/extern and
-  /// anything involving parentheses are excluded.
-  std::map<std::string, std::size_t> globals;
-  /// Names declared with an unordered_{map,set,multimap,multiset} type
-  /// anywhere in the file (members included).
-  std::set<std::string> unordered_vars;
 };
 
 struct CallGraph {
@@ -94,26 +72,20 @@ struct CallGraph {
 CallGraph build_call_graph(
     const std::vector<std::pair<std::string, std::string>>& files);
 
-/// shard_roots.toml: [roots] functions = [...] declares roots by qualified
-/// name (in addition to inline shard-root markers); [allow] entries
-/// `Name = "justification"` exclude a function from traversal with a
-/// recorded reason.
+/// hotpath_allow.toml: [allow] entries `Name = "justification"` exclude a
+/// function from the P2/T2 traversals with a recorded reason. It is the
+/// only section; anything else is a parse error.
 struct ShardManifest {
-  std::vector<std::string> roots;
   std::vector<std::pair<std::string, std::string>> allows;
 };
 
 bool parse_shard_manifest(const std::string& text, ShardManifest& out,
                           std::string& error);
 
-/// Run C1 + P2 + T2. `manifest` may be null (marker-only roots). Raw
-/// findings — severity/suppression post-processing happens in lint_files.
+/// Run P2 + T2. `manifest` may be null (no allows). Raw findings —
+/// severity/suppression post-processing happens in lint_files.
 std::vector<Finding> check_callgraph(const CallGraph& cg, const ShardManifest* manifest,
                                      const std::string& manifest_path,
                                      CallGraphStats* stats);
-
-/// DOT export of the shard-reachable subgraph (roots double-circled,
-/// allowed nodes dashed) for the CI artifact next to the layering DOT.
-std::string call_graph_dot(const CallGraph& cg, const ShardManifest* manifest);
 
 }  // namespace srds::lint

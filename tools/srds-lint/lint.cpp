@@ -84,6 +84,9 @@ void check_d1(const std::string& path, const Lexed& lx, std::vector<Finding>& ou
                                                      "gettimeofday"};
   static const std::set<std::string> kUnordered = {
       "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset"};
+  static const std::set<std::string> kRngEngines = {
+      "mt19937",  "mt19937_64", "minstd_rand",   "minstd_rand0",  "default_random_engine",
+      "knuth_b",  "ranlux24",   "ranlux48",      "ranlux24_base", "ranlux48_base"};
   for (std::size_t i = 0; i < lx.toks.size(); ++i) {
     const Tok& t = lx.toks[i];
     if (t.kind != Tok::kIdent) continue;
@@ -100,6 +103,12 @@ void check_d1(const std::string& path, const Lexed& lx, std::vector<Finding>& ou
       if (t.text == "random_device") {
         add(out, path, t.line, "D1",
             "std::random_device outside src/common/rng breaks seed-reproducibility");
+        continue;
+      }
+      if (kRngEngines.count(t.text) && !member_access) {
+        add(out, path, t.line, "D1",
+            "std " + t.text + " engine outside src/common/rng: randomness must come "
+                              "from the run seed's chain, not a locally seeded engine");
         continue;
       }
       if (t.text == "system_clock") {
@@ -298,7 +307,6 @@ const std::vector<RuleInfo>& rules() {
       {"L1", "include edge violating the layers.toml module DAG", Severity::kError},
       {"T1", "payload-byte read without prior deserialize/validate", Severity::kError},
       {"P1", "throw/new/std::function inside a hotpath-marked function", Severity::kError},
-      {"C1", "shared state / nondeterminism reachable from a shard-root", Severity::kError},
       {"P2", "hot-path violation reachable from a hotpath function", Severity::kError},
       {"T2", "unvalidated payload bytes flowing through helpers", Severity::kError},
       {"A0", "malformed srds-lint suppression", Severity::kError},
@@ -382,10 +390,10 @@ std::vector<Finding> lint_files(
                std::make_move_iterator(fs.end()));
   }
 
-  // Call-graph passes (C1 shard readiness, P2/T2 interprocedural hotpath
-  // and taint). Roots come from inline shard-root/hotpath markers plus the
-  // shard_roots.toml manifest when given; inline suppressions apply to the
-  // cross-TU findings exactly as to per-file ones.
+  // Call-graph passes (P2/T2 interprocedural hotpath and taint). Roots
+  // come from inline hotpath markers, traversal stops from the
+  // hotpath_allow.toml manifest when given; inline suppressions apply to
+  // the cross-TU findings exactly as to per-file ones.
   {
     std::vector<Finding> raw;
     ShardManifest manifest;
@@ -396,8 +404,8 @@ std::vector<Finding> lint_files(
         Finding f;
         f.file = normalize_path(cfg.shard_manifest_path);
         f.line = 0;
-        f.rule = "C1";
-        f.message = "bad shard-roots manifest: " + error;
+        f.rule = "P2";
+        f.message = "bad hotpath-allow manifest: " + error;
         raw.push_back(std::move(f));
       } else {
         mptr = &manifest;

@@ -30,7 +30,8 @@
 //
 // Rules (see docs/static_analysis.md for the paper-level rationale):
 //   D1  nondeterminism sources in protocol code: rand()/srand(),
-//       std::random_device outside src/common/rng, wall-clock reads
+//       std::random_device and the std <random> engines (mt19937, ...)
+//       outside src/common/rng, wall-clock reads
 //       (time(), clock(), gettimeofday(), chrono::system_clock), and any
 //       unordered_map/unordered_set use inside src/ba, src/consensus,
 //       src/srds, src/tree (iteration order would leak into round order).
@@ -50,13 +51,6 @@
 //   P1  hot-path hygiene: no throw/new/std::function in functions marked
 //       `// srds-lint: hotpath` (taint.hpp). Markers may name their target
 //       (`hotpath(Simulator::deliver)`); stale markers are findings.
-//   C1  concurrency readiness (callgraph.hpp): functions reachable from a
-//       `// srds-lint: shard-root` marker or a shard_roots.toml [roots]
-//       entry must be free of file-scope mutable state, function-local
-//       statics, unordered-container iteration, unseeded RNG engines and
-//       singleton accessors — each finding carries the call path from the
-//       root. This is the machine-checked gate for sharding the simulator
-//       (ROADMAP item 3).
 //   P2  interprocedural hot-path hygiene: the P1 discipline propagated
 //       through the call graph from every hotpath-marked function.
 //   T2  interprocedural taint: payload bytes handed to a helper before
@@ -130,13 +124,12 @@ struct Config {
   std::string layers_manifest;
   std::string layers_manifest_path = "layers.toml";
 
-  /// Contents of the shard_roots.toml manifest ([roots] functions +
-  /// [allow] escape hatch for the call-graph passes). The C1/P2/T2 passes
-  /// run in lint_files regardless (inline markers alone can seed them); a
-  /// parse failure is reported as a C1 finding against
-  /// `shard_manifest_path`.
+  /// Contents of the hotpath_allow.toml manifest ([allow] entries that
+  /// stop the P2/T2 call-graph traversals). The passes run in lint_files
+  /// regardless (hotpath markers alone seed them); a parse failure is
+  /// reported as a P2 finding against `shard_manifest_path`.
   std::string shard_manifest;
-  std::string shard_manifest_path = "shard_roots.toml";
+  std::string shard_manifest_path = "hotpath_allow.toml";
 
   Severity severity_of(const std::string& rule) const;
 };
@@ -147,9 +140,7 @@ struct CallGraphStats {
   std::size_t functions = 0;         // definitions in the scanned set
   std::size_t call_edges = 0;        // resolved caller->callee edges
   std::size_t external_calls = 0;    // sites naming no scanned definition
-  std::size_t shard_roots = 0;       // C1 roots (markers + manifest)
   std::size_t hotpath_funcs = 0;     // P1/P2 roots (hotpath markers)
-  std::size_t shard_reachable = 0;   // definitions reachable from C1 roots
   std::size_t hotpath_reachable = 0; // definitions reachable from P2 roots
   std::size_t allowed_skips = 0;     // traversal stops at [allow] entries
 };
@@ -163,9 +154,10 @@ struct CallGraphStats {
 std::vector<Finding> lint_file(const std::string& path, const std::string& content,
                                const Config& cfg);
 
-/// Lint many (path, content) pairs — per-file rules, the cross-TU C1/P2/T2
-/// call-graph passes (roots from inline markers plus cfg.shard_manifest)
-/// and, when cfg.layers_manifest is set, the L1 layering pass. Findings
+/// Lint many (path, content) pairs — per-file rules, the cross-TU P2/T2
+/// call-graph passes (roots from inline hotpath markers, stops from
+/// cfg.shard_manifest) and, when cfg.layers_manifest is set, the L1
+/// layering pass. Findings
 /// sorted by (file, line, rule). `cg_stats`, when given, receives the
 /// call-graph census for the JSON stats block.
 std::vector<Finding> lint_files(

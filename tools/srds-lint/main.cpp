@@ -9,15 +9,13 @@
 //                          the test sources under DIR
 //     --layers FILE        layers.toml module-DAG manifest; enables the
 //                          cross-TU L1 layering pass
-//     --shard-roots FILE   shard_roots.toml manifest: extra C1 roots plus
-//                          the [allow] escape hatch for the call-graph
-//                          passes (inline markers work without it)
+//     --hotpath-allow FILE hotpath_allow.toml manifest: the [allow]
+//                          escape hatch for the P2/T2 call-graph passes
+//                          (inline hotpath markers work without it)
 //     --compile-db FILE    compile_commands.json; its translation units
 //                          (plus their transitively reachable quoted
 //                          includes) join the scan set
 //     --dot FILE           export the module dependency graph as Graphviz
-//     --callgraph-dot FILE export the shard-reachable call graph as
-//                          Graphviz (roots double-circled, allowed dashed)
 //     --baseline FILE      ratchet gate: fail only on findings not in FILE,
 //                          and on stale FILE entries (fixed but listed)
 //     --write-baseline FILE  record current blocking findings into FILE
@@ -44,7 +42,6 @@
 #include <vector>
 
 #include "baseline.hpp"
-#include "callgraph.hpp"
 #include "graph.hpp"
 #include "lex.hpp"
 #include "lint.hpp"
@@ -148,7 +145,7 @@ std::string repo_relative(const fs::path& p) {
 int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::string json_path, tests_dir, layers_path, compile_db_path, dot_path;
-  std::string shard_roots_path, callgraph_dot_path;
+  std::string hotpath_allow_path;
   std::string baseline_path, write_baseline_path;
   bool quiet = false, show_suppressed = false;
   srds::lint::Config cfg;
@@ -168,14 +165,12 @@ int main(int argc, char** argv) {
       tests_dir = need_value("--tests-dir");
     } else if (a == "--layers") {
       layers_path = need_value("--layers");
-    } else if (a == "--shard-roots") {
-      shard_roots_path = need_value("--shard-roots");
+    } else if (a == "--hotpath-allow") {
+      hotpath_allow_path = need_value("--hotpath-allow");
     } else if (a == "--compile-db") {
       compile_db_path = need_value("--compile-db");
     } else if (a == "--dot") {
       dot_path = need_value("--dot");
-    } else if (a == "--callgraph-dot") {
-      callgraph_dot_path = need_value("--callgraph-dot");
     } else if (a == "--baseline") {
       baseline_path = need_value("--baseline");
     } else if (a == "--write-baseline") {
@@ -204,8 +199,8 @@ int main(int argc, char** argv) {
   }
   if (roots.empty() && compile_db_path.empty()) {
     std::cerr << "usage: srds-lint [--json FILE] [--tests-dir DIR] [--layers FILE]\n"
-                 "                 [--shard-roots FILE] [--compile-db FILE]\n"
-                 "                 [--dot FILE] [--callgraph-dot FILE] [--baseline FILE]\n"
+                 "                 [--hotpath-allow FILE] [--compile-db FILE]\n"
+                 "                 [--dot FILE] [--baseline FILE]\n"
                  "                 [--write-baseline FILE] [--severity R=LEVEL]\n"
                  "                 [--show-suppressed] [--list-rules] [--quiet] <path>...\n";
     return 2;
@@ -239,14 +234,14 @@ int main(int argc, char** argv) {
     if (cfg.layers_manifest_path.empty()) cfg.layers_manifest_path = layers_path;
   }
 
-  if (!shard_roots_path.empty()) {
-    if (!read_file(shard_roots_path, cfg.shard_manifest) || cfg.shard_manifest.empty()) {
-      std::cerr << "srds-lint: cannot read shard-roots manifest '" << shard_roots_path
+  if (!hotpath_allow_path.empty()) {
+    if (!read_file(hotpath_allow_path, cfg.shard_manifest) || cfg.shard_manifest.empty()) {
+      std::cerr << "srds-lint: cannot read hotpath-allow manifest '" << hotpath_allow_path
                 << "'\n";
       return 2;
     }
-    cfg.shard_manifest_path = repo_relative(fs::path(shard_roots_path));
-    if (cfg.shard_manifest_path.empty()) cfg.shard_manifest_path = shard_roots_path;
+    cfg.shard_manifest_path = repo_relative(fs::path(hotpath_allow_path));
+    if (cfg.shard_manifest_path.empty()) cfg.shard_manifest_path = hotpath_allow_path;
   }
 
   std::vector<fs::path> files;
@@ -323,22 +318,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!callgraph_dot_path.empty()) {
-    srds::lint::ShardManifest shard_manifest;
-    const srds::lint::ShardManifest* mptr = nullptr;
-    std::string error;
-    if (!cfg.shard_manifest.empty() &&
-        srds::lint::parse_shard_manifest(cfg.shard_manifest, shard_manifest, error)) {
-      mptr = &shard_manifest;
-    }
-    const std::string dot =
-        srds::lint::call_graph_dot(srds::lint::build_call_graph(inputs), mptr);
-    if (!srds::obs::write_text_file(callgraph_dot_path, dot)) {
-      std::cerr << "srds-lint: cannot write '" << callgraph_dot_path << "'\n";
-      return 2;
-    }
-  }
-
   if (!write_baseline_path.empty()) {
     const srds::lint::Baseline b = srds::lint::make_baseline(findings);
     if (!srds::obs::write_text_file(write_baseline_path,
@@ -388,7 +367,7 @@ int main(int argc, char** argv) {
   }
 
   // The stats block: the call-graph census (deterministic counts; the
-  // C1/P2/T2 passes ran inside lint_files), the baseline diff and the pass
+  // P2/T2 passes ran inside lint_files), the baseline diff and the pass
   // timings, which are wall-clock by nature (steady_clock durations, not
   // time-of-day). Per-rule counts are not repeated here: `findings` and
   // `summary` carry them.
@@ -396,9 +375,7 @@ int main(int argc, char** argv) {
   stats.set("lint_callgraph_functions", cg_stats.functions);
   stats.set("lint_callgraph_call_edges", cg_stats.call_edges);
   stats.set("lint_callgraph_external_calls", cg_stats.external_calls);
-  stats.set("lint_callgraph_shard_roots", cg_stats.shard_roots);
   stats.set("lint_callgraph_hotpath_funcs", cg_stats.hotpath_funcs);
-  stats.set("lint_callgraph_shard_reachable", cg_stats.shard_reachable);
   stats.set("lint_callgraph_hotpath_reachable", cg_stats.hotpath_reachable);
   stats.set("lint_callgraph_allowed_skips", cg_stats.allowed_skips);
   if (have_baseline) {

@@ -163,24 +163,15 @@ std::vector<Marker> parse_markers(const Lexed& lx) {
     if (pos == std::string::npos) continue;
     std::size_t i = pos + 10;
     while (i < c.text.size() && (c.text[i] == ' ' || c.text[i] == '\t')) ++i;
-    std::string kind;
-    for (const char* k : {"shard-root", "hotpath"}) {
-      const std::string kw = k;
-      if (c.text.compare(i, kw.size(), kw) == 0) {
-        // Word boundary: "hotpathology" is not a marker.
-        const std::size_t after = i + kw.size();
-        if (after < c.text.size() && (std::isalnum(static_cast<unsigned char>(c.text[after])) ||
-                                      c.text[after] == '_' || c.text[after] == '-')) {
-          continue;
-        }
-        kind = kw;
-        i = after;
-        break;
-      }
+    const std::string kw = "hotpath";
+    if (c.text.compare(i, kw.size(), kw) != 0) continue;
+    // Word boundary: "hotpathology" is not a marker.
+    i += kw.size();
+    if (i < c.text.size() && (std::isalnum(static_cast<unsigned char>(c.text[i])) ||
+                              c.text[i] == '_' || c.text[i] == '-')) {
+      continue;
     }
-    if (kind.empty()) continue;
     Marker m;
-    m.kind = kind;
     m.line = c.line;
     while (i < c.text.size() && (c.text[i] == ' ' || c.text[i] == '\t')) ++i;
     if (i < c.text.size() && c.text[i] == '(') {
@@ -339,15 +330,12 @@ std::vector<HotpathViolation> hotpath_violations(const Lexed& lx, const FuncBody
 
 void check_p1(const std::string& path, const Lexed& lx, std::vector<Finding>& out) {
   const std::vector<Marker> markers = parse_markers(lx);
-  bool any_hotpath = false;
-  for (const Marker& m : markers) any_hotpath |= (m.kind == "hotpath");
-  if (!any_hotpath) return;
+  if (markers.empty()) return;
 
   const std::vector<FuncBody> funcs = function_bodies(lx);
   std::set<std::size_t> marked;  // indices into funcs
 
   for (const Marker& m : markers) {
-    if (m.kind != "hotpath") continue;  // shard-root is the call-graph pass's job
     std::string err;
     std::size_t target = resolve_marker(m, funcs, &err);
     if (target == kNpos) {

@@ -1,6 +1,6 @@
 // T1 (adversarial-input taint) and P1 (hot-path hygiene) passes, plus the
 // shared token-level function-body map and marker machinery the call-graph
-// passes (C1/P2/T2, callgraph.hpp) build on.
+// passes (P2/T2, callgraph.hpp) build on.
 //
 // T1 — every byte a party acts on is adversary-controlled until it has
 // passed a bounds-checked deserialization (the Reader contract in
@@ -55,9 +55,8 @@ struct FuncBody {
 /// All top-level function bodies of a lexed file, in order.
 std::vector<FuncBody> function_bodies(const Lexed& lx);
 
-/// A `// srds-lint: <kind>` or `// srds-lint: <kind>(Name)` comment.
+/// A `// srds-lint: hotpath` or `// srds-lint: hotpath(Name)` comment.
 struct Marker {
-  std::string kind;  // "hotpath" or "shard-root"
   std::string name;  // qualified name from the (...) form; "" when unnamed
   std::size_t line;
 };
@@ -65,7 +64,7 @@ struct Marker {
 /// Unnamed markers must attach to a body opening within this many lines.
 constexpr std::size_t kMarkerAttachWindow = 20;
 
-/// All hotpath/shard-root markers in a lexed file, in line order.
+/// All hotpath markers in a lexed file, in line order.
 std::vector<Marker> parse_markers(const Lexed& lx);
 
 /// True when a marker's (possibly qualified) name designates `fb`.
