@@ -111,19 +111,20 @@ void BM_SimRoundAccounting(benchmark::State& state) {
 BENCHMARK(BM_SimRoundAccounting);
 
 /// Leaf of the framing round trip: counts the bodies it is handed and, if it
-/// has peers, sends one block-B-sized body to each of them every step.
+/// has peers, sends them one block-B-sized body every step.
 class RelayLeaf final : public SubProtocol {
  public:
   RelayLeaf(std::vector<PartyId> peers, std::size_t body_size)
       : peers_(std::move(peers)), body_(body_size, 0x5a) {}
   std::size_t rounds() const override { return 1; }
-  std::vector<std::pair<PartyId, Bytes>> step(std::size_t,
-                                              const std::vector<TaggedMsg>& inbox) override {
+  Outbox step(std::size_t, const std::vector<TaggedMsg>& inbox) override {
     received_ += inbox.size();
-    std::vector<std::pair<PartyId, Bytes>> out;
+    Outbox out;
     if (peers_.empty()) return out;
-    out.reserve(peers_.size());
-    multicast(peers_, frame_copy(body_), out);
+    Bytes body;
+    body.reserve(body_.size() + kFrameHeadroom);
+    body.assign(body_.begin(), body_.end());
+    out.send_all(peers_, std::move(body));
     return out;
   }
   std::size_t received() const { return received_; }
@@ -151,10 +152,11 @@ std::unique_ptr<ParallelProto> relay_block(std::size_t c, bool sender) {
 // One nested message round trip at c = 7, the shape of a coin-toss block-B
 // relay: member 0's 179-byte reveal goes out to six peers through
 // ParallelProto's child index, the coin toss's kind byte and the channel
-// tag, and the six frames come back in through untag_body, the kind byte and
-// a receiver's ParallelProto demux. Each frame is one buffer written once,
-// and the receiving side borrows it: allocs_per_op (15 with libstdc++) is
-// the six frame buffers plus nine per-step vectors, none per frame.
+// tag, and the six messages come back in through untag_body, the kind byte
+// and a receiver's ParallelProto demux. The body is written once, each layer
+// writes its header into it once, the six messages share it and the
+// receiving side borrows it: allocs_per_op (12 with libstdc++) is the body,
+// its shared block and per-step vectors, none per recipient.
 void BM_FrameNestedRoundTrip(benchmark::State& state) {
   constexpr std::size_t kC = 7;
   constexpr std::uint8_t kKind = 2;
@@ -163,22 +165,21 @@ void BM_FrameNestedRoundTrip(benchmark::State& state) {
   const std::vector<TaggedMsg> no_inbox;
   const std::uint64_t a0 = bench::alloc_ops();
   for (auto _ : state) {
-    std::vector<std::pair<PartyId, Bytes>> wrapped;
-    prepend_into(std::array{kKind}, sender->step(0, no_inbox), wrapped);
-    std::vector<Bytes> frames;
-    frames.reserve(wrapped.size());
-    for (auto& [to, body] : wrapped) frames.push_back(tag_body(2, 0, std::move(body)));
+    Outbox sends = sender->step(0, no_inbox);
+    sends.frame(std::array{kKind});
+    std::vector<Message> msgs;
+    send_tagged(msgs, 0, std::move(sends), 2, 0, MsgKind::kCoinToss);
 
     std::vector<TaggedMsg> inbox;
-    inbox.reserve(frames.size());
-    for (const Bytes& f : frames) {
+    inbox.reserve(msgs.size());
+    for (const Message& m : msgs) {
       std::uint32_t phase;
       std::uint64_t instance;
       BytesView body;
-      if (!untag_body(f, phase, instance, body)) continue;
+      if (!untag_body(m.payload, phase, instance, body)) continue;
       Reader r(body);
       if (r.u8() != kKind) continue;
-      inbox.emplace_back(0, r.view(r.remaining()), instance);
+      inbox.emplace_back(m.from, r.view(r.remaining()), instance);
     }
     benchmark::DoNotOptimize(receiver->step(0, inbox));
   }

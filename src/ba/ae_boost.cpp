@@ -81,7 +81,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
   }
 
   std::vector<Message> out;
-  auto emit = [&](std::uint32_t phase, std::vector<std::pair<PartyId, Bytes>> msgs) {
+  auto emit = [&](std::uint32_t phase, Outbox sends) {
     MsgKind kind = MsgKind::kUnknown;
     switch (phase) {
       case 1: kind = MsgKind::kCommitteeBa; break;
@@ -89,19 +89,16 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
       case 3: kind = MsgKind::kDissem; break;
       default: break;
     }
-    for (auto& [to, body] : msgs) {
-      out.push_back(make_msg(me_, to, tag_body(phase, 0, std::move(body)), kind));
-    }
+    send_tagged(out, me_, std::move(sends), phase, 0, kind);
   };
 
   // P0 (broadcast mode only): the sender injects its bit into the supreme
   // committee; committee members form their BA input from it next round.
   if (cfg_.broadcaster.has_value()) {
     if (round == 0 && me_ == *cfg_.broadcaster) {
-      Bytes bit{static_cast<std::uint8_t>(input_ ? 1 : 0)};
-      for (PartyId p : cfg_.tree->supreme_committee()) {
-        if (p != me_) out.push_back(make_msg(me_, p, tag_body(4, 0, bit), MsgKind::kInject));
-      }
+      const Bytes bit{static_cast<std::uint8_t>(input_ ? 1 : 0)};
+      make_msgs(out, me_, cfg_.tree->supreme_committee(), tag_body(4, 0, bit),
+                MsgKind::kInject, me_);
       if (in_committee_) injected_bit_ = input_;
     }
     if (round == 1 && in_committee_) {
@@ -139,7 +136,10 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
   }
   if (dissem_ && round >= dissem_start_ && round < dissem_start_ + dissem_->rounds()) {
     emit(3, dissem_->step(round - dissem_start_, dissem_in));
-    if (round + 1 == dissem_start_ + dissem_->rounds()) finish_ae_phase();
+    if (round + 1 == dissem_start_ + dissem_->rounds()) {
+      finish_ae_phase();
+      dissem_.reset();  // its tallies are dead weight through the boost
+    }
   }
 
   // Boost phase. The subclass's round budget must include a final

@@ -103,7 +103,7 @@ class AeBoostParty : public Party {
   /// boost-phase bodies addressed to me this round, each with its channel
   /// tag's instance in TaggedMsg::instance; the bodies are valid only during
   /// this call. Returned messages must already be fully framed (use
-  /// make_boost_message).
+  /// send_boost).
   virtual std::vector<Message> boost_step(std::size_t k,
                                           const std::vector<TaggedMsg>& inbox) = 0;
 
@@ -123,16 +123,14 @@ class AeBoostParty : public Party {
     if (ae_y_.has_value()) output_ = *ae_y_;
   }
 
-  /// `kind` labels the send for the observability layer's per-kind
-  /// breakdowns; it never affects delivery or protocol behavior.
-  Message make_boost_message(PartyId to, std::uint64_t instance, BytesView body,
-                             MsgKind kind = MsgKind::kUnknown) const {
-    return make_msg(me_, to, tag_body(kBoostPhase, instance, body), kind);
-  }
-  /// Same, for a body this party owns: the tag is written in front of it.
-  Message make_boost_message(PartyId to, std::uint64_t instance, Bytes&& body,
-                             MsgKind kind = MsgKind::kUnknown) const {
-    return make_msg(me_, to, tag_body(kBoostPhase, instance, std::move(body)), kind);
+  /// Append one boost message per party in `to` but `except`, in order,
+  /// all sharing `body` framed with the boost tag (make_msgs). `kind` labels
+  /// the send for the observability layer's per-kind breakdowns; it never
+  /// affects delivery or protocol behavior.
+  template <typename Range>
+  void send_boost(std::vector<Message>& out, const Range& to, std::uint64_t instance,
+                  Bytes body, MsgKind kind, PartyId except = kNoParty) const {
+    make_msgs(out, me_, to, tag_body(kBoostPhase, instance, std::move(body)), kind, except);
   }
 
   void set_output(bool y) { output_ = y; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "common/mathutil.hpp"
 #include "common/serial.hpp"
@@ -22,10 +23,8 @@ std::vector<Message> NaiveBoostParty::boost_step(std::size_t k,
     w.u8(y);
     Bytes target{std::uint8_t('n'), std::uint8_t('v'), y};
     w.raw(config().registry->sign(me(), target).view());
-    Bytes body = std::move(w).take();
-    for (PartyId p = 0; p < n; ++p) {
-      if (p != me()) out.push_back(make_boost_message(p, 0, body, MsgKind::kBoostFlood));
-    }
+    send_boost(out, std::views::iota(PartyId{0}, n), 0, std::move(w).take(),
+               MsgKind::kBoostFlood, me());
     votes_[y] += 1;  // my own vote
     return out;
   }
@@ -82,9 +81,7 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
                                     tree.node(leaf).committee.end());
     std::sort(recipients.begin(), recipients.end());
     recipients.erase(std::unique(recipients.begin(), recipients.end()), recipients.end());
-    for (PartyId p : recipients) {
-      out.push_back(make_boost_message(p, leaf, body, MsgKind::kBoostSign));
-    }
+    send_boost(out, recipients, leaf, std::move(body), MsgKind::kBoostSign);
     return out;
   }
 
@@ -128,9 +125,7 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
         std::sort(recipients.begin(), recipients.end());
         recipients.erase(std::unique(recipients.begin(), recipients.end()),
                          recipients.end());
-        for (PartyId p : recipients) {
-          out.push_back(make_boost_message(p, node.parent, body, MsgKind::kBoostAggregate));
-        }
+        send_boost(out, recipients, node.parent, std::move(body), MsgKind::kBoostAggregate);
       }
     }
     return out;
@@ -157,14 +152,14 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
     for (const auto& msg : inbox) {
       if (msg.instance == kDissemInstance) dissem_in.push_back(msg);
     }
-    for (auto& [to, body] : cert_dissem_->step(sub, dissem_in)) {
-      out.push_back(
-          make_boost_message(to, kDissemInstance, std::move(body), MsgKind::kBoostCert));
-    }
-    if (sub == h && cert_dissem_->value().has_value() &&
-        !cert_dissem_->certificate().empty()) {
-      certified_blob_ = cert_dissem_->value();
-      certificate_ = cert_dissem_->certificate();
+    send_tagged(out, me(), cert_dissem_->step(sub, dissem_in), kBoostPhase, kDissemInstance,
+                MsgKind::kBoostCert);
+    if (sub == h) {
+      if (cert_dissem_->value().has_value() && !cert_dissem_->certificate().empty()) {
+        certified_blob_ = cert_dissem_->value();
+        certificate_ = cert_dissem_->certificate();
+      }
+      cert_dissem_.reset();  // its tallies are dead weight from here on
     }
     return out;
   }
@@ -179,14 +174,9 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
     Writer w;
     w.bytes(*certified_blob_);
     w.bytes(certificate_);
-    Bytes body = std::move(w).take();
     std::size_t fanout = std::min(tree.params().committee_size, n);
-    for (std::size_t to : prf_subset(s, me(), n, fanout)) {
-      if (to != me()) {
-        out.push_back(make_boost_message(static_cast<PartyId>(to), kPrfInstance, body,
-                                         MsgKind::kBoostPrf));
-      }
-    }
+    send_boost(out, prf_subset(s, me(), n, fanout), kPrfInstance, std::move(w).take(),
+               MsgKind::kBoostPrf, me());
     return out;
   }
 
@@ -232,24 +222,25 @@ std::vector<Message> SamplingBoostParty::boost_step(std::size_t k,
   std::vector<Message> out;
   if (k == 0) {
     // Query a random sample.
-    const Bytes query{std::uint8_t('q')};
-    for (std::size_t to : rng_.subset(n, samples_)) {
-      if (to != me()) out.push_back(make_boost_message(to, 0, query, MsgKind::kBoostQuery));
-    }
+    send_boost(out, rng_.subset(n, samples_), 0, Bytes{std::uint8_t('q')},
+               MsgKind::kBoostQuery, me());
     return out;
   }
   if (k == 1) {
     // Respond to queries with my almost-everywhere value.
     if (!ae_y().has_value()) return out;
-    Bytes body{std::uint8_t('r'), static_cast<std::uint8_t>(*ae_y() ? 1 : 0)};
     std::vector<bool> replied(n, false);
+    std::vector<PartyId> pollers;
     for (const auto& msg : inbox) {
       Reader r(msg.body);
       if (r.u8() != 'q' || !r.done()) continue;
       if (msg.from >= n || replied[msg.from]) continue;
       replied[msg.from] = true;
-      out.push_back(make_boost_message(msg.from, 0, body, MsgKind::kBoostResponse));
+      pollers.push_back(msg.from);
     }
+    send_boost(out, pollers, 0,
+               Bytes{std::uint8_t('r'), static_cast<std::uint8_t>(*ae_y() ? 1 : 0)},
+               MsgKind::kBoostResponse);
     return out;
   }
   // Ingest responses; majority of polled answers.
@@ -281,10 +272,8 @@ std::vector<Message> StarBoostParty::boost_step(std::size_t k,
     Writer w;
     w.bytes(*ae_blob());
     w.raw(config().registry->sign(me(), *ae_blob()).view());
-    Bytes body = std::move(w).take();
-    for (PartyId p = 0; p < n; ++p) {
-      if (p != me()) out.push_back(make_boost_message(p, 0, body, MsgKind::kBoostFlood));
-    }
+    send_boost(out, std::views::iota(PartyId{0}, n), 0, std::move(w).take(),
+               MsgKind::kBoostFlood, me());
     if (ae_y().has_value()) set_output(*ae_y());
     return out;
   }

@@ -75,8 +75,7 @@ CertifiedDissemProto::CertifiedDissemProto(std::shared_ptr<const CommTree> tree,
   }
 }
 
-std::vector<std::pair<PartyId, Bytes>> CertifiedDissemProto::step(
-    std::size_t subround, const std::vector<TaggedMsg>& inbox) {
+Outbox CertifiedDissemProto::step(std::size_t subround, const std::vector<TaggedMsg>& inbox) {
   const std::size_t h = tree_->height();
 
   // Ingest copies.
@@ -91,7 +90,7 @@ std::vector<std::pair<PartyId, Bytes>> CertifiedDissemProto::step(
       if (!my_seat_.count(node_id)) continue;
       if (node.parent == TreeNode::kNoParent) continue;
       if (!seat_of(tree_->node(node.parent), msg.from).has_value()) continue;
-      if (counted_.insert({node_id, msg.from}).second) {
+      if (counted_.insert(node_id, msg.from)) {
         tallies_[node_id][value] += 1;
       }
       if (!sigma.empty() && !node_sigma_.count(node_id) && validator_(value, sigma)) {
@@ -108,7 +107,7 @@ std::vector<std::pair<PartyId, Bytes>> CertifiedDissemProto::step(
         }
       }
       if (!assigned) continue;
-      if (counted_.insert({node_id | (1ULL << 63), msg.from}).second) {
+      if (counted_.insert(node_id | (1ULL << 63), msg.from)) {
         party_tally_[value] += 1;
       }
       if (!sigma.empty() && certificate_.empty() && validator_(value, sigma)) {
@@ -118,25 +117,33 @@ std::vector<std::pair<PartyId, Bytes>> CertifiedDissemProto::step(
     }
   }
 
-  std::vector<std::pair<PartyId, Bytes>> out;
+  Outbox out;
 
   // Forwarding helper: per node `id` at level `lvl`, send (value, σ) down.
+  // Consecutive recipients that get the same body (with σ or without) share
+  // one.
   auto forward = [&](std::size_t id, std::size_t lvl, const Bytes& value,
                      const Bytes& sigma) {
+    auto send_runs = [&](std::uint8_t stage, std::uint64_t node_id,
+                         std::span<const PartyId> to, const std::vector<bool>& with_sigma) {
+      for (std::size_t i = 0; i < to.size();) {
+        std::size_t j = i + 1;
+        while (j < to.size() && with_sigma[j] == with_sigma[i]) ++j;
+        out.send_all(to.subspan(i, j - i),
+                     make_body(stage, node_id, value, with_sigma[i] ? sigma : Bytes{}));
+        i = j;
+      }
+    };
     const TreeNode& node = tree_->node(id);
     std::size_t seat = my_seat_[id];
     if (lvl > 1) {
       for (std::size_t child : node.children) {
         const auto& cc = tree_->node(child).committee;
-        std::set<std::size_t> sigma_seats;
-        for (std::size_t j = 0; j < redundancy_ && j < cc.size(); ++j) {
-          sigma_seats.insert((seat + j) % cc.size());
+        std::vector<bool> with_sigma(cc.size(), false);
+        for (std::size_t j = 0; j < redundancy_ && j < cc.size() && !sigma.empty(); ++j) {
+          with_sigma[(seat + j) % cc.size()] = true;
         }
-        for (std::size_t r = 0; r < cc.size(); ++r) {
-          bool with_sigma = !sigma.empty() && sigma_seats.count(r) > 0;
-          out.emplace_back(cc[r], make_body(kStageCommittee, child, value,
-                                            with_sigma ? sigma : Bytes{}));
-        }
+        send_runs(kStageCommittee, child, cc, with_sigma);
       }
     } else {
       // Leaf: deliver to slot owners; σ to a rotating subset of slots.
@@ -154,10 +161,15 @@ std::vector<std::pair<PartyId, Bytes>> CertifiedDissemProto::step(
         bool with_sigma = !sigma.empty() && sigma_slots.count(slot) > 0;
         recip[owners[slot]] = recip[owners[slot]] || with_sigma;
       }
-      for (const auto& [p, with_sigma] : recip) {
-        out.emplace_back(p, make_body(kStageParty, id, value,
-                                      with_sigma ? sigma : Bytes{}));
+      std::vector<PartyId> to;
+      std::vector<bool> with_sigma;
+      to.reserve(recip.size());
+      with_sigma.reserve(recip.size());
+      for (const auto& [p, s] : recip) {
+        to.push_back(p);
+        with_sigma.push_back(s);
       }
+      send_runs(kStageParty, id, to, with_sigma);
     }
   };
 

@@ -35,6 +35,7 @@
 
 #include "net/subproto.hpp"
 #include "tree/comm_tree.hpp"
+#include "tree/dissemination.hpp"
 
 namespace srds {
 
@@ -51,8 +52,7 @@ class CertifiedDissemProto final : public SubProtocol {
 
   std::size_t rounds() const override { return tree_->height() + 1 + retries_; }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
 
   /// Final (value, certificate). The certificate is empty if none valid
   /// arrived; the value is empty if nothing arrived at all.
@@ -73,7 +73,7 @@ class CertifiedDissemProto final : public SubProtocol {
 
   std::map<std::uint64_t, std::map<Bytes, std::size_t>> tallies_;  // per node
   std::map<std::uint64_t, Bytes> node_sigma_;  // first valid σ seen per node
-  std::set<std::pair<std::uint64_t, PartyId>> counted_;
+  CountedCopies counted_;
   std::map<Bytes, std::size_t> party_tally_;
   std::vector<std::vector<std::size_t>> my_nodes_by_level_;
   std::map<std::uint64_t, std::size_t> my_seat_;  // node id -> my committee seat

@@ -61,19 +61,16 @@ std::vector<Message> PiBaParty::boost_step(std::size_t k,
     for (const auto& msg : inbox) {
       if (msg.instance == kDissemInstance) dissem_in.push_back(msg);
     }
-    auto msgs = cert_dissem_->step(sub, dissem_in);
     std::vector<Message> out;
-    out.reserve(msgs.size());
-    for (auto& [to, body] : msgs) {
-      out.push_back(
-          make_boost_message(to, kDissemInstance, std::move(body), MsgKind::kBoostCert));
-    }
+    send_tagged(out, me(), cert_dissem_->step(sub, dissem_in), kBoostPhase, kDissemInstance,
+                MsgKind::kBoostCert);
     if (sub + 1 == dissem_rounds) {
       // Dissemination finished; fix my certified pair if valid.
       if (cert_dissem_->value().has_value() && !cert_dissem_->certificate().empty()) {
         certified_blob_ = cert_dissem_->value();
         certificate_ = cert_dissem_->certificate();
       }
+      cert_dissem_.reset();  // its tallies are dead weight from here on
     }
     return out;
   }
@@ -99,9 +96,7 @@ std::vector<Message> PiBaParty::step_sign_and_send() {
     std::vector<PartyId> recipients(node.committee.begin(), node.committee.end());
     std::sort(recipients.begin(), recipients.end());
     recipients.erase(std::unique(recipients.begin(), recipients.end()), recipients.end());
-    for (PartyId p : recipients) {
-      out.push_back(make_boost_message(p, leaf, sig, MsgKind::kBoostSign));
-    }
+    send_boost(out, recipients, leaf, std::move(sig), MsgKind::kBoostSign);
   }
   return out;
 }
@@ -170,9 +165,7 @@ std::vector<Message> PiBaParty::step_aggregate(std::size_t level,
       std::sort(recipients.begin(), recipients.end());
       recipients.erase(std::unique(recipients.begin(), recipients.end()),
                        recipients.end());
-      for (PartyId p : recipients) {
-        out.push_back(make_boost_message(p, node.parent, sigma, MsgKind::kBoostAggregate));
-      }
+      send_boost(out, recipients, node.parent, std::move(sigma), MsgKind::kBoostAggregate);
     }
   }
   return out;
@@ -191,11 +184,8 @@ std::vector<Message> PiBaParty::step_prf_send() {
   w.bytes(certificate_);
   Bytes body = std::move(w).take();
   const std::size_t n = cfg2_.ae.tree->params().n;
-  for (std::size_t to : prf_subset(s, me(), n, std::min(prf_fanout_, n))) {
-    if (to == me()) continue;
-    out.push_back(
-        make_boost_message(static_cast<PartyId>(to), kPrfInstance, body, MsgKind::kBoostPrf));
-  }
+  send_boost(out, prf_subset(s, me(), n, std::min(prf_fanout_, n)), kPrfInstance,
+             std::move(body), MsgKind::kBoostPrf, me());
   return out;
 }
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/payload.hpp"
 
 namespace srds {
 
@@ -60,26 +61,50 @@ inline const char* msg_kind_name(MsgKind k) {
 }
 
 /// A point-to-point message. Delivery is synchronous: a message sent in
-/// round r is delivered at the beginning of round r+1.
+/// round r is delivered at the beginning of round r+1. The messages of one
+/// multicast share their payload (make_msgs).
 struct Message {
   PartyId from = 0;
   PartyId to = 0;
-  Bytes payload;
+  Payload payload;
   MsgKind kind = MsgKind::kUnknown;
 };
+
+/// No party: the default `except` of make_msgs and Outbox::send_all.
+inline constexpr PartyId kNoParty = static_cast<PartyId>(-1);
 
 /// The sanctioned way for protocol code to build an outbox message.
 /// srds-lint rule B1 forbids raw `Message{...}` construction outside
 /// src/net: this factory makes the MsgKind tag an explicit, reviewed
 /// decision at every send site, so the per-kind byte breakdowns behind the
 /// Table 1 comparison never silently lose traffic to the untagged bucket.
-inline Message make_msg(PartyId from, PartyId to, Bytes payload, MsgKind kind) {
+inline Message make_msg(PartyId from, PartyId to, Payload payload, MsgKind kind) {
   Message m;
   m.from = from;
   m.to = to;
   m.payload = std::move(payload);
   m.kind = kind;
   return m;
+}
+
+/// One multicast: append a message from `from` to every party in `to` but
+/// `except`, in order, all carrying `payload`. Several recipients share one
+/// payload; a single recipient owns it, with no extra allocation.
+template <typename Range>
+void make_msgs(std::vector<Message>& out, PartyId from, const Range& to, Bytes payload,
+               MsgKind kind, PartyId except = kNoParty) {
+  std::size_t left = 0;
+  for (PartyId p : to) left += p != except ? 1 : 0;
+  if (left == 0) return;
+  Payload body = left > 1 ? Payload::shared(std::move(payload)) : Payload(std::move(payload));
+  for (PartyId p : to) {
+    if (p == except) continue;
+    if (--left == 0) {
+      out.push_back(make_msg(from, p, std::move(body), kind));
+      break;
+    }
+    out.push_back(make_msg(from, p, body, kind));
+  }
 }
 
 }  // namespace srds

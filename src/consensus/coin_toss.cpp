@@ -75,8 +75,7 @@ CoinTossProto::CoinTossProto(SimSigRegistryPtr registry, std::vector<PartyId> me
                            commitments.data());
 }
 
-std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
-    std::size_t subround, const std::vector<TaggedMsg>& inbox) {
+Outbox CoinTossProto::step(std::size_t subround, const std::vector<TaggedMsg>& inbox) {
   const std::size_t block_rounds = t_ + 2;
 
   // Demux inbox by kind.
@@ -103,11 +102,10 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
     }
   }
 
-  std::vector<std::pair<PartyId, Bytes>> out;
-
   if (subround < block_rounds) {
     // Block A: commitment broadcasts (+ private shares in round 0).
-    prepend_into(std::array{kKindBlockA}, block_a_->step(subround, a_msgs), out);
+    Outbox out = block_a_->step(subround, a_msgs);
+    out.frame(std::array{kKindBlockA});
     if (subround == 0) {
       for (std::size_t j = 0; j < members_.size(); ++j) {
         if (members_[j] == me_) {
@@ -119,7 +117,7 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
         w.u8(kKindShare);
         w.u64(my_shares_[j].y);
         w.raw(my_rhos_[j]);
-        out.emplace_back(members_[j], std::move(w).take());
+        out.send(members_[j], std::move(w).take());
       }
     }
     return out;
@@ -137,7 +135,8 @@ std::vector<std::pair<PartyId, Bytes>> CoinTossProto::step(
     block_b_ = make_ds_block(registry_, members_, t_, domain_, kKindBlockB, me_,
                              reveal.data());
   }
-  prepend_into(std::array{kKindBlockB}, block_b_->step(subround - block_rounds, b_msgs), out);
+  Outbox out = block_b_->step(subround - block_rounds, b_msgs);
+  out.frame(std::array{kKindBlockB});
 
   if (subround + 1 == rounds()) decide();
   return out;

@@ -54,8 +54,7 @@ class CoinTossProto final : public SubProtocol {
   /// calibrated against seeded runs (tests/budget_test.cpp).
   static obs::Budget phase_budget() { return {.c = 12'000, .k = 4}; }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
 
   /// The 32-byte coin (engaged after the last step).
   const std::optional<Bytes>& output() const { return output_; }

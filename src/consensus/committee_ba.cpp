@@ -34,8 +34,7 @@ CommitteeBaProto::CommitteeBaProto(SimSigRegistryPtr registry, std::vector<Party
     : members_(members),
       inner_(make_instances(registry, members_, t, domain, me, input)) {}
 
-std::vector<std::pair<PartyId, Bytes>> CommitteeBaProto::step(
-    std::size_t subround, const std::vector<TaggedMsg>& inbox) {
+Outbox CommitteeBaProto::step(std::size_t subround, const std::vector<TaggedMsg>& inbox) {
   auto out = inner_.step(subround, inbox);
   if (subround + 1 == rounds()) {
     std::map<Bytes, std::size_t> tally;

@@ -33,8 +33,7 @@ class CommitteeBaProto final : public SubProtocol {
 
   std::size_t rounds() const override { return inner_.rounds(); }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
 
   /// Agreed value (engaged after the last step; nullopt only if every
   /// broadcast failed, which cannot happen with at least one honest member).

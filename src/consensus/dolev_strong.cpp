@@ -10,8 +10,8 @@ namespace srds {
 
 namespace {
 
-/// Encoded once per relay, with kFrameHeadroom spare so the copy that goes
-/// to the last recipient takes the outer headers in place too.
+/// Encoded once per relay, with kFrameHeadroom spare so the outer layers'
+/// headers go in place.
 Bytes encode(BytesView value, const std::vector<std::pair<PartyId, SimSig>>& chain) {
   Writer w;
   w.reserve(4 + value.size() + 4 + chain.size() * (8 + 32) + kFrameHeadroom);
@@ -65,23 +65,14 @@ Digest DolevStrongProto::sign_target(BytesView value) const {
 }
 
 void DolevStrongProto::relay(BytesView value, std::vector<std::pair<PartyId, SimSig>> chain,
-                             std::vector<std::pair<PartyId, Bytes>>& out) {
+                             Outbox& out) {
   chain.emplace_back(me_, registry_->sign(me_, sign_target(value).view()));
-  Bytes body = encode(value, chain);
-  // One copy per recipient, each with headroom; the last takes the original.
-  out.reserve(out.size() + members_.size());
-  PartyId last = me_;
-  for (PartyId p : members_) {
-    if (p == me_) continue;
-    if (last != me_) out.emplace_back(last, frame_copy(body));
-    last = p;
-  }
-  if (last != me_) out.emplace_back(last, std::move(body));
+  // One body for every other member.
+  out.send_all(members_, encode(value, chain), me_);
 }
 
-std::vector<std::pair<PartyId, Bytes>> DolevStrongProto::step(
-    std::size_t subround, const std::vector<TaggedMsg>& inbox) {
-  std::vector<std::pair<PartyId, Bytes>> out;
+Outbox DolevStrongProto::step(std::size_t subround, const std::vector<TaggedMsg>& inbox) {
+  Outbox out;
 
   if (subround == 0) {
     if (input_.has_value() && members_[sender_idx_] == me_) {

@@ -38,17 +38,15 @@ class DolevStrongProto final : public SubProtocol {
 
   std::size_t rounds() const override { return t_ + 2; }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
 
   /// The broadcast value, or nullopt (⊥) for "sender faulty".
   const std::optional<Bytes>& output() const { return output_; }
 
  private:
   Digest sign_target(BytesView value) const;
-  /// Sign `value` onto `chain` and append one frame per other member to `out`.
-  void relay(BytesView value, std::vector<std::pair<PartyId, SimSig>> chain,
-             std::vector<std::pair<PartyId, Bytes>>& out);
+  /// Sign `value` onto `chain` and send it, one body, to every other member.
+  void relay(BytesView value, std::vector<std::pair<PartyId, SimSig>> chain, Outbox& out);
 
   SimSigRegistryPtr registry_;
   std::vector<PartyId> members_;

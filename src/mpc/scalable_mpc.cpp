@@ -78,9 +78,8 @@ class MpcParty final : public Party {
       std::sort(recipients.begin(), recipients.end());
       recipients.erase(std::unique(recipients.begin(), recipients.end()),
                        recipients.end());
-      for (PartyId p : recipients) {
-        out.push_back(make_msg(me_, p, tag_body(kPhaseInput, leaf, ct.serialize()), MsgKind::kMpc));
-      }
+      make_msgs(out, me_, recipients, tag_body(kPhaseInput, leaf, ct.serialize()),
+                MsgKind::kMpc);
       return out;
     }
 
@@ -95,12 +94,8 @@ class MpcParty final : public Party {
       // Supreme-committee members announce cooperation (a partial
       // decryption message) to each other.
       if (in_committee_ && root_ct_.has_value()) {
-        Writer w;
-        w.raw(root_ct_->serialize());
-        Bytes body = std::move(w).take();
-        for (PartyId p : tree.supreme_committee()) {
-          if (p != me_) out.push_back(make_msg(me_, p, tag_body(kPhaseDecrypt, 0, body), MsgKind::kMpc));
-        }
+        make_msgs(out, me_, tree.supreme_committee(),
+                  tag_body(kPhaseDecrypt, 0, root_ct_->serialize()), MsgKind::kMpc, me_);
       }
       return out;
     }
@@ -135,10 +130,7 @@ class MpcParty final : public Party {
         }
         dissem_ = std::make_unique<DisseminationProto>(shared_->tree, me_, std::move(init));
       }
-      for (auto& [to, body] : dissem_->step(sub, del_in)) {
-        out.push_back(
-            make_msg(me_, to, tag_body(kPhaseDeliver, 0, std::move(body)), MsgKind::kMpc));
-      }
+      send_tagged(out, me_, dissem_->step(sub, del_in), kPhaseDeliver, 0, MsgKind::kMpc);
       if (sub == h && dissem_->output().has_value()) {
         Reader r(*dissem_->output());
         std::uint64_t v = r.u64();
@@ -239,15 +231,13 @@ class MpcParty final : public Party {
         Writer bw;
         bw.u64(node.id);  // which child this candidate sums
         bw.raw(sum->serialize());
-        Bytes body = std::move(bw).take();
         const auto& pc = tree.node(node.parent).committee;
         std::vector<PartyId> recipients(pc.begin(), pc.end());
         std::sort(recipients.begin(), recipients.end());
         recipients.erase(std::unique(recipients.begin(), recipients.end()),
                          recipients.end());
-        for (PartyId p : recipients) {
-          out.push_back(make_msg(me_, p, tag_body(kPhaseAggregate, node.parent, body), MsgKind::kMpc));
-        }
+        make_msgs(out, me_, recipients,
+                  tag_body(kPhaseAggregate, node.parent, std::move(bw).take()), MsgKind::kMpc);
       }
     }
   }

@@ -35,12 +35,8 @@ class SubProtocolHost final : public Party {
         bodies.emplace_back(m.from, body, inst);
       }
     }
-    auto outs = proto_->step(round, bodies);
     std::vector<Message> msgs;
-    msgs.reserve(outs.size());
-    for (auto& [to, body] : outs) {
-      msgs.push_back(Message{me_, to, tag_body(0, instance_, std::move(body))});
-    }
+    send_tagged(msgs, me_, proto_->step(round, bodies), 0, instance_, MsgKind::kUnknown);
     if (round + 1 >= proto_->rounds()) done_ = true;
     return msgs;
   }

@@ -23,8 +23,7 @@ class ParallelProto final : public SubProtocol {
 
   std::size_t rounds() const override { return rounds_; }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override {
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override {
     // Demux inbox by child index. Frames whose index header is truncated or
     // out of range are counted, not silently dropped — an adversary spraying
     // garbage at a committee shows up in faults.malformed_frames. A frame
@@ -41,12 +40,13 @@ class ParallelProto final : public SubProtocol {
       per_child[idx].emplace_back(msg.from, r.view(r.remaining()), msg.instance);
     }
     // Each child's bodies come back owned; the child index is written in
-    // front of them in place.
-    std::vector<std::pair<PartyId, Bytes>> out;
+    // front of each body once, in place.
+    Outbox out;
     for (std::size_t i = 0; i < children_.size(); ++i) {
       if (!children_[i] || subround >= children_[i]->rounds()) continue;
-      prepend_into(le_bytes(static_cast<std::uint32_t>(i)),
-                   children_[i]->step(subround, per_child[i]), out);
+      Outbox sends = children_[i]->step(subround, per_child[i]);
+      sends.frame(le_bytes(static_cast<std::uint32_t>(i)));
+      out.append(std::move(sends));
     }
     return out;
   }

@@ -94,7 +94,7 @@ void Simulator::deliver(std::size_t round, Message m,
   if (v.duplicate) {
     stats_.faults.duplicated += 1;
     emit_delivery(round, m, obs::Delivery::kDuplicated);
-    inboxes[m.to].push_back(m);
+    inboxes[m.to].push_back(m);  // a shared body stays shared (Payload)
   }
   inboxes[m.to].push_back(std::move(m));
 }
@@ -306,12 +306,21 @@ bool Simulator::tick() {
   // freed into the malloc arena of the thread that built it, and workers
   // freeing into one another's arenas while they allocate contend on the
   // arena locks (DESIGN.md §7). Borrowed TaggedMsg bodies died with the
-  // steps (§6).
-  for (auto& ib : inboxes_) ib.clear();
+  // steps (§6). An inbox keeps its buffer for the next round unless this
+  // round filled less than half of it: a burst's buffers would otherwise
+  // sit empty, one per party, for the rest of the run.
+  for (auto& ib : inboxes_) {
+    if (ib.capacity() > 2 * ib.size()) {
+      ib = std::vector<Message>();
+    } else {
+      ib.clear();
+    }
+  }
   // Honest traffic in sender order, then the adversary's accepted messages.
+  // A routed outbox is empty; its buffer goes too.
   for (PartyId i = 0; i < n; ++i) {
     for (Message& m : outs_[i]) route(round, std::move(m));
-    outs_[i] = {};
+    outs_[i] = std::vector<Message>();
   }
   for (Message& m : adv_out) {
     // The adversary's messages are untrusted input to the network: it

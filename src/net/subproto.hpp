@@ -17,7 +17,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <iterator>
+#include <ranges>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -44,6 +45,78 @@ struct TaggedMsg {
   std::uint64_t instance;
 };
 
+/// Spare capacity a body reserves so the outer layers of a committee frame
+/// write their headers in place: tag_body (12 bytes), ParallelProto's child
+/// index (4) and the coin toss's kind byte (1). Each layer writes its header
+/// once per body, however many recipients share it.
+inline constexpr std::size_t kFrameHeadroom = 17;
+
+/// What one `step` sends: each body once, with the parties it goes to. It
+/// stands for the messages body 0 -> each of its recipients in order, then
+/// body 1 -> each of its recipients, and so on; the party boundary
+/// (send_tagged) turns every body into one payload that its recipients share.
+class Outbox {
+ public:
+  /// Send `body` to `to`.
+  void send(PartyId to, Bytes body) {
+    to_.push_back(to);
+    bodies_.push_back(Entry{std::move(body), to_.size()});
+  }
+
+  /// Send one `body` to every party in `to` but `except`, in order; nothing
+  /// when no party is left.
+  template <typename Range>
+  void send_all(const Range& to, Bytes body, PartyId except = kNoParty) {
+    const std::size_t first = to_.size();
+    if constexpr (std::ranges::sized_range<Range>) {
+      const std::size_t need = first + std::ranges::size(to);
+      if (need > to_.capacity()) to_.reserve(std::max(need, 2 * to_.capacity()));
+    }
+    for (PartyId p : to) {
+      if (p != except) to_.push_back(p);
+    }
+    if (to_.size() > first) bodies_.push_back(Entry{std::move(body), to_.size()});
+  }
+
+  /// Distinct bodies.
+  std::size_t size() const { return bodies_.size(); }
+  /// Messages: one per (body, recipient).
+  std::size_t messages() const { return to_.size(); }
+  /// Body k and its recipients, in send order.
+  Bytes& body(std::size_t k) { return bodies_[k].body; }
+  const Bytes& body(std::size_t k) const { return bodies_[k].body; }
+  std::span<const PartyId> to(std::size_t k) const {
+    const std::size_t first = k == 0 ? 0 : bodies_[k - 1].end;
+    return {to_.data() + first, bodies_[k].end - first};
+  }
+
+  /// Write `header` in front of every body, once per body (in place when
+  /// the body has kFrameHeadroom to spare).
+  void frame(BytesView header) {
+    for (Entry& e : bodies_) prepend(e.body, header);
+  }
+
+  /// Move `other`'s sends onto the end of this outbox.
+  void append(Outbox&& other) {
+    if (bodies_.empty()) {
+      *this = std::move(other);
+      return;
+    }
+    const std::size_t offset = to_.size();
+    to_.insert(to_.end(), other.to_.begin(), other.to_.end());
+    bodies_.reserve(bodies_.size() + other.bodies_.size());
+    for (Entry& e : other.bodies_) bodies_.push_back(Entry{std::move(e.body), e.end + offset});
+  }
+
+ private:
+  struct Entry {
+    Bytes body;
+    std::size_t end;  // one past its last recipient in to_
+  };
+  std::vector<Entry> bodies_;
+  std::vector<PartyId> to_;  // every body's recipients, concatenated
+};
+
 /// Per-party logic of an embedded synchronous sub-protocol with a fixed
 /// round schedule. `step` is called once per round while the instance is
 /// active; call k (0-based) receives the bodies sent in call k-1.
@@ -55,9 +128,9 @@ class SubProtocol {
   /// all participants (it is derived from public parameters only).
   virtual std::size_t rounds() const = 0;
 
-  /// Advance one round; returns (recipient, body) pairs.
-  virtual std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) = 0;
+  /// Advance one round; returns each body to send once, with its
+  /// recipients.
+  virtual Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) = 0;
 
   /// Frames this protocol (or any protocol it composes) received but could
   /// not parse — e.g. a multiplexer's child-index header was truncated or out
@@ -66,51 +139,6 @@ class SubProtocol {
   /// in NetworkStats::faults.malformed_frames after the run.
   virtual std::uint64_t malformed_frames() const { return 0; }
 };
-
-/// Spare capacity a body sent to several recipients reserves per copy, so
-/// the outer layers of a committee frame write their headers in place:
-/// tag_body (12 bytes), ParallelProto's child index (4) and the coin toss's
-/// kind byte (1). The frame then has no slack left, like an exact copy:
-/// frames in flight dominate a run's memory, and 15 more spare bytes each
-/// raised peak RSS measurably. The svc pipeline's 8-byte instance id
-/// therefore moves a committee frame once, to an exact-size buffer.
-inline constexpr std::size_t kFrameHeadroom = 17;
-
-/// Copy of `body` with kFrameHeadroom spare capacity.
-inline Bytes frame_copy(BytesView body) {
-  Bytes out;
-  out.reserve(body.size() + kFrameHeadroom);
-  out.assign(body.begin(), body.end());
-  return out;
-}
-
-/// Append (p, body) for every recipient p, in order: copies with
-/// kFrameHeadroom, and `body` itself for the last recipient (so `body` should
-/// carry the headroom too).
-template <typename Recipients>
-void multicast(const Recipients& recipients, Bytes body,
-               std::vector<std::pair<PartyId, Bytes>>& out) {
-  auto it = std::begin(recipients);
-  const auto end = std::end(recipients);
-  if (it == end) return;
-  for (auto next = std::next(it); next != end; it = next++) {
-    out.emplace_back(*it, frame_copy(body));
-  }
-  out.emplace_back(*it, std::move(body));
-}
-
-/// Write `header` in front of every body in `msgs`, in place, and move the
-/// frames onto the end of `out`.
-inline void prepend_into(BytesView header, std::vector<std::pair<PartyId, Bytes>> msgs,
-                         std::vector<std::pair<PartyId, Bytes>>& out) {
-  for (auto& [to, body] : msgs) prepend(body, header);
-  if (out.empty()) {
-    out = std::move(msgs);
-  } else {
-    out.insert(out.end(), std::make_move_iterator(msgs.begin()),
-               std::make_move_iterator(msgs.end()));
-  }
-}
 
 /// Size of the channel tag: u32 phase || u64 instance.
 inline constexpr std::size_t kTagSize = 12;
@@ -134,6 +162,18 @@ inline Bytes tag_body(std::uint32_t phase, std::uint64_t instance, Bytes&& body)
   std::copy(i.begin(), i.end(), tag.begin() + p.size());
   prepend(body, tag);
   return std::move(body);
+}
+
+/// The party boundary: append the messages `sends` stands for to `out`,
+/// each body framed once with the channel tag (phase, instance) and shared
+/// by its recipients (make_msgs).
+inline void send_tagged(std::vector<Message>& out, PartyId from, Outbox sends,
+                        std::uint32_t phase, std::uint64_t instance, MsgKind kind) {
+  out.reserve(out.size() + sends.messages());
+  for (std::size_t k = 0; k < sends.size(); ++k) {
+    make_msgs(out, from, sends.to(k), tag_body(phase, instance, std::move(sends.body(k))),
+              kind);
+  }
 }
 
 /// Parse a tagged body; `body` views `payload`. Returns false on malformed

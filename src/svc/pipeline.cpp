@@ -52,12 +52,25 @@ std::vector<Message> InstancePipeline::on_round(std::size_t round,
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
     const std::size_t local = round - s.base_round;
-    // The instance id is written in front of each payload (DESIGN.md,
-    // "Message framing").
+    // The instance id is written in front of each distinct payload once: a
+    // run of consecutive messages that share a body shares the framed one
+    // too (DESIGN.md, "Message framing").
     const auto header = le_bytes(s.id);
-    for (Message& m : s.party->on_round(local, per_slot[i])) {
-      prepend(m.payload, header);
-      out.push_back(std::move(m));
+    std::vector<Message> msgs = s.party->on_round(local, per_slot[i]);
+    for (std::size_t a = 0; a < msgs.size();) {
+      std::size_t b = a + 1;
+      while (b < msgs.size() && msgs[b].payload.shares(msgs[a].payload)) ++b;
+      if (b - a == 1 && !msgs[a].payload.is_shared()) {
+        // A body of its own: the header goes in front of it.
+        Bytes frame = std::move(msgs[a].payload).take();
+        prepend(frame, header);
+        msgs[a].payload = std::move(frame);
+      } else {
+        const Payload framed = Payload::shared(concat(header, msgs[a].payload.view()));
+        for (std::size_t k = a; k < b; ++k) msgs[k].payload = framed;
+      }
+      for (std::size_t k = a; k < b; ++k) out.push_back(std::move(msgs[k]));
+      a = b;
     }
   }
 

@@ -61,8 +61,7 @@ DisseminationProto::DisseminationProto(std::shared_ptr<const CommTree> tree, Par
   }
 }
 
-std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
-    std::size_t subround, const std::vector<TaggedMsg>& inbox) {
+Outbox DisseminationProto::step(std::size_t subround, const std::vector<TaggedMsg>& inbox) {
   const std::size_t h = tree_->height();
 
   // Ingest this round's copies into tallies, validating sender legitimacy.
@@ -79,7 +78,7 @@ std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
       if (!is_member(node, me_)) continue;
       if (node.parent == TreeNode::kNoParent) continue;
       if (!is_member(tree_->node(node.parent), msg.from)) continue;
-      if (!counted_.insert({node_id, msg.from}).second) continue;
+      if (!counted_.insert(node_id, msg.from)) continue;
       tallies_[node_id][value] += 1;
     } else if (stage == kStageParty) {
       // Must come from a member of a leaf I am assigned to.
@@ -94,20 +93,20 @@ std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
       if (!assigned) continue;
       // Dedup per (leaf, sender); the same party may legitimately sit on
       // several of my leaves, each contributing one vote.
-      if (!counted_.insert({node_id | (1ULL << 63), msg.from}).second) continue;
+      if (!counted_.insert(node_id | (1ULL << 63), msg.from)) continue;
       party_tally_[value] += 1;
     }
   }
 
-  std::vector<std::pair<PartyId, Bytes>> out;
+  Outbox out;
 
   if (subround == 0) {
     // Root committee pushes to its children.
     if (initial_value_.has_value() && !my_nodes_by_level_[h - 1].empty()) {
       const TreeNode& root = tree_->root();
       for (std::size_t child : root.children) {
-        multicast(tree_->node(child).committee,
-                  make_body(kStageCommittee, child, *initial_value_), out);
+        out.send_all(tree_->node(child).committee,
+                     make_body(kStageCommittee, child, *initial_value_));
       }
       output_ = initial_value_;  // root members already know the value
     }
@@ -125,8 +124,7 @@ std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
       const TreeNode& node = tree_->node(id);
       if (level > 1) {
         for (std::size_t child : node.children) {
-          multicast(tree_->node(child).committee, make_body(kStageCommittee, child, *value),
-                    out);
+          out.send_all(tree_->node(child).committee, make_body(kStageCommittee, child, *value));
         }
       } else {
         // Leaf: deliver to the owners of the leaf's virtual slots.
@@ -136,7 +134,7 @@ std::vector<std::pair<PartyId, Bytes>> DisseminationProto::step(
         }
         std::sort(owners.begin(), owners.end());
         owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-        multicast(owners, make_body(kStageParty, id, *value), out);
+        out.send_all(owners, make_body(kStageParty, id, *value));
       }
       // Committee members are themselves parties; make sure they also adopt
       // a party-level value even if not assigned to any leaf slot here.

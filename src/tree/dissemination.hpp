@@ -21,16 +21,36 @@
 // node, which is exactly the leeway Def. 2.3 goodness accounts for.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <utility>
+#include <vector>
 
 #include "net/subproto.hpp"
 #include "tree/comm_tree.hpp"
 
 namespace srds {
+
+/// The (node, sender) copies a dissemination has counted, one per pair: a
+/// Byzantine sender must not inflate a tally by repeating itself across
+/// rounds. A sorted vector, 16 bytes a pair where a set node takes 64; a
+/// party counts a few hundred copies at most.
+class CountedCopies {
+ public:
+  /// Record (node, from); false if it was already recorded.
+  bool insert(std::uint64_t node, PartyId from) {
+    const std::pair<std::uint64_t, PartyId> key{node, from};
+    auto it = std::lower_bound(seen_.begin(), seen_.end(), key);
+    if (it != seen_.end() && *it == key) return false;
+    seen_.insert(it, key);
+    return true;
+  }
+
+ private:
+  std::vector<std::pair<std::uint64_t, PartyId>> seen_;
+};
 
 class DisseminationProto final : public SubProtocol {
  public:
@@ -41,8 +61,7 @@ class DisseminationProto final : public SubProtocol {
 
   std::size_t rounds() const override { return tree_->height() + 1; }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override;
 
   /// Final output (engaged after the last step unless nothing was received).
   const std::optional<Bytes>& output() const { return output_; }
@@ -55,9 +74,7 @@ class DisseminationProto final : public SubProtocol {
   // node-id -> (value -> count) tallies for copies addressed to me as a
   // member of that node this round.
   std::map<std::uint64_t, std::map<Bytes, std::size_t>> tallies_;
-  // One counted copy per (node, sender): a Byzantine sender must not be able
-  // to inflate a tally by repeating itself across rounds.
-  std::set<std::pair<std::uint64_t, PartyId>> counted_;
+  CountedCopies counted_;
   // membership index: node ids (per level) where I sit on the committee
   std::vector<std::vector<std::size_t>> my_nodes_by_level_;  // [level-1]
   std::map<Bytes, std::size_t> party_tally_;  // stage-1 copies addressed to me

@@ -19,10 +19,7 @@ class IdleProto final : public SubProtocol {
  public:
   explicit IdleProto(std::size_t rounds) : rounds_(rounds) {}
   std::size_t rounds() const override { return rounds_; }
-  std::vector<std::pair<PartyId, Bytes>> step(std::size_t,
-                                              const std::vector<TaggedMsg>&) override {
-    return {};
-  }
+  Outbox step(std::size_t, const std::vector<TaggedMsg>&) override { return {}; }
 
  private:
   std::size_t rounds_;

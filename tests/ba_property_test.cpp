@@ -15,6 +15,13 @@ struct SweepPoint {
   bool input;
 };
 
+// Print the fields, not the raw bytes: gtest would otherwise dump the
+// padding after `input`, and the discovered ctest names would change from
+// build to build.
+void PrintTo(const SweepPoint& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_beta" << p.beta << "_input" << p.input;
+}
+
 class PiBaProperty : public ::testing::TestWithParam<SweepPoint> {};
 
 TEST_P(PiBaProperty, SafetyInvariant) {

@@ -366,9 +366,9 @@ Json make_figure_doc(double allocs) {
 TEST(BenchDiff, FigureRowAllocRiseBeyondThresholdFails) {
   std::vector<Sample> base, within, beyond;
   ASSERT_TRUE(flatten(make_figure_doc(1000), base));
-  ASSERT_TRUE(flatten(make_figure_doc(1080), within));
+  ASSERT_TRUE(flatten(make_figure_doc(1000.4), within));
   ASSERT_TRUE(flatten(make_figure_doc(1200), beyond));
-  EXPECT_FALSE(diff(base, within).failed()) << "+8% is inside the 10% threshold";
+  EXPECT_FALSE(diff(base, within).failed()) << "+0.4 allocs/op is inside the tolerance";
   DiffReport r = diff(base, beyond);
   EXPECT_TRUE(r.failed());
   EXPECT_EQ(r.regressions, 2u);  // one per row
@@ -383,6 +383,28 @@ TEST(BenchDiff, FigureRowAllocRiseBeyondThresholdFails) {
   DiffReport down = diff(base, fewer);
   EXPECT_FALSE(down.failed());
   EXPECT_EQ(down.improvements, 2u);
+}
+
+TEST(BenchDiff, OneMoreAllocationPerOpFailsAtAnyRelativeThreshold) {
+  // One extra allocation per simulator round: 1024.05 -> 1025.05 allocs/op
+  // is +0.1%, far inside the 10% relative threshold, and still a regression.
+  std::vector<Sample> base, same, plus_one;
+  ASSERT_TRUE(flatten(make_figure_doc(1024.05), base));
+  ASSERT_TRUE(flatten(make_figure_doc(1024.05), same));
+  ASSERT_TRUE(flatten(make_figure_doc(1025.05), plus_one));
+  EXPECT_FALSE(diff(base, same).failed());
+  EXPECT_EQ(diff(base, same).regressions, 0u);
+  DiffOptions loose;
+  loose.threshold = 0.5;  // even a 50% relative threshold does not hide it
+  const DiffReport r = diff(base, plus_one, loose);
+  EXPECT_TRUE(r.failed());
+  EXPECT_EQ(r.regressions, 2u);  // one per row
+  // The relative threshold still governs every other metric.
+  std::vector<Sample> bytes_up;
+  ASSERT_TRUE(flatten(make_doc(1050, 5000), bytes_up));
+  std::vector<Sample> bytes_base;
+  ASSERT_TRUE(flatten(make_doc(1000, 5000), bytes_base));
+  EXPECT_FALSE(diff(bytes_base, bytes_up).failed()) << "+5% bytes is inside 10%";
 }
 
 /// A micro suite's BENCH document: one google-benchmark row per name, x its

@@ -357,10 +357,7 @@ std::unique_ptr<Simulator> ds_sim(const DsFixture& fx, std::size_t sender_idx,
       class Idle final : public SubProtocol {
        public:
         std::size_t rounds() const override { return 1; }
-        std::vector<std::pair<PartyId, Bytes>> step(std::size_t,
-                                                    const std::vector<TaggedMsg>&) override {
-          return {};
-        }
+        Outbox step(std::size_t, const std::vector<TaggedMsg>&) override { return {}; }
       };
       return std::make_unique<Idle>();
     }

@@ -25,4 +25,8 @@ std::size_t t1_late_validation(const Message& m) {
   return first;
 }
 
+std::size_t t1_view_read(const Message& m) {
+  return static_cast<std::size_t>(m.payload.view()[1]);  // expect: T1 (line 29)
+}
+
 }  // namespace srds

@@ -408,6 +408,7 @@ TEST(LintT1, RawPayloadReadsAreFlagged) {
       {"T1", 14},  // .data() pointer escape
       {"T1", 19},  // memcpy over the buffer
       {"T1", 23},  // read *before* the validate call
+      {"T1", 29},  // Payload::view() span escape
   };
   EXPECT_EQ(hits(fs), expected);
 }

@@ -4,6 +4,7 @@
 #include <type_traits>
 
 #include "common/serial.hpp"
+#include "consensus/dolev_strong.hpp"
 #include "net/parallel.hpp"
 #include "net/simulator.hpp"
 #include "net/subproto.hpp"
@@ -558,11 +559,171 @@ TEST(SubProto, TagRoundTrip) {
 }
 
 TEST(SubProto, OwnedTagReusesCapacity) {
-  Bytes body = frame_copy(to_bytes("payload"));
+  const Bytes text = to_bytes("payload");
+  Bytes body;
+  body.reserve(text.size() + kFrameHeadroom);
+  body.assign(text.begin(), text.end());
   const std::uint8_t* storage = body.data();
   Bytes tagged = tag_body(1, 2, std::move(body));
   EXPECT_EQ(tagged.data(), storage);  // headroom took the tag: no reallocation
   EXPECT_EQ(tagged.size(), kTagSize + 7);
+}
+
+TEST(SharedPayload, CopiesShareOneBufferAndOutliveTheOriginal) {
+  Payload sole(to_bytes("body"));
+  EXPECT_FALSE(sole.is_shared());
+  Payload deep = sole;  // never shared: a copy of the bytes
+  EXPECT_NE(deep.data(), sole.data());
+  EXPECT_EQ(deep, sole);
+
+  Payload shared = Payload::shared(to_bytes("body"));
+  Payload copy = shared;
+  EXPECT_TRUE(copy.shares(shared));
+  EXPECT_EQ(copy.data(), shared.data());
+  EXPECT_EQ(copy.size(), 4u);
+  shared = Payload();  // the copy keeps the buffer alive
+  EXPECT_EQ(to_string(copy), "body");
+  EXPECT_EQ(std::move(copy).take(), to_bytes("body"));
+}
+
+TEST(SharedPayload, DolevStrongRelayToCommitteeSharesOneBody) {
+  constexpr std::size_t kC = 7;
+  auto registry = std::make_shared<SimSigRegistry>(kC, 5);
+  std::vector<PartyId> members(kC);
+  for (PartyId i = 0; i < kC; ++i) members[i] = i;
+  DolevStrongProto sender(registry, members, 0, 2, to_bytes("ds"), 0, to_bytes("value"));
+  Outbox sends = sender.step(0, {});
+  ASSERT_EQ(sends.size(), 1u);  // one body ...
+  EXPECT_EQ(sends.messages(), kC - 1);  // ... for the c - 1 other members
+  std::vector<Message> msgs;
+  send_tagged(msgs, 0, std::move(sends), 1, 0, MsgKind::kCommitteeBa);
+  ASSERT_EQ(msgs.size(), kC - 1);
+  for (std::size_t k = 0; k < msgs.size(); ++k) {
+    EXPECT_EQ(msgs[k].to, k + 1);
+    EXPECT_TRUE(msgs[k].payload.is_shared());
+    EXPECT_EQ(msgs[k].payload.data(), msgs[0].payload.data());
+  }
+}
+
+TEST(SharedPayload, SingleRecipientOwnsItsBody) {
+  Outbox sends;
+  sends.send(3, to_bytes("one"));
+  sends.send_all(std::vector<PartyId>{1, 2}, to_bytes("skipped"), 1);  // only 2 is left
+  sends.send_all(std::vector<PartyId>{4}, to_bytes("none"), 4);        // nobody is left
+  ASSERT_EQ(sends.size(), 2u);
+  std::vector<Message> msgs;
+  send_tagged(msgs, 0, std::move(sends), 0, 0, MsgKind::kUnknown);
+  ASSERT_EQ(msgs.size(), 2u);
+  EXPECT_EQ(msgs[0].to, 3u);
+  EXPECT_EQ(msgs[1].to, 2u);
+  EXPECT_FALSE(msgs[0].payload.is_shared());
+  EXPECT_FALSE(msgs[1].payload.is_shared());
+}
+
+/// Sends one shared body to its peers each round for `rounds` rounds; byte 0
+/// of the body is the send round.
+class MulticastParty final : public Party {
+ public:
+  MulticastParty(PartyId me, std::vector<PartyId> peers, std::size_t rounds,
+                 std::size_t body_size)
+      : me_(me), peers_(std::move(peers)), rounds_(rounds), body_size_(body_size) {}
+
+  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&) override {
+    std::vector<Message> out;
+    if (round >= rounds_) {
+      done_ = true;
+      return out;
+    }
+    Bytes body(body_size_, 0x5a);
+    body[0] = static_cast<std::uint8_t>(round);
+    make_msgs(out, me_, peers_, std::move(body), MsgKind::kUnknown);
+    return out;
+  }
+  bool done() const override { return done_; }
+
+ private:
+  PartyId me_;
+  std::vector<PartyId> peers_;
+  std::size_t rounds_, body_size_;
+  bool done_ = false;
+};
+
+/// Party 0 multicasts to parties 1..n-1, which record what they receive.
+std::unique_ptr<Simulator> make_multicast_sim(std::size_t n, std::size_t rounds,
+                                              std::size_t body_size) {
+  std::vector<std::unique_ptr<Party>> parties;
+  std::vector<PartyId> peers;
+  for (PartyId p = 1; p < n; ++p) peers.push_back(p);
+  parties.push_back(std::make_unique<MulticastParty>(0, peers, rounds, body_size));
+  for (PartyId p = 1; p < n; ++p) parties.push_back(std::make_unique<CountingReceiver>(rounds, 30));
+  return std::make_unique<Simulator>(std::move(parties), std::vector<bool>(n, false), nullptr);
+}
+
+TEST(SharedPayload, LedgerChargesEveryRecipientTheFullSize) {
+  constexpr std::size_t kN = 5, kRounds = 3, kSize = 40;
+  auto sim = make_multicast_sim(kN, kRounds, kSize);
+  sim->run(40);
+  const auto& st = sim->stats();
+  EXPECT_EQ(st.party[0].msgs_sent, (kN - 1) * kRounds);
+  EXPECT_EQ(st.party[0].bytes_sent, (kN - 1) * kRounds * kSize);
+  const auto* first = dynamic_cast<CountingReceiver*>(sim->party(1));
+  ASSERT_NE(first, nullptr);
+  for (PartyId p = 1; p < kN; ++p) {
+    EXPECT_EQ(st.party[p].bytes_recv, kRounds * kSize);
+    auto* rx = dynamic_cast<CountingReceiver*>(sim->party(p));
+    ASSERT_NE(rx, nullptr);
+    ASSERT_EQ(rx->received().size(), kRounds);
+    // Every recipient holds the same buffer as recipient 1.
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      EXPECT_TRUE(rx->received()[r].payload.shares(first->received()[r].payload));
+    }
+  }
+}
+
+TEST(SharedPayload, DuplicateSharesTheBody) {
+  auto sim = make_multicast_sim(3, 2, 16);
+  FaultPlan plan;
+  plan.seed = 4;
+  plan.duplicate_prob = 1.0;
+  sim->set_fault_plan(plan);
+  sim->run(40);
+  EXPECT_EQ(sim->stats().faults.duplicated, 4u);
+  for (PartyId p = 1; p < 3; ++p) {
+    auto* rx = dynamic_cast<CountingReceiver*>(sim->party(p));
+    ASSERT_NE(rx, nullptr);
+    ASSERT_EQ(rx->received().size(), 4u);  // two rounds, two copies each
+    for (std::size_t k = 0; k < 4; k += 2) {
+      EXPECT_TRUE(rx->received()[k].payload.shares(rx->received()[k + 1].payload));
+    }
+  }
+}
+
+TEST(SharedPayload, DelayedPayloadIsIntactWhenItArrives) {
+  // Every message is deferred by up to 3 rounds, long after the sender's own
+  // copy and the round's inboxes were released: the shared body must still
+  // hold the bytes it was sent with (under ASan, any use after free fails).
+  constexpr std::size_t kN = 4, kRounds = 5, kSize = 64;
+  auto sim = make_multicast_sim(kN, kRounds, kSize);
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.delay_prob = 1.0;
+  plan.max_delay = 3;
+  sim->set_fault_plan(plan);
+  sim->run(40);
+  EXPECT_EQ(sim->stats().faults.late_delivered, (kN - 1) * kRounds);
+  for (PartyId p = 1; p < kN; ++p) {
+    auto* rx = dynamic_cast<CountingReceiver*>(sim->party(p));
+    ASSERT_NE(rx, nullptr);
+    ASSERT_EQ(rx->received().size(), kRounds);
+    std::vector<int> tally(kRounds, 0);
+    for (const auto& m : rx->received()) {
+      ASSERT_EQ(m.payload.size(), kSize);
+      ASSERT_LT(m.payload[0], kRounds);
+      ++tally[m.payload[0]];
+      for (std::size_t i = 1; i < kSize; ++i) ASSERT_EQ(m.payload[i], 0x5a);
+    }
+    for (std::size_t r = 0; r < kRounds; ++r) EXPECT_EQ(tally[r], 1) << "send round " << r;
+  }
 }
 
 // A TaggedMsg borrows its body, so one built from a temporary buffer would
@@ -594,10 +755,11 @@ class ProbeProto final : public SubProtocol {
 
   std::size_t rounds() const override { return rounds_; }
 
-  std::vector<std::pair<PartyId, Bytes>> step(
-      std::size_t subround, const std::vector<TaggedMsg>& inbox) override {
+  Outbox step(std::size_t subround, const std::vector<TaggedMsg>& inbox) override {
     for (const auto& m : inbox) got_.emplace_back(m.body.begin(), m.body.end());
-    return {{0, Bytes{tag_, static_cast<std::uint8_t>(subround)}}};
+    Outbox out;
+    out.send(0, Bytes{tag_, static_cast<std::uint8_t>(subround)});
+    return out;
   }
 
   const std::vector<Bytes>& got() const { return got_; }
@@ -633,7 +795,7 @@ TEST(ParallelProtoFraming, ChildrenMayDifferInRoundsAndGarbageIsCounted) {
 
   auto out1 = par.step(1, inbox);
   ASSERT_EQ(out1.size(), 1u);  // only the 3-round child emits now
-  Reader r(out1[0].second);
+  Reader r(out1.body(0));
   EXPECT_EQ(r.u32(), 1u);  // and its frames carry its child index
   EXPECT_EQ(par.malformed_frames(), 2u);
 

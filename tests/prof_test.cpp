@@ -272,31 +272,34 @@ TEST(FramingAllocs, NestedRelayCostsOneAllocationPerFrame) {
   auto block = ds_block(registry, c, reveal);
 
   std::uint64_t a0 = alloc_ops();
-  const auto bare = leaf.step(0, {});
+  const Outbox bare = leaf.step(0, {});
   const std::uint64_t leaf_allocs = alloc_ops() - a0;
-  ASSERT_EQ(bare.size(), c - 1);
+  ASSERT_EQ(bare.size(), 1u);
+  ASSERT_EQ(bare.messages(), c - 1);
 
-  std::vector<std::pair<PartyId, Bytes>> ct_out;
-  std::vector<Bytes> frames;
-  frames.reserve(c);
+  std::vector<Message> msgs;
   a0 = alloc_ops();
   // ParallelProto's child index, then the coin toss's kind byte, then the
-  // channel tag: each written in front of the body it was handed.
-  prepend_into(std::array<std::uint8_t, 1>{2}, block->step(0, {}), ct_out);
-  for (auto& [to, body] : ct_out) frames.push_back(tag_body(2, 0, std::move(body)));
+  // channel tag: each written once in front of the one body.
+  Outbox sends = block->step(0, {});
+  sends.frame(std::array<std::uint8_t, 1>{2});
+  ASSERT_EQ(sends.size(), 1u);
+  const std::uint8_t* storage = sends.body(0).data();
+  send_tagged(msgs, 0, std::move(sends), 2, 0, MsgKind::kCoinToss);
   const std::uint64_t nested_allocs = alloc_ops() - a0;
-  ASSERT_EQ(frames.size(), c - 1);
+  ASSERT_EQ(msgs.size(), c - 1);
 
-  // The leaf's buffers: one per frame, plus five that do not scale with the
-  // recipients (its signature chain, the signed target, its outbox vector,
-  // and its list of extracted values with the kept copy of this one).
-  EXPECT_EQ(leaf_allocs, (c - 1) + 5);
-  // The outer layers add no allocation per frame: only ParallelProto's
-  // per-child demux vector.
-  EXPECT_EQ(nested_allocs, leaf_allocs + 1);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_EQ(frames[i].size(), kTagSize + 1 + 4 + bare[i].second.size());
-    EXPECT_EQ(frames[i].capacity(), bare[i].second.capacity()) << "reallocated on the way out";
+  // The leaf's buffers: one body for all c - 1 recipients, plus six that do
+  // not scale with them (its signature chain, the signed target, its
+  // outbox's two vectors, and its list of extracted values with the kept
+  // copy of this one).
+  EXPECT_EQ(leaf_allocs, 1 + 6);
+  // The outer layers add no allocation per recipient: ParallelProto's
+  // per-child demux vector, the message vector and the shared block.
+  EXPECT_EQ(nested_allocs, leaf_allocs + 3);
+  for (const Message& m : msgs) {
+    EXPECT_EQ(m.payload.size(), kTagSize + 1 + 4 + bare.body(0).size());
+    EXPECT_EQ(m.payload.data(), storage) << "reallocated on the way out";
   }
 }
 
@@ -305,8 +308,7 @@ TEST(FramingAllocs, NestedRelayCostsOneAllocationPerFrame) {
 class SinkChild final : public SubProtocol {
  public:
   std::size_t rounds() const override { return 2; }
-  std::vector<std::pair<PartyId, Bytes>> step(std::size_t,
-                                              const std::vector<TaggedMsg>& inbox) override {
+  Outbox step(std::size_t, const std::vector<TaggedMsg>& inbox) override {
     if (!inbox.empty() && first_ == nullptr) first_ = inbox.front().body.data();
     seen_ += inbox.size();
     return {};

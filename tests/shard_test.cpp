@@ -7,7 +7,8 @@
 //     bytes included) and the run's outputs are equal — for π_ba/snark,
 //     KS'11 sampling, BGT'13 multisig and naive under drops, delays,
 //     duplicates, churn and an eclipse campaign with adaptive corruption,
-//     plus scalable MPC and one service stream;
+//     plus scalable MPC, one service stream, and multicasts whose shared
+//     bodies an adversary echoes on;
 //   * the adversary's per-sender outboxes, flattened, are the network's
 //     delivery order;
 //   * a party that throws on a worker surfaces on the caller's thread, the
@@ -272,7 +273,7 @@ class Chatter final : public Party {
 struct Sent {
   std::size_t round;
   PartyId from, to;
-  Bytes payload;
+  Payload payload;
   bool operator==(const Sent&) const = default;
 };
 
@@ -304,6 +305,78 @@ class SendRecorder final : public obs::TraceSink {
   }
   std::vector<Sent> sent;
 };
+
+/// Multicasts one shared body to a few pseudo-random peers each round.
+class Multicaster final : public Party {
+ public:
+  Multicaster(PartyId me, std::size_t n) : me_(me), n_(n) {}
+  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& inbox) override {
+    std::vector<Message> out;
+    std::vector<PartyId> to;
+    for (std::size_t j = 0; j < 2 + (me_ + round) % 5; ++j) {
+      to.push_back((me_ * 13 + round * 7 + j * 3 + 1) % n_);
+    }
+    Bytes body(24 + inbox.size(), static_cast<std::uint8_t>(me_));
+    body[0] = static_cast<std::uint8_t>(round);
+    make_msgs(out, me_, to, std::move(body), MsgKind::kUnknown);
+    return out;
+  }
+  bool done() const override { return false; }
+
+ private:
+  PartyId me_;
+  std::size_t n_;
+};
+
+/// Echoes every message its corrupt parties receive on to the next party,
+/// sharing the body: the copy is made on the coordinator, the original on a
+/// worker, and either may be released first.
+class EchoAdversary final : public Adversary {
+ public:
+  explicit EchoAdversary(std::size_t n) : n_(n) {}
+  std::vector<Message> on_round(std::size_t, const std::vector<Message>& corrupt_inbox,
+                                const std::vector<std::vector<Message>>&) override {
+    std::vector<Message> out;
+    for (const Message& m : corrupt_inbox) {
+      out.push_back(make_msg(m.to, (m.to + 1) % n_, m.payload, MsgKind::kUnknown));
+    }
+    return out;
+  }
+
+ private:
+  std::size_t n_;
+};
+
+TEST(ShardedRoundLoop, SharedBodiesAreBitIdenticalUnderChaos) {
+  static constexpr std::size_t kN = 32;
+  auto run = [](std::size_t workers) {
+    std::vector<std::unique_ptr<Party>> parties(kN);
+    std::vector<bool> corrupt(kN, false);
+    corrupt[5] = corrupt[20] = true;
+    for (PartyId i = 0; i < kN; ++i) {
+      if (!corrupt[i]) parties[i] = std::make_unique<Multicaster>(i, kN);
+    }
+    obs::Ledger ledger;
+    HashSink sink;
+    Simulator sim(std::move(parties), corrupt, std::make_unique<EchoAdversary>(kN));
+    FaultPlan plan;
+    plan.seed = 17;
+    plan.drop_prob = 0.05;
+    plan.delay_prob = 0.2;
+    plan.max_delay = 3;
+    plan.duplicate_prob = 0.2;
+    sim.set_fault_plan(plan);
+    sim.set_ledger(&ledger);
+    sim.set_trace_sink(&sink);
+    sim.set_workers(workers);
+    sim.run(12);
+    EXPECT_GT(sim.stats().faults.duplicated, 0u);
+    EXPECT_GT(sim.stats().faults.late_delivered, 0u);
+    return std::make_tuple(ledger.to_json(true).dump(), sim.stats(), sink.hash());
+  };
+  const auto one = run(1);
+  for (std::size_t w : kWorkerCounts) EXPECT_TRUE(run(w) == one) << w << " workers";
+}
 
 TEST(ShardedRoundLoop, FlattenedOutboxesAreTheDeliveryOrder) {
   constexpr std::size_t kN = 24;

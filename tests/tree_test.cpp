@@ -161,6 +161,9 @@ struct QualityCase {
   double beta;
 };
 
+// Print the fields, not the raw bytes (stable ctest names, as SweepPoint).
+void PrintTo(const QualityCase& c, std::ostream* os) { *os << "n" << c.n << "_beta" << c.beta; }
+
 class TreeQuality : public ::testing::TestWithParam<QualityCase> {};
 
 // Def. 2.3 properties (3) and (4) under assignment-independent corruption:

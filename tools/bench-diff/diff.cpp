@@ -76,6 +76,12 @@ void walk(const obs::Json& v, std::string& path, const Sample& proto,
   }
 }
 
+/// Last component of a dotted metric path.
+std::string leaf_of(const std::string& metric) {
+  const std::size_t dot = metric.rfind('.');
+  return dot == std::string::npos ? metric : metric.substr(dot + 1);
+}
+
 }  // namespace
 
 std::string Sample::key() const {
@@ -92,8 +98,7 @@ std::string Sample::key() const {
 }
 
 Direction classify(const std::string& metric) {
-  const std::size_t dot = metric.rfind('.');
-  const std::string leaf = dot == std::string::npos ? metric : metric.substr(dot + 1);
+  const std::string leaf = leaf_of(metric);
   // Identities and budget-spec inputs: a change is a code change, not a
   // measured regression (bound_bits below still catches loosened budgets).
   static const std::set<std::string> info{"argmax", "worst_party", "start", "seed",
@@ -204,11 +209,19 @@ DiffReport diff(const std::vector<Sample>& baseline, const std::vector<Sample>& 
       const double spread = std::max(s.spread_rel, it->second->spread_rel);
       gate = std::max(options.wall_threshold, options.spread_guard * spread);
     }
-    if (worse > gate) {
+    bool regressed = worse > gate, improved = worse < -gate;
+    if (leaf_of(s.metric) == "allocs_per_op") {
+      // A seeded count repeats exactly: any move beyond the tolerance is
+      // real, however small against the count.
+      const double more = s.value - d.base;
+      regressed = more > kAllocsPerOpTolerance;
+      improved = more < -kAllocsPerOpTolerance;
+    }
+    if (regressed) {
       d.kind = Delta::Kind::kRegression;
       ++report.regressions;
       bad.push_back(std::move(d));
-    } else if (worse < -gate) {
+    } else if (improved) {
       d.kind = Delta::Kind::kImprovement;
       ++report.improvements;
       notable.push_back(std::move(d));

@@ -71,9 +71,9 @@ struct FlattenOptions {
 /// leaves (timestamp, git_describe, anything wall-clock, allocs, prof)
 /// never become samples, so identical logical runs diff clean — except
 /// allocs_per_op, which repeats exactly for a seeded run and becomes a
-/// higher-is-worse sample under the exact threshold at any depth of a row
-/// (a figure's per-protocol "naive.allocs_per_op" too), and the wall leaf
-/// that wall mode opts in.
+/// higher-is-worse sample at any depth of a row (a figure's per-protocol
+/// "naive.allocs_per_op" too), gated by kAllocsPerOpTolerance, and the wall
+/// leaf that wall mode opts in.
 bool flatten(const obs::Json& doc, std::vector<Sample>& out, std::string* err = nullptr,
              const FlattenOptions& options = {});
 
@@ -92,8 +92,15 @@ struct Delta {
   Direction direction = Direction::kInfo;
 };
 
+/// allocs_per_op moves by more than this many allocations per op before it
+/// counts, whatever DiffOptions::threshold says: a seeded count repeats
+/// exactly, so one new allocation per op is a regression even where it is
+/// a fraction of a percent.
+inline constexpr double kAllocsPerOpTolerance = 0.5;
+
 struct DiffOptions {
-  /// Relative change that counts as a regression/improvement (0.10 = 10%).
+  /// Relative change that counts as a regression/improvement (0.10 = 10%);
+  /// allocs_per_op gates on kAllocsPerOpTolerance instead.
   double threshold = 0.10;
   /// Wall-class samples use this (usually looser) relative threshold...
   double wall_threshold = 0.25;

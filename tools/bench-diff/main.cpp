@@ -7,8 +7,9 @@
 //                           fresh --json-out run); artifacts pair by file
 //                           name in directory mode
 //     --threshold PCT       relative change that counts as a regression
-//                           (default 10, i.e. 10%); it also gates every
-//                           row's allocs_per_op, which repeats exactly
+//                           (default 10, i.e. 10%). Every row's
+//                           allocs_per_op, which repeats exactly, gates on
+//                           an absolute 0.5 allocations per op instead
 //     --wall-threshold PCT  ALSO gate wall-clock medians (wall.ns_per_op)
 //                           from schema-3 artifacts. A wall median
 //                           regresses only when it moves beyond

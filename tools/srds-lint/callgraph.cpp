@@ -59,7 +59,7 @@ bool is_validation_ident(const std::string& s) {
 bool is_byte_read_member(const std::string& s) {
   static const std::set<std::string> kReads = {"data",  "begin",  "end",  "front",
                                                "back",  "rbegin", "rend", "cbegin",
-                                               "cend"};
+                                               "cend",  "view"};
   return kReads.count(s) != 0;
 }
 
