@@ -86,10 +86,9 @@ class PiBaAttacker final : public Adversary {
           w.u8(0);  // kStageCommittee
           w.u64(child);
           w.raw(value);
-          Bytes body = std::move(w).take();
+          const Payload body = tag_body(phase, 0, std::move(w).take());
           for (PartyId p : tree.node(child).committee) {
-            out.push_back(make_msg(member, p, tag_body(phase, 0, body),
-                                   MsgKind::kUnknown));
+            out.push_back(make_msg(member, p, body, MsgKind::kUnknown));
           }
         }
       } else {
@@ -97,10 +96,9 @@ class PiBaAttacker final : public Adversary {
         w.u8(1);  // kStageParty
         w.u64(node.id);
         w.raw(value);
-        Bytes body = std::move(w).take();
+        const Payload body = tag_body(phase, 0, std::move(w).take());
         for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-          out.push_back(make_msg(member, tree.owner_of_virtual(v),
-                                 tag_body(phase, 0, body), MsgKind::kUnknown));
+          out.push_back(make_msg(member, tree.owner_of_virtual(v), body, MsgKind::kUnknown));
         }
       }
     });
@@ -133,17 +131,14 @@ class PiBaAttacker final : public Adversary {
       const TreeNode& node = tree.node(leaf);
       PartyId sender = corrupt_ids[leaf % corrupt_ids.size()];
       for (BytesView sig : lifted) {
+        const Payload replay = tag_body(AeBoostParty::kBoostPhase, leaf, sig);
         for (PartyId p : node.committee) {
-          out.push_back(make_msg(sender, p,
-                                 tag_body(AeBoostParty::kBoostPhase, leaf, sig),
-                                 MsgKind::kUnknown));
+          out.push_back(make_msg(sender, p, replay, MsgKind::kUnknown));
         }
       }
-      Bytes junk = rng_.bytes(60);
+      const Payload junk = tag_body(AeBoostParty::kBoostPhase, leaf, rng_.bytes(60));
       for (PartyId p : node.committee) {
-        out.push_back(make_msg(sender, p,
-                               tag_body(AeBoostParty::kBoostPhase, leaf, junk),
-                               MsgKind::kUnknown));
+        out.push_back(make_msg(sender, p, junk, MsgKind::kUnknown));
       }
     }
   }
@@ -153,11 +148,10 @@ class PiBaAttacker final : public Adversary {
     if (level > tree.height()) return;
     for_each_corrupt_member(level, [&](PartyId member, const TreeNode& node) {
       if (node.parent == TreeNode::kNoParent) return;
-      Bytes junk = rng_.bytes(80 + rng_.below(64));
+      const Payload junk =
+          tag_body(AeBoostParty::kBoostPhase, node.parent, rng_.bytes(80 + rng_.below(64)));
       for (PartyId p : tree.node(node.parent).committee) {
-        out.push_back(make_msg(member, p,
-                               tag_body(AeBoostParty::kBoostPhase, node.parent, junk),
-                               MsgKind::kUnknown));
+        out.push_back(make_msg(member, p, junk, MsgKind::kUnknown));
       }
     });
   }
@@ -198,16 +192,12 @@ class PiBaAttacker final : public Adversary {
     Writer w;
     w.bytes(evil);
     w.bytes(rng_.bytes(160));  // forged certificate (cannot verify)
-    Bytes body = std::move(w).take();
+    const Payload body =
+        tag_body(AeBoostParty::kBoostPhase, (1ULL << 62) + 1, std::move(w).take());
     for (PartyId c = 0; c < n; ++c) {
       if (!cfg_.corrupt[c]) continue;
       for (PartyId to = 0; to < n; ++to) {
-        if (!cfg_.corrupt[to]) {
-          out.push_back(make_msg(c, to,
-                                 tag_body(AeBoostParty::kBoostPhase, (1ULL << 62) + 1,
-                                          body),
-                                 MsgKind::kUnknown));
-        }
+        if (!cfg_.corrupt[to]) out.push_back(make_msg(c, to, body, MsgKind::kUnknown));
       }
     }
   }
@@ -469,11 +459,11 @@ class GridCampaignAdversary final : public CampaignAdversary {
     w.u8(0);  // kStageCommittee
     w.u64(chosen_child_);
     w.raw(evil_blob_);
-    Bytes body = std::move(w).take();
+    const Payload body = tag_body(3, 0, std::move(w).take());
     for (PartyId member : tree.supreme_committee()) {
       if (!controls(member)) continue;
       for (PartyId p : tree.node(chosen_child_).committee) {
-        out.push_back(make_msg(member, p, tag_body(3, 0, body), MsgKind::kUnknown));
+        out.push_back(make_msg(member, p, body, MsgKind::kUnknown));
       }
     }
   }
@@ -492,8 +482,8 @@ class GridCampaignAdversary final : public CampaignAdversary {
     members.erase(std::unique(members.begin(), members.end()), members.end());
     for (PartyId member : members) {
       if (!controls(member)) continue;
-      Bytes evil = framed(member, evil_blob_);
-      Bytes good = framed(member, *good_blob_);
+      const Payload evil = framed(member, evil_blob_);
+      const Payload good = framed(member, *good_blob_);
       for (PartyId p = 0; p < n; ++p) {
         if (p == member) continue;
         out.push_back(make_msg(member, p, p < n / 2 ? evil : good, MsgKind::kUnknown));

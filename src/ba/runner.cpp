@@ -79,8 +79,7 @@ BaRunResult run_ba(const BaRunConfig& config) {
   // parties agree on the stretched schedule.
   const bool chaos = (config.faults.has_value() && config.faults->any()) ||
                      config.campaign != CampaignKind::kNone;
-  ae.grace_rounds = config.grace_rounds;
-  if (ae.grace_rounds == 0 && chaos) {
+  if (chaos) {
     ae.grace_rounds = std::max<std::size_t>(
         config.faults ? config.faults->suggested_grace() : 0, 2);
   }

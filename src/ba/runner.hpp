@@ -70,9 +70,6 @@ struct BaRunConfig {
   /// shares (bounded by certificate_redundancy) and every protocol gets a
   /// grace window to ingest late traffic and degrade gracefully.
   std::optional<FaultPlan> faults;
-  /// Extra rounds appended after the boost phase for late traffic; 0 =
-  /// derive from the fault plan (faults->suggested_grace(), 0 without one).
-  std::size_t grace_rounds = 0;
 
   /// Optional observability sink (non-owning; must outlive run_ba). The
   /// harness installs it on the simulator, registers the protocol's phase

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -18,8 +19,8 @@ namespace srds {
 using PartyId = std::size_t;
 
 /// Coarse classification of what a message carries, tagged by the sender's
-/// protocol logic for observability (per-kind byte/message breakdowns in
-/// the round tracer). The kind is metadata only: it never influences
+/// protocol logic for observability (the Ledger's per-kind byte and message
+/// breakdowns). The kind is metadata only: it never influences
 /// delivery, accounting of bytes, or protocol behavior, and receivers must
 /// not trust it (the adversary may label its traffic arbitrarily).
 enum class MsgKind : std::uint8_t {
@@ -88,22 +89,15 @@ inline Message make_msg(PartyId from, PartyId to, Payload payload, MsgKind kind)
 }
 
 /// One multicast: append a message from `from` to every party in `to` but
-/// `except`, in order, all carrying `payload`. Several recipients share one
-/// payload; a single recipient owns it, with no extra allocation.
+/// `except`, in order, all sharing one `payload`.
 template <typename Range>
 void make_msgs(std::vector<Message>& out, PartyId from, const Range& to, Bytes payload,
                MsgKind kind, PartyId except = kNoParty) {
-  std::size_t left = 0;
-  for (PartyId p : to) left += p != except ? 1 : 0;
-  if (left == 0) return;
-  Payload body = left > 1 ? Payload::shared(std::move(payload)) : Payload(std::move(payload));
+  std::optional<Payload> body;
   for (PartyId p : to) {
     if (p == except) continue;
-    if (--left == 0) {
-      out.push_back(make_msg(from, p, std::move(body), kind));
-      break;
-    }
-    out.push_back(make_msg(from, p, body, kind));
+    if (!body) body.emplace(std::move(payload));
+    out.push_back(make_msg(from, p, *body, kind));
   }
 }
 

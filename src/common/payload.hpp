@@ -11,16 +11,15 @@
 
 namespace srds {
 
-/// The body of a Message: immutable bytes that copies share, so a body sent
-/// to many recipients is stored once however many messages carry it
-/// (DESIGN.md §6, "Message framing").
+/// The body of a Message: immutable bytes in a reference-counted block that
+/// copies share, so a body sent to many recipients is stored once however
+/// many messages carry it (DESIGN.md §6, "Message framing").
 ///
-/// A payload built from `Bytes` owns them outright: a body with one
-/// recipient pays no reference count and no allocation. `shared()` moves
-/// the bytes into a reference-counted block, one allocation and no byte
-/// copy; a copy of that payload only bumps the count, atomically, so copies
-/// may live and die on different threads. Copying a payload that is not
-/// shared copies its bytes, as copying `Bytes` does.
+/// Building a payload from `Bytes` moves them into a new block: one
+/// allocation, no byte copy. A copy only bumps the count, atomically, so
+/// copies may live and die on different threads. `suffix(k)` shares the
+/// block minus its first k bytes, so a layer that strips a header hands the
+/// rest on without copying it.
 ///
 /// `size()` is the wire size, and the payload converts to `BytesView`, so a
 /// `Reader` or `untag_body` reads it like any other buffer.
@@ -28,44 +27,39 @@ class Payload {
  public:
   Payload() = default;
   // Implicit: a Bytes body becomes a payload wherever a Message is built.
-  Payload(Bytes bytes) noexcept : own_(std::move(bytes)) {}  // NOLINT(google-explicit-constructor)
+  Payload(Bytes bytes)  // NOLINT(google-explicit-constructor)
+      : block_(new Block(std::move(bytes))) {}
 
-  /// A payload whose copies share `bytes`.
-  static Payload shared(Bytes bytes) {
-    Payload p;
-    p.shared_ = new Block(std::move(bytes));
+  Payload(const Payload& other) noexcept : block_(other.block_), offset_(other.offset_) {
+    if (block_) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Payload(Payload&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)), offset_(std::exchange(other.offset_, 0)) {}
+  Payload& operator=(Payload other) noexcept {
+    std::swap(block_, other.block_);
+    std::swap(offset_, other.offset_);
+    return *this;
+  }
+  ~Payload() {
+    if (block_ && block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete block_;
+  }
+
+  /// The bytes after the first `k` (none if `k` >= size()), sharing this
+  /// payload's block.
+  Payload suffix(std::size_t k) const {
+    Payload p = *this;
+    p.offset_ += static_cast<std::uint32_t>(std::min(k, size()));
     return p;
   }
 
-  Payload(const Payload& other) : shared_(other.shared_) {
-    if (shared_) {
-      shared_->refs.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      own_ = other.own_;
-    }
-  }
-  Payload(Payload&& other) noexcept
-      : own_(std::move(other.own_)), shared_(std::exchange(other.shared_, nullptr)) {}
-  Payload& operator=(Payload other) noexcept {
-    std::swap(own_, other.own_);
-    std::swap(shared_, other.shared_);
-    return *this;
-  }
-  ~Payload() { release(); }
-
-  bool is_shared() const { return shared_ != nullptr; }
-  /// True if this payload and `other` share one buffer.
-  bool shares(const Payload& other) const { return shared_ && shared_ == other.shared_; }
-
-  /// The bytes: moved out of a payload that is not shared, copied out of
-  /// one that is. Leaves the payload empty.
-  Bytes take() && {
-    Bytes out = shared_ ? shared_->bytes : std::move(own_);
-    release();
-    return out;
+  /// True if this payload and `other` are the same bytes of one block.
+  bool shares(const Payload& other) const {
+    return block_ && block_ == other.block_ && offset_ == other.offset_;
   }
 
-  BytesView view() const { return shared_ ? BytesView(shared_->bytes) : BytesView(own_); }
+  BytesView view() const {
+    return block_ ? BytesView(block_->bytes).subspan(offset_) : BytesView();
+  }
   operator BytesView() const { return view(); }  // NOLINT(google-explicit-constructor)
 
   std::size_t size() const { return view().size(); }
@@ -86,13 +80,8 @@ class Payload {
     Bytes bytes;
   };
 
-  void release() noexcept {
-    if (shared_ && shared_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete shared_;
-    shared_ = nullptr;
-  }
-
-  Bytes own_;               // the bytes while this payload is their sole owner
-  Block* shared_ = nullptr;  // the bytes once shared (own_ is then empty)
+  Block* block_ = nullptr;
+  std::uint32_t offset_ = 0;  // bytes of the block before this payload's first
 };
 
 }  // namespace srds

@@ -95,7 +95,7 @@ struct FaultPlan {
   }
 
   /// Extra protocol rounds a harness should budget so that delayed traffic
-  /// can still be ingested (see BaRunConfig::grace_rounds).
+  /// can still be ingested (see AeConfig::grace_rounds).
   std::size_t suggested_grace() const { return max_delay ? max_delay + 1 : 0; }
 };
 

@@ -94,7 +94,7 @@ void Simulator::deliver(std::size_t round, Message m,
   if (v.duplicate) {
     stats_.faults.duplicated += 1;
     emit_delivery(round, m, obs::Delivery::kDuplicated);
-    inboxes[m.to].push_back(m);  // a shared body stays shared (Payload)
+    inboxes[m.to].push_back(m);  // the duplicate shares the body
   }
   inboxes[m.to].push_back(std::move(m));
 }
@@ -328,7 +328,7 @@ bool Simulator::tick() {
     // parties outside [0, n), or exceed the payload cap. Ill-formed
     // messages are dropped and counted — never indexed into stats.
     if (m.from >= n || !corrupt_[m.from] || m.to >= n ||
-        m.payload.size() > max_adv_payload_) {
+        m.payload.size() > kMaxAdversaryPayload) {
       stats_.faults.adversary_rejected += 1;
       continue;
     }

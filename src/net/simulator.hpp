@@ -69,11 +69,6 @@ class Simulator {
   void set_corruption_budget(std::size_t budget) { corruption_budget_ = budget; }
   std::size_t corruption_budget() const { return corruption_budget_; }
 
-  /// Cap on adversary message payloads; larger payloads are rejected (and
-  /// counted in stats().faults.adversary_rejected). Honest parties are
-  /// trusted code and exempt.
-  void set_max_adversary_payload(std::size_t bytes) { max_adv_payload_ = bytes; }
-
   /// Count this run into `ledger` (non-owning; must outlive run()) instead
   /// of the simulator's own; nullptr restores the owned one. The ledger is
   /// fed every accounting event right after the trace sink sees it — do not
@@ -147,7 +142,10 @@ class Simulator {
   Party* party(PartyId i) { return parties_[i].get(); }
   const Party* party(PartyId i) const { return parties_[i].get(); }
 
-  static constexpr std::size_t kDefaultMaxAdversaryPayload = 1u << 20;
+  /// Cap on adversary message payloads; larger payloads are rejected (and
+  /// counted in stats().faults.adversary_rejected). Honest parties are
+  /// trusted code and exempt.
+  static constexpr std::size_t kMaxAdversaryPayload = 1u << 20;
   /// Automatic mode's worker cap: the widest pool its policy and RSS were
   /// measured with (DESIGN.md §7). set_workers(k) may go beyond it.
   static constexpr std::size_t kMaxAutoWorkers = 4;
@@ -200,7 +198,6 @@ class Simulator {
   std::vector<FaultPlanIssue> plan_issues_;
   std::size_t corruption_budget_ = 0;
   obs::TraceSink* trace_ = nullptr;
-  std::size_t max_adv_payload_ = kDefaultMaxAdversaryPayload;
   obs::Ledger own_ledger_;
   obs::Ledger* ledger_ = nullptr;  // the caller's; nullptr = own_ledger_
   NetworkStats stats_;

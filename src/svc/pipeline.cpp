@@ -33,14 +33,13 @@ std::vector<Message> InstancePipeline::on_round(std::size_t round,
       malformed_ += 1;
       continue;
     }
-    const BytesView inner = r.view(r.remaining());
     bool routed = false;
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (slots_[i].id == id) {
-        // Unwrapped copy with the original sender/kind: the instance's own
-        // demux (phase tags) sees exactly what it would in a standalone run.
-        per_slot[i].push_back(
-            make_msg(m.from, m.to, Bytes(inner.begin(), inner.end()), m.kind));
+        // The frame minus its header, sharing the wire block, with the
+        // original sender/kind: the instance's own demux (phase tags) sees
+        // exactly what it would in a standalone run.
+        per_slot[i].push_back(make_msg(m.from, m.to, m.payload.suffix(sizeof id), m.kind));
         routed = true;
         break;
       }
@@ -60,16 +59,11 @@ std::vector<Message> InstancePipeline::on_round(std::size_t round,
     for (std::size_t a = 0; a < msgs.size();) {
       std::size_t b = a + 1;
       while (b < msgs.size() && msgs[b].payload.shares(msgs[a].payload)) ++b;
-      if (b - a == 1 && !msgs[a].payload.is_shared()) {
-        // A body of its own: the header goes in front of it.
-        Bytes frame = std::move(msgs[a].payload).take();
-        prepend(frame, header);
-        msgs[a].payload = std::move(frame);
-      } else {
-        const Payload framed = Payload::shared(concat(header, msgs[a].payload.view()));
-        for (std::size_t k = a; k < b; ++k) msgs[k].payload = framed;
+      const Payload framed = concat(header, msgs[a].payload.view());
+      for (std::size_t k = a; k < b; ++k) {
+        msgs[k].payload = framed;
+        out.push_back(std::move(msgs[k]));
       }
-      for (std::size_t k = a; k < b; ++k) out.push_back(std::move(msgs[k]));
       a = b;
     }
   }

@@ -29,7 +29,7 @@ BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
     : cfg_(std::move(config)),
       rng_(cfg_.seed ^ 0x7376632d6261640dULL),
       env_(make_service_env(cfg_.n, cfg_.beta, cfg_.seed)),
-      sessions_(cfg_.session_window, cfg_.completed_cache),
+      sessions_(cfg_.session_window),
       router_(this) {
   if (cfg_.protocol != BoostProtocol::kPiBaOwf &&
       cfg_.protocol != BoostProtocol::kPiBaSnark) {
@@ -45,8 +45,7 @@ BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
   // public configuration, so all parties agree on the stretched schedule.
   const bool chaos = (cfg_.faults.has_value() && cfg_.faults->any()) ||
                      cfg_.campaign != CampaignKind::kNone;
-  grace_rounds_ = cfg_.grace_rounds;
-  if (grace_rounds_ == 0 && chaos) {
+  if (chaos) {
     grace_rounds_ = std::max<std::size_t>(
         cfg_.faults ? cfg_.faults->suggested_grace() : 0, 2);
   }

@@ -53,11 +53,6 @@ struct ServiceConfig {
   /// accepted submissions beyond max_inflight queue until a slot retires.
   std::size_t session_window = 8;
   std::size_t max_inflight = 16;
-  /// Decided records cached per session for duplicate replay.
-  std::size_t completed_cache = 64;
-
-  /// Extra grace rounds per instance (0 = derive: 2 under chaos, else 0).
-  std::size_t grace_rounds = 0;
 
   /// Chaos: attack campaign against the service (net/campaign.hpp), its
   /// adaptive corruption budget as a fraction of n, and a network fault

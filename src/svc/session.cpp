@@ -102,7 +102,7 @@ std::vector<Release> SessionManager::complete(std::uint64_t instance,
     if (head == s.pending.end() || !head->second.record.has_value()) break;
     out.push_back(Release{session, s.next_release, *head->second.record});
     s.completed.emplace_back(s.next_release, *head->second.record);
-    while (s.completed.size() > completed_cache_) s.completed.pop_front();
+    while (s.completed.size() > kCompletedCache) s.completed.pop_front();
     s.pending.erase(head);
     s.next_release += 1;
   }

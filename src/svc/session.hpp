@@ -60,12 +60,11 @@ struct Release {
 
 class SessionManager {
  public:
-  /// `window` = max in-flight submissions per session; `completed_cache` =
-  /// decided records retained per session for duplicate replay;
-  /// `retry_after` = the backpressure hint attached to window rejections
-  /// (the daemon passes its estimate of rounds until a slot frees).
-  SessionManager(std::size_t window, std::size_t completed_cache)
-      : window_(window), completed_cache_(completed_cache) {}
+  /// Decided records retained per session for duplicate replay.
+  static constexpr std::size_t kCompletedCache = 64;
+
+  /// `window` = max in-flight submissions per session.
+  explicit SessionManager(std::size_t window) : window_(window) {}
 
   /// Open a new session; returns its id (sequential from 1).
   std::uint64_t open();
@@ -117,7 +116,6 @@ class SessionManager {
   };
 
   std::size_t window_;
-  std::size_t completed_cache_;
   // Session state is owned by the daemon's accept/dispatch loop; nothing
   // else may touch it until it moves behind a mutex or the frames are
   // funneled through a queue.

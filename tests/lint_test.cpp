@@ -19,7 +19,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "baseline.hpp"
 #include "graph.hpp"
 #include "lint.hpp"
 #include "obs/json.hpp"
@@ -512,92 +511,7 @@ TEST(LintLex, ClassicIncludeGuardSurvivesConditionalLexing) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline ratchet (baseline.hpp).
-
-std::vector<Finding> baseline_fixture_findings() {
-  return lint_file("src/ba/d1_nondet.cpp", fixture("d1_nondet.cpp"), {});
-}
-
-TEST(LintBaseline, IdenticalTreePasses) {
-  const auto fs = baseline_fixture_findings();
-  const Baseline b = make_baseline(fs);
-  EXPECT_EQ(b.entries.size(), hits(fs).size());
-  const BaselineDiff d = diff_baseline(fs, b);
-  EXPECT_TRUE(d.fresh.empty());
-  EXPECT_TRUE(d.stale.empty());
-}
-
-TEST(LintBaseline, NewViolationIsFresh) {
-  auto fs = baseline_fixture_findings();
-  const Baseline b = make_baseline(fs);
-  Finding extra;
-  extra.file = "src/ba/other.cpp";
-  extra.line = 3;
-  extra.rule = "T1";
-  extra.severity = Severity::kError;
-  extra.message = "new";
-  fs.push_back(extra);
-  const BaselineDiff d = diff_baseline(fs, b);
-  ASSERT_EQ(d.fresh.size(), 1u);
-  EXPECT_EQ(d.fresh.front().file, "src/ba/other.cpp");
-  EXPECT_TRUE(d.stale.empty());
-}
-
-TEST(LintBaseline, FixedViolationIsStale) {
-  const auto fs = baseline_fixture_findings();
-  const Baseline b = make_baseline(fs);
-  auto fixed = fs;
-  fixed.pop_back();  // one finding fixed, baseline entry kept
-  const BaselineDiff d = diff_baseline(fixed, b);
-  EXPECT_TRUE(d.fresh.empty());
-  ASSERT_EQ(d.stale.size(), 1u);
-  EXPECT_EQ(d.stale.front().rule, fs.back().rule);
-  EXPECT_EQ(d.stale.front().line, fs.back().line);
-}
-
-TEST(LintBaseline, MovedViolationIsFreshPlusStale) {
-  auto fs = baseline_fixture_findings();
-  const Baseline b = make_baseline(fs);
-  fs.back().line += 1;  // same violation, new line: forces a refresh
-  const BaselineDiff d = diff_baseline(fs, b);
-  EXPECT_EQ(d.fresh.size(), 1u);
-  EXPECT_EQ(d.stale.size(), 1u);
-}
-
-TEST(LintBaseline, SuppressedAndWarningFindingsNeverEnterTheBaseline) {
-  auto fs = baseline_fixture_findings();
-  fs.front().suppressed = true;
-  fs.back().severity = Severity::kWarn;
-  const Baseline b = make_baseline(fs);
-  EXPECT_EQ(b.entries.size(), fs.size() - 2);
-}
-
-TEST(LintBaseline, JsonRoundTrips) {
-  const Baseline b = make_baseline(baseline_fixture_findings());
-  ASSERT_FALSE(b.entries.empty());
-  const std::string doc = baseline_json(b).dump(2);
-  // Byte-deterministic like every artifact.
-  EXPECT_EQ(doc, baseline_json(b).dump(2));
-
-  Baseline parsed;
-  std::string error;
-  ASSERT_TRUE(parse_baseline(doc, parsed, error)) << error;
-  ASSERT_EQ(parsed.entries.size(), b.entries.size());
-  for (std::size_t i = 0; i < b.entries.size(); ++i) {
-    EXPECT_EQ(parsed.entries[i].file, b.entries[i].file);
-    EXPECT_EQ(parsed.entries[i].line, b.entries[i].line);
-    EXPECT_EQ(parsed.entries[i].rule, b.entries[i].rule);
-    EXPECT_EQ(parsed.entries[i].message, b.entries[i].message);
-  }
-}
-
-TEST(LintBaseline, ParseRejectsGarbage) {
-  Baseline parsed;
-  std::string error;
-  EXPECT_FALSE(parse_baseline("not json", parsed, error));
-  EXPECT_FALSE(parse_baseline("{\"tool\": \"srds-lint\"}", parsed, error));
-  EXPECT_NE(error.find("baseline"), std::string::npos);
-}
+// Artifact writes.
 
 // Regression: srds-lint's artifact writes (obs::write_text_file) into a
 // directory that does not exist yet must create the parents instead of

@@ -334,7 +334,7 @@ class OversizeAdversary final : public Adversary {
                                 const std::vector<std::vector<Message>>&) override {
     if (round > 0) return {};
     return {
-        Message{2, 0, Bytes(100, 0xEE)},  // over the 8-byte cap below
+        Message{2, 0, Bytes(Simulator::kMaxAdversaryPayload + 1, 0xEE)},  // one byte over the cap
         Message{2, 0, Bytes(4, 0xDD)},    // fine
     };
   }
@@ -347,7 +347,6 @@ TEST(FaultInjection, AdversaryPayloadBoundEnforced) {
   parties.push_back(nullptr);  // corrupt
   std::vector<bool> corrupt{false, false, true};
   Simulator sim(std::move(parties), corrupt, std::make_unique<OversizeAdversary>());
-  sim.set_max_adversary_payload(8);
   sim.run(10);
   EXPECT_EQ(sim.stats().faults.adversary_rejected, 1u);
   auto* p0 = dynamic_cast<SinkParty*>(sim.party(0));
@@ -570,20 +569,28 @@ TEST(SubProto, OwnedTagReusesCapacity) {
 }
 
 TEST(SharedPayload, CopiesShareOneBufferAndOutliveTheOriginal) {
-  Payload sole(to_bytes("body"));
-  EXPECT_FALSE(sole.is_shared());
-  Payload deep = sole;  // never shared: a copy of the bytes
-  EXPECT_NE(deep.data(), sole.data());
-  EXPECT_EQ(deep, sole);
-
-  Payload shared = Payload::shared(to_bytes("body"));
-  Payload copy = shared;
-  EXPECT_TRUE(copy.shares(shared));
-  EXPECT_EQ(copy.data(), shared.data());
+  Payload body(to_bytes("body"));
+  Payload copy = body;
+  EXPECT_TRUE(copy.shares(body));
+  EXPECT_EQ(copy.data(), body.data());
   EXPECT_EQ(copy.size(), 4u);
-  shared = Payload();  // the copy keeps the buffer alive
+  body = Payload();  // the copy keeps the buffer alive
   EXPECT_EQ(to_string(copy), "body");
-  EXPECT_EQ(std::move(copy).take(), to_bytes("body"));
+  EXPECT_FALSE(Payload(to_bytes("body")).shares(copy));  // equal bytes, another block
+  EXPECT_EQ(Payload(to_bytes("body")), copy);
+}
+
+TEST(SharedPayload, SuffixSharesTheBlockAndOutlivesTheOriginal) {
+  Payload frame(to_bytes("headbody"));
+  Payload tail = frame.suffix(4);
+  EXPECT_EQ(tail.data(), frame.data() + 4);  // the same block, no copy
+  EXPECT_EQ(tail.size(), 4u);
+  EXPECT_FALSE(tail.shares(frame));          // other bytes of that block
+  EXPECT_TRUE(tail.shares(frame.suffix(4)));
+  EXPECT_EQ(tail.suffix(2).data(), frame.data() + 6);
+  EXPECT_EQ(frame.suffix(100).size(), 0u);
+  frame = Payload();  // the suffix keeps the block alive
+  EXPECT_EQ(to_string(tail), "body");
 }
 
 TEST(SharedPayload, DolevStrongRelayToCommitteeSharesOneBody) {
@@ -600,12 +607,12 @@ TEST(SharedPayload, DolevStrongRelayToCommitteeSharesOneBody) {
   ASSERT_EQ(msgs.size(), kC - 1);
   for (std::size_t k = 0; k < msgs.size(); ++k) {
     EXPECT_EQ(msgs[k].to, k + 1);
-    EXPECT_TRUE(msgs[k].payload.is_shared());
+    EXPECT_TRUE(msgs[k].payload.shares(msgs[0].payload));
     EXPECT_EQ(msgs[k].payload.data(), msgs[0].payload.data());
   }
 }
 
-TEST(SharedPayload, SingleRecipientOwnsItsBody) {
+TEST(SharedPayload, SendAllSkipsTheExceptedRecipient) {
   Outbox sends;
   sends.send(3, to_bytes("one"));
   sends.send_all(std::vector<PartyId>{1, 2}, to_bytes("skipped"), 1);  // only 2 is left
@@ -616,8 +623,14 @@ TEST(SharedPayload, SingleRecipientOwnsItsBody) {
   ASSERT_EQ(msgs.size(), 2u);
   EXPECT_EQ(msgs[0].to, 3u);
   EXPECT_EQ(msgs[1].to, 2u);
-  EXPECT_FALSE(msgs[0].payload.is_shared());
-  EXPECT_FALSE(msgs[1].payload.is_shared());
+  EXPECT_FALSE(msgs[0].payload.shares(msgs[1].payload));
+}
+
+TEST(SharedPayload, MessageIsFortyBytes) {
+  // One per recipient: two party ids, a payload handle (block pointer and
+  // offset) and the kind.
+  EXPECT_EQ(sizeof(Payload), 16u);
+  EXPECT_EQ(sizeof(Message), 40u);
 }
 
 /// Sends one shared body to its peers each round for `rounds` rounds; byte 0

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
+#include "ba/runner.hpp"
+#include "common/serial.hpp"
+#include "obs/alloc_hooks.hpp"
 #include "obs/ledger.hpp"
 #include "svc/frame.hpp"
+#include "svc/pipeline.hpp"
 #include "svc/service.hpp"
 #include "svc/session.hpp"
 #include "svc/tcp_transport.hpp"
@@ -123,7 +128,7 @@ TEST(FrameCodec, OversizedLengthPoisonsTheStream) {
 // --- SessionManager ---------------------------------------------------------
 
 TEST(SessionManagerTest, WindowRejectionDoesNotConsumeTheSeq) {
-  SessionManager sm(2, 8);
+  SessionManager sm(2);
   const std::uint64_t s = sm.open();
   EXPECT_EQ(sm.submit(s, 1, 30).status, SubmitStatus::kAccepted);
   EXPECT_EQ(sm.submit(s, 2, 30).status, SubmitStatus::kAccepted);
@@ -144,7 +149,7 @@ TEST(SessionManagerTest, WindowRejectionDoesNotConsumeTheSeq) {
 }
 
 TEST(SessionManagerTest, ReleasesInSubmissionOrderDespiteOutOfOrderCompletion) {
-  SessionManager sm(4, 8);
+  SessionManager sm(4);
   const std::uint64_t s = sm.open();
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
     ASSERT_EQ(sm.submit(s, seq, 10).status, SubmitStatus::kAccepted);
@@ -170,9 +175,10 @@ TEST(SessionManagerTest, ReleasesInSubmissionOrderDespiteOutOfOrderCompletion) {
 }
 
 TEST(SessionManagerTest, DuplicatesReplayFromTheBoundedCache) {
-  SessionManager sm(4, 2);  // cache only 2 decided records
+  SessionManager sm(4);
   const std::uint64_t s = sm.open();
-  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+  const std::uint64_t last = SessionManager::kCompletedCache + 1;
+  for (std::uint64_t seq = 1; seq <= last; ++seq) {
     ASSERT_EQ(sm.submit(s, seq, 10).status, SubmitStatus::kAccepted);
     sm.track(s, seq, 100 + seq);
     DecisionRecord rec;
@@ -181,16 +187,18 @@ TEST(SessionManagerTest, DuplicatesReplayFromTheBoundedCache) {
     sm.complete(100 + seq, rec);
   }
 
-  // seq 3 is cached; seq 1 was evicted (cache holds the latest 2).
-  const SubmitResult dup3 = sm.submit(s, 3, 10);
-  EXPECT_EQ(dup3.status, SubmitStatus::kDuplicateDecided);
-  ASSERT_TRUE(dup3.cached.has_value());
-  EXPECT_EQ(dup3.cached->instance, 103u);
+  // seq 2 and later are cached; seq 1 was evicted (the cache holds the
+  // latest kCompletedCache).
+  const SubmitResult dup = sm.submit(s, last, 10);
+  EXPECT_EQ(dup.status, SubmitStatus::kDuplicateDecided);
+  ASSERT_TRUE(dup.cached.has_value());
+  EXPECT_EQ(dup.cached->instance, 100 + last);
+  EXPECT_EQ(sm.submit(s, 2, 10).status, SubmitStatus::kDuplicateDecided);
   EXPECT_EQ(sm.submit(s, 1, 10).status, SubmitStatus::kDuplicateEvicted);
 }
 
 TEST(SessionManagerTest, BadSeqAndClosedSessionsAreRefused) {
-  SessionManager sm(4, 8);
+  SessionManager sm(4);
   const std::uint64_t s = sm.open();
   EXPECT_EQ(sm.submit(s, 2, 10).status, SubmitStatus::kBadSeq);  // must start at 1
   EXPECT_EQ(sm.submit(s + 9, 1, 10).status, SubmitStatus::kBadSession);
@@ -235,6 +243,49 @@ TEST(FrameRouterTest, ServerBoundStreamRejectsClientBoundTypes) {
   router.on_bytes(1, encode_frame(make_reject(5, 2, 4)));
   EXPECT_EQ(router.misdirected_frames(), 2u);
   EXPECT_TRUE(h.submits.empty());
+}
+
+// --- Instance pipeline ------------------------------------------------------
+
+/// Allocations of one pipeline round at `me` in which `copies` messages
+/// carrying `wire` arrive for the instance admitted as `id`.
+std::uint64_t pipeline_round_allocs(const PiBaConfig& config, PartyId me, std::uint64_t id,
+                                    const Payload& wire, std::size_t copies,
+                                    std::uint64_t& malformed) {
+  InstancePipeline pipeline(me);
+  pipeline.admit(id, 0, config, false);
+  const std::vector<Message> inbox(copies, Message{1, me, wire, MsgKind::kUnknown});
+  const std::uint64_t a0 = obs::alloc_ops();
+  pipeline.on_round(0, inbox);
+  const std::uint64_t allocs = obs::alloc_ops() - a0;
+  malformed = pipeline.malformed_frames();
+  return allocs;
+}
+
+TEST(InstancePipelineTest, AdmittedInstanceSharesTheWireBlock) {
+  ASSERT_TRUE(obs::alloc_hooks_active());
+  const ServiceEnv env = make_service_env(64, 0.0, 3);
+  PiBaConfig config;
+  config.ae.tree = env.tree;
+  config.ae.registry = env.registry;
+  config.ae.broadcaster = 0;
+  config.scheme = make_instance_scheme(BoostProtocol::kPiBaSnark, BaseSigBackend::kCompact, 48,
+                                       env.tree->virtual_count(), 5);
+  // Instance 9's frame around a body too short for the instance's own phase
+  // tag: the instance receives it and counts it malformed.
+  constexpr std::uint64_t kId = 9;
+  const Payload wire = concat(le_bytes(kId), Bytes{1, 2, 3});
+  constexpr std::size_t kMany = 256;
+
+  std::uint64_t malformed = 0;
+  pipeline_round_allocs(config, 0, kId, wire, 1, malformed);  // warm up
+  const std::uint64_t one = pipeline_round_allocs(config, 0, kId, wire, 1, malformed);
+  EXPECT_EQ(malformed, 1u);
+  const std::uint64_t many = pipeline_round_allocs(config, 0, kId, wire, kMany, malformed);
+  EXPECT_EQ(malformed, kMany);
+  // Only the instance's inbound vector grows, geometrically: no body is
+  // copied per message, each is the wire block past the instance id.
+  EXPECT_LE(many - one, std::bit_width(kMany));
 }
 
 // --- Daemon over the loopback transport ------------------------------------

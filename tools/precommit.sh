@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # Pre-commit gate: run the same srds-lint invocation CI runs (layering,
-# taint, hot-path rules, ratchet baseline) plus a formatting check, from a
+# taint, hot-path rules) plus a formatting check, from a
 # local checkout. Install with:
 #   ln -s ../../tools/precommit.sh .git/hooks/pre-commit
 #
@@ -21,12 +21,11 @@ if [ -f build/compile_commands.json ]; then
     --compile-db build/compile_commands.json \
     --layers tools/srds-lint/layers.toml \
     --hotpath-allow tools/srds-lint/hotpath_allow.toml \
-    --baseline LINT_BASELINE.json \
     --quiet src
 else
   "$LINT" --tests-dir tests --layers tools/srds-lint/layers.toml \
     --hotpath-allow tools/srds-lint/hotpath_allow.toml \
-    --baseline LINT_BASELINE.json --quiet src
+    --quiet src
 fi
 
 # Formatting: advisory locally (clang-format versions drift), enforced in CI.

@@ -64,10 +64,6 @@
 // D1 on the same line (trailing comment) or, for a comment-only line, on
 // the next line containing code. The justification after "):" is mandatory.
 // L1 is not inline-suppressible by design.
-//
-// Ratchet: baseline.hpp records the current blocking findings in
-// LINT_BASELINE.json; with --baseline, only *new* violations (and stale
-// baseline entries) fail, so the count can only go down.
 #pragma once
 
 #include <cstddef>

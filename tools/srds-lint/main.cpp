@@ -16,17 +16,13 @@
 //                          (plus their transitively reachable quoted
 //                          includes) join the scan set
 //     --dot FILE           export the module dependency graph as Graphviz
-//     --baseline FILE      ratchet gate: fail only on findings not in FILE,
-//                          and on stale FILE entries (fixed but listed)
-//     --write-baseline FILE  record current blocking findings into FILE
 //     --severity R=LEVEL   override a rule (LEVEL: error|warn|off); repeatable
 //     --show-suppressed    list suppressed findings (with justifications)
 //     --list-rules         print the rule table and exit
 //     --quiet              summary line only
 //
 // Exit code: 0 when the gate passes (no unsuppressed error-severity
-// findings; with --baseline: none *beyond* the baseline and no stale
-// entries), 1 otherwise, 2 on usage/IO errors. Paths are reported relative
+// findings), 1 otherwise, 2 on usage/IO errors. Paths are reported relative
 // to the invocation directory, '/'-separated, so CI output is stable
 // across checkouts.
 
@@ -41,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "baseline.hpp"
 #include "graph.hpp"
 #include "lex.hpp"
 #include "lint.hpp"
@@ -146,7 +141,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> roots;
   std::string json_path, tests_dir, layers_path, compile_db_path, dot_path;
   std::string hotpath_allow_path;
-  std::string baseline_path, write_baseline_path;
   bool quiet = false, show_suppressed = false;
   srds::lint::Config cfg;
 
@@ -171,10 +165,6 @@ int main(int argc, char** argv) {
       compile_db_path = need_value("--compile-db");
     } else if (a == "--dot") {
       dot_path = need_value("--dot");
-    } else if (a == "--baseline") {
-      baseline_path = need_value("--baseline");
-    } else if (a == "--write-baseline") {
-      write_baseline_path = need_value("--write-baseline");
     } else if (a == "--severity") {
       if (!parse_severity(need_value("--severity"), cfg)) {
         std::cerr << "srds-lint: bad --severity (want RULE=error|warn|off)\n";
@@ -200,13 +190,8 @@ int main(int argc, char** argv) {
   if (roots.empty() && compile_db_path.empty()) {
     std::cerr << "usage: srds-lint [--json FILE] [--tests-dir DIR] [--layers FILE]\n"
                  "                 [--hotpath-allow FILE] [--compile-db FILE]\n"
-                 "                 [--dot FILE] [--baseline FILE]\n"
-                 "                 [--write-baseline FILE] [--severity R=LEVEL]\n"
+                 "                 [--dot FILE] [--severity R=LEVEL]\n"
                  "                 [--show-suppressed] [--list-rules] [--quiet] <path>...\n";
-    return 2;
-  }
-  if (!baseline_path.empty() && !write_baseline_path.empty()) {
-    std::cerr << "srds-lint: --baseline and --write-baseline are mutually exclusive\n";
     return 2;
   }
 
@@ -318,35 +303,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!write_baseline_path.empty()) {
-    const srds::lint::Baseline b = srds::lint::make_baseline(findings);
-    if (!srds::obs::write_text_file(write_baseline_path,
-                                    srds::lint::baseline_json(b).dump(2) + "\n")) {
-      std::cerr << "srds-lint: cannot write '" << write_baseline_path << "'\n";
-      return 2;
-    }
-    std::printf("srds-lint: wrote baseline with %zu entr%s to %s\n", b.entries.size(),
-                b.entries.size() == 1 ? "y" : "ies", write_baseline_path.c_str());
-  }
-
-  srds::lint::Baseline baseline;
-  srds::lint::BaselineDiff diff;
-  bool have_baseline = false;
-  if (!baseline_path.empty()) {
-    std::string text;
-    if (!read_file(baseline_path, text)) {
-      std::cerr << "srds-lint: cannot read baseline '" << baseline_path << "'\n";
-      return 2;
-    }
-    std::string error;
-    if (!srds::lint::parse_baseline(text, baseline, error)) {
-      std::cerr << "srds-lint: " << baseline_path << ": " << error << "\n";
-      return 2;
-    }
-    diff = srds::lint::diff_baseline(findings, baseline);
-    have_baseline = true;
-  }
-
   if (!quiet) {
     std::fputs(srds::lint::human_report(findings, inputs.size(), show_suppressed).c_str(),
                stdout);
@@ -355,22 +311,11 @@ int main(int argc, char** argv) {
     const std::size_t nl = rep.rfind('\n', rep.size() - 2);
     std::fputs(rep.substr(nl == std::string::npos ? 0 : nl + 1).c_str(), stdout);
   }
-  if (have_baseline) {
-    for (const auto& e : diff.stale) {
-      std::printf("%s:%zu: stale baseline entry: [%s] fixed but still listed; refresh "
-                  "with --write-baseline %s\n",
-                  e.file.c_str(), e.line, e.rule.c_str(), baseline_path.c_str());
-    }
-    std::printf("srds-lint: baseline %s: %zu listed, %zu new, %zu stale\n",
-                baseline_path.c_str(), baseline.entries.size(), diff.fresh.size(),
-                diff.stale.size());
-  }
 
   // The stats block: the call-graph census (deterministic counts; the
-  // P2/T2 passes ran inside lint_files), the baseline diff and the pass
-  // timings, which are wall-clock by nature (steady_clock durations, not
-  // time-of-day). Per-rule counts are not repeated here: `findings` and
-  // `summary` carry them.
+  // P2/T2 passes ran inside lint_files) and the pass timings, which are
+  // wall-clock by nature (steady_clock durations, not time-of-day). Per-rule
+  // counts are not repeated here: `findings` and `summary` carry them.
   srds::obs::Json stats = srds::obs::Json::object();
   stats.set("lint_callgraph_functions", cg_stats.functions);
   stats.set("lint_callgraph_call_edges", cg_stats.call_edges);
@@ -378,11 +323,6 @@ int main(int argc, char** argv) {
   stats.set("lint_callgraph_hotpath_funcs", cg_stats.hotpath_funcs);
   stats.set("lint_callgraph_hotpath_reachable", cg_stats.hotpath_reachable);
   stats.set("lint_callgraph_allowed_skips", cg_stats.allowed_skips);
-  if (have_baseline) {
-    stats.set("lint_baseline_listed", baseline.entries.size());
-    stats.set("lint_baseline_new", diff.fresh.size());
-    stats.set("lint_baseline_stale", diff.stale.size());
-  }
   const auto ms = [](auto d) {
     return std::chrono::duration<double, std::milli>(d).count();
   };
@@ -399,6 +339,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (have_baseline) return (diff.fresh.empty() && diff.stale.empty()) ? 0 : 1;
   return srds::lint::has_blocking(findings) ? 1 : 0;
 }
