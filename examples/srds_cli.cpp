@@ -16,6 +16,9 @@
 #include "ba/runner.hpp"
 #include "common/rng.hpp"
 #include "lb/isolation.hpp"
+#include "obs/ledger.hpp"
+#include "svc/service.hpp"
+#include "svc/transport.hpp"
 #include "tree/election.hpp"
 
 namespace {
@@ -89,16 +92,38 @@ int cmd_ba(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_bcast(const std::map<std::string, std::string>& flags) {
-  BroadcastRunConfig cfg;
+  // The BA daemon with one request in flight: ℓ back-to-back broadcasts over
+  // one tree and PKI (Cor. 1.2(1)), submitted over the loopback transport.
+  const std::size_t ell = flag_u(flags, "ell", 4);
+  obs::Ledger ledger;
+  svc::ServiceConfig cfg;
   cfg.n = flag_u(flags, "n", 256);
-  cfg.ell = flag_u(flags, "ell", 4);
   cfg.beta = flag_d(flags, "beta", 0.1);
   cfg.seed = flag_u(flags, "seed", 1);
-  auto r = run_broadcast_service(cfg);
-  std::printf("n=%zu ell=%zu delivered=%zu/%zu agreement=%s max_bytes=%llu\n", cfg.n,
-              cfg.ell, r.delivered, r.possible, r.agreement ? "yes" : "NO",
-              static_cast<unsigned long long>(r.stats.max_bytes_total()));
-  return r.agreement ? 0 : 1;
+  cfg.session_window = 1;
+  cfg.max_inflight = 1;
+  cfg.ledger = &ledger;
+  svc::BaServiceDaemon daemon(cfg);
+  svc::LoopbackTransport transport;
+  daemon.add_listener(transport.listener());
+  svc::ServiceClient client(transport.connect());
+  client.open();
+  std::size_t submitted = 0;
+  while (client.decisions_received() < ell) {
+    if (submitted < ell && client.can_submit()) client.submit(submitted++ % 2 == 0);
+    daemon.poll();
+    daemon.step();
+    client.poll();
+  }
+  client.close();
+  daemon.shutdown();
+  const svc::ServiceStats& s = daemon.stats();
+  const bool agreement = s.agreed == ell;
+  std::printf("n=%zu ell=%zu delivered=%zu/%zu agreement=%s max_bytes=%llu\n", cfg.n, ell,
+              s.delivered, s.decisions, agreement ? "yes" : "NO",
+              static_cast<unsigned long long>(
+                  ledger.stat(obs::LedgerField::kBytesTotal).max));
+  return agreement ? 0 : 1;
 }
 
 int cmd_isolate(const std::map<std::string, std::string>& flags) {

@@ -3,11 +3,8 @@
 #include <chrono>
 #include <memory>
 
-#include "ba/attack.hpp"
 #include "ba/baselines.hpp"
 #include "ba/pi_ba.hpp"
-#include "common/rng.hpp"
-#include "net/simulator.hpp"
 #include "srds/owf_srds.hpp"
 #include "srds/snark_srds.hpp"
 
@@ -73,20 +70,9 @@ BaRunResult run_ba(const BaRunConfig& config) {
   ae.registry = registry;
   ae.seed = rng.next();
 
-  // Chaos hardening: under a fault plan or an adaptive campaign, budget a
-  // grace window for late traffic and retransmit certificate shares during
-  // π_ba's step 6. Both knobs derive from public configuration, so all
-  // parties agree on the stretched schedule.
-  const bool chaos = (config.faults.has_value() && config.faults->any()) ||
-                     config.campaign != CampaignKind::kNone;
-  if (chaos) {
-    ae.grace_rounds = std::max<std::size_t>(
-        config.faults ? config.faults->suggested_grace() : 0, 2);
-  }
-  std::size_t dissem_retries = 0;
-  if (chaos && config.certificate_redundancy > 1) {
-    dissem_retries = std::min<std::size_t>(config.certificate_redundancy - 1, 3);
-  }
+  const ChaosHardening hardening =
+      chaos_hardening(config.faults, config.campaign, config.certificate_redundancy);
+  ae.grace_rounds = hardening.grace_rounds;
 
   // SRDS setup where needed. In the model every party generates its own
   // keys during the setup phase; the harness performs those calls centrally
@@ -125,7 +111,7 @@ BaRunResult run_ba(const BaRunConfig& config) {
         pc.ae = ae;
         pc.scheme = scheme;
         pc.certificate_redundancy = config.certificate_redundancy;
-        pc.dissem_retries = dissem_retries;
+        pc.dissem_retries = hardening.dissem_retries;
         party = std::make_unique<PiBaParty>(std::move(pc), i, config.input);
         break;
       }
@@ -150,26 +136,16 @@ BaRunResult run_ba(const BaRunConfig& config) {
     parties[i] = std::move(party);
   }
 
-  std::unique_ptr<Adversary> adversary;
-  std::vector<PartitionWindow> campaign_partitions;
-  std::size_t corruption_budget = 0;
-  if (config.campaign != CampaignKind::kNone) {
-    corruption_budget = static_cast<std::size_t>(config.corruption_rate *
-                                                 static_cast<double>(config.n));
-    CampaignConfig cc;
-    cc.kind = config.campaign;
-    cc.tree = tree;
-    cc.registry = registry;
-    cc.corrupt = corrupt;
-    cc.budget = corruption_budget;
-    cc.seed = rng.next();  // drawn only on this path: kNone runs keep their streams
-    cc.dissem_start = dissem_start;
-    cc.boost_start = boost_start;
-    cc.total_rounds = total_rounds;
-    CampaignSetup setup = make_campaign(std::move(cc));
-    adversary = std::move(setup.adversary);
-    campaign_partitions = std::move(setup.partitions);
-  } else if (config.active_adversary && scheme) {
+  CampaignConfig cc;
+  cc.kind = config.campaign;
+  cc.tree = tree;
+  cc.registry = registry;
+  cc.dissem_start = dissem_start;
+  cc.boost_start = boost_start;
+  cc.total_rounds = total_rounds;
+  ChaosSetup chaos = make_chaos_setup(std::move(cc), corrupt, config.corruption_rate,
+                                      config.faults, config.seed, rng);
+  if (config.campaign == CampaignKind::kNone && config.active_adversary && scheme) {
     const std::size_t h = tree->height();
     PiBaAttackConfig attack;
     attack.tree = tree;
@@ -177,44 +153,21 @@ BaRunResult run_ba(const BaRunConfig& config) {
     attack.corrupt = corrupt;
     attack.boost_start = boost_start;
     attack.dissem3_start = boost_start - (h + 1);
-    attack.prf_round = boost_start + 2 * h + 2 + dissem_retries;
+    attack.prf_round = boost_start + 2 * h + 2 + hardening.dissem_retries;
     attack.seed = rng.next();
-    adversary = make_pi_ba_attacker(std::move(attack));
+    chaos.adversary = make_pi_ba_attacker(std::move(attack));
   }
 
-  // Effective fault plan = the configured one plus the campaign's partition
-  // windows (a campaign without faults still gets a plan to carry them).
-  std::optional<FaultPlan> plan = config.faults;
-  if (!campaign_partitions.empty()) {
-    if (!plan.has_value()) {
-      plan.emplace();
-      plan->seed = config.seed ^ 0x63616d706169676eULL;
-    }
-    plan->partitions.insert(plan->partitions.end(), campaign_partitions.begin(),
-                            campaign_partitions.end());
-  }
-
-  Simulator sim(std::move(parties), corrupt, std::move(adversary));
-  sim.set_workers(config.workers);
-  sim.set_ledger(config.ledger);
-  sim.set_corruption_budget(corruption_budget);
-  if (plan.has_value() && plan->any()) sim.set_fault_plan(*plan);
-  sim.set_trace_sink(config.trace);
-  // Register the public phase schedule so the ledger and the trace sink can
-  // attribute every round (and its traffic) to a protocol phase.
-  for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(config.trace),
-                               static_cast<obs::TraceSink*>(&sim.ledger())}) {
-    if (!sink) continue;
-    sink->on_phase(0, "f_ba");
-    sink->on_phase(ct_start, "f_ct");
-    sink->on_phase(dissem_start, "f_ae-dissem");
-    sink->on_phase(boost_start, "boost");
-    if (ae.grace_rounds > 0) {
-      sink->on_phase(total_rounds - ae.grace_rounds, "grace");
-    }
-  }
+  Simulator sim(std::move(parties), corrupt, std::move(chaos.adversary));
+  const PhaseMark phases[] = {{0, "f_ba"},
+                              {ct_start, "f_ct"},
+                              {dissem_start, "f_ae-dissem"},
+                              {boost_start, "boost"},
+                              {total_rounds - ae.grace_rounds, "grace"}};
+  wire_simulator(sim, chaos, config.workers, config.ledger, config.trace,
+                 std::span(phases, ae.grace_rounds > 0 ? 5 : 4));
   BaRunResult result;
-  result.corruption_budget = corruption_budget;
+  result.corruption_budget = chaos.corruption_budget;
   result.rounds = sim.run(total_rounds + 2);
   result.stats = sim.stats();
   // The boost phase runs to the end of the schedule, its grace window
@@ -259,113 +212,77 @@ BaRunResult run_ba(const BaRunConfig& config) {
     auditor.require("f_ba", "f_ba", CommitteeBaProto::phase_budget());
     auditor.require("f_ct", "f_ct", CoinTossProto::phase_budget());
     result.budget_evals = auditor.evaluate(*config.ledger, &final_corrupt);
-    if (config.strict_budgets) {
-      std::vector<obs::BudgetEval> findings;
-      for (const obs::BudgetEval& e : result.budget_evals) {
-        if (!e.skipped && !e.ok) findings.push_back(e);
-      }
-      if (!findings.empty()) {
-        const obs::BudgetEval& f = findings.front();
-        throw BudgetViolation(
-            "budget violation: " + f.protocol + " phase '" + f.phase + "' at n=" +
-                std::to_string(f.n) + ": party " + std::to_string(f.worst_party) +
-                " used " + std::to_string(f.max_bits) + " bits > bound " +
-                std::to_string(static_cast<std::uint64_t>(f.bound_bits)) + " (" +
-                std::to_string(f.violators) + "/" + std::to_string(f.audited) +
-                " parties over)",
-            std::move(findings));
-      }
-    }
+    if (config.strict_budgets) throw_on_budget_findings(result.budget_evals);
   }
   return result;
 }
 
-BroadcastRunResult run_broadcast_service(const BroadcastRunConfig& config) {
-  Rng rng(config.seed ^ 0x62636173742d7376ULL);
-
-  auto tree = std::make_shared<const CommTree>(TreeParams::scaled(config.n), rng.next());
-  auto registry = std::make_shared<const SimSigRegistry>(config.n, rng.next());
-
-  std::vector<bool> corrupt(config.n, false);
-  std::size_t t = static_cast<std::size_t>(config.beta * static_cast<double>(config.n));
-  for (auto idx : rng.subset(config.n, t)) corrupt[idx] = true;
-  std::vector<PartyId> honest_ids;
-  for (PartyId i = 0; i < config.n; ++i) {
-    if (!corrupt[i]) honest_ids.push_back(i);
+ChaosHardening chaos_hardening(const std::optional<FaultPlan>& faults, CampaignKind campaign,
+                               std::size_t certificate_redundancy) {
+  ChaosHardening h;
+  if ((!faults.has_value() || !faults->any()) && campaign == CampaignKind::kNone) return h;
+  h.grace_rounds = std::max<std::size_t>(faults ? faults->suggested_grace() : 0, 2);
+  if (certificate_redundancy > 1) {
+    h.dissem_retries = std::min<std::size_t>(certificate_redundancy - 1, 3);
   }
-
-  // One ledger accounts all ℓ executions: accumulate mode carries the
-  // per-party totals and peers from run to run.
-  obs::Ledger own_ledger;
-  obs::Ledger& ledger = config.ledger ? *config.ledger : own_ledger;
-  ledger.set_accumulate(true);
-  BroadcastRunResult result;
-  std::size_t rounds = 0;
-  std::uint64_t malformed_frames = 0;
-
-  for (std::size_t b = 0; b < config.ell; ++b) {
-    PartyId sender = honest_ids[b % honest_ids.size()];
-    bool bit = (b % 2 == 0);
-
-    AeConfig ae;
-    ae.tree = tree;
-    ae.registry = registry;
-    ae.seed = rng.next();
-    ae.broadcaster = sender;
-
-    // One-time signatures: a fresh SRDS key set per broadcast execution
-    // (the ℓ sets would be pre-published on the bulletin board in one shot;
-    // key generation is local and costs no communication either way).
-    SrdsSchemePtr scheme =
-        make_instance_scheme(config.protocol, config.backend, config.expected_signers,
-                             tree->virtual_count(), rng.next());
-
-    std::vector<std::unique_ptr<Party>> parties(config.n);
-    std::size_t total_rounds = 0;
-    for (PartyId i : honest_ids) {
-      PiBaConfig pc;
-      pc.ae = ae;
-      pc.scheme = scheme;
-      auto party = std::make_unique<PiBaParty>(std::move(pc), i, bit);
-      total_rounds = party->total_rounds();
-      parties[i] = std::move(party);
-    }
-
-    Simulator sim(std::move(parties), corrupt, nullptr);
-    sim.set_ledger(&ledger);
-    rounds += sim.run(total_rounds + 2);
-
-    std::optional<bool> agreed;
-    for (PartyId i : honest_ids) {
-      ++result.possible;
-      const auto* party = dynamic_cast<const AeBoostParty*>(sim.party(i));
-      if (!party) continue;
-      malformed_frames += party->malformed_frames();
-      if (!party->output().has_value()) continue;
-      bool y = *party->output();
-      if (agreed.has_value() && *agreed != y) result.agreement = false;
-      agreed = y;
-      if (y == bit) ++result.delivered;
-    }
-  }
-  result.stats = NetworkStats::of(ledger);
-  result.stats.rounds = rounds;
-  result.stats.faults.malformed_frames = malformed_frames;
-  return result;
+  return h;
 }
 
-ServiceEnv make_service_env(std::size_t n, double beta, std::uint64_t seed) {
-  Rng rng(seed ^ 0x73766320656e7600ULL);
-  ServiceEnv env;
-  env.tree = std::make_shared<const CommTree>(TreeParams::scaled(n), rng.next());
-  env.registry = std::make_shared<const SimSigRegistry>(n, rng.next());
-  env.corrupt.assign(n, false);
-  const std::size_t t = static_cast<std::size_t>(beta * static_cast<double>(n));
-  for (auto idx : rng.subset(n, t)) env.corrupt[idx] = true;
-  for (PartyId i = 0; i < n; ++i) {
-    if (!env.corrupt[i]) env.honest.push_back(i);
+ChaosSetup make_chaos_setup(CampaignConfig campaign, const std::vector<bool>& corrupt,
+                            double corruption_rate, const std::optional<FaultPlan>& faults,
+                            std::uint64_t seed, Rng& rng) {
+  ChaosSetup chaos;
+  chaos.plan = faults;
+  if (campaign.kind == CampaignKind::kNone) return chaos;
+  chaos.corruption_budget = static_cast<std::size_t>(
+      corruption_rate * static_cast<double>(corrupt.size()));
+  campaign.corrupt = corrupt;
+  campaign.budget = chaos.corruption_budget;
+  campaign.seed = rng.next();
+  CampaignSetup setup = make_campaign(std::move(campaign));
+  chaos.adversary = std::move(setup.adversary);
+  if (!setup.partitions.empty()) {
+    if (!chaos.plan.has_value()) {
+      chaos.plan.emplace();
+      chaos.plan->seed = seed ^ 0x63616d706169676eULL;
+    }
+    chaos.plan->partitions.insert(chaos.plan->partitions.end(), setup.partitions.begin(),
+                                  setup.partitions.end());
   }
-  return env;
+  return chaos;
+}
+
+void wire_simulator(Simulator& sim, const ChaosSetup& chaos, std::size_t workers,
+                    obs::Ledger* ledger, obs::TraceSink* trace,
+                    std::span<const PhaseMark> phases) {
+  sim.set_workers(workers);
+  sim.set_ledger(ledger);
+  sim.set_corruption_budget(chaos.corruption_budget);
+  if (chaos.plan.has_value() && chaos.plan->any()) sim.set_fault_plan(*chaos.plan);
+  sim.set_trace_sink(trace);
+  for (obs::TraceSink* sink :
+       {static_cast<obs::TraceSink*>(trace), static_cast<obs::TraceSink*>(&sim.ledger())}) {
+    if (!sink) continue;
+    for (const PhaseMark& p : phases) sink->on_phase(p.round, p.name);
+  }
+}
+
+void throw_on_budget_findings(const std::vector<obs::BudgetEval>& evals) {
+  std::vector<obs::BudgetEval> findings;
+  for (const obs::BudgetEval& e : evals) {
+    if (!e.skipped && !e.ok) findings.push_back(e);
+  }
+  if (findings.empty()) return;
+  const obs::BudgetEval& f = findings.front();
+  const std::string phase = f.phase.empty() ? "" : " phase '" + f.phase + "'";
+  throw BudgetViolation("budget violation: " + f.protocol + phase + " at n=" +
+                            std::to_string(f.n) + ": party " +
+                            std::to_string(f.worst_party) + " used " +
+                            std::to_string(f.max_bits) + " bits > bound " +
+                            std::to_string(static_cast<std::uint64_t>(f.bound_bits)) + " (" +
+                            std::to_string(f.violators) + "/" + std::to_string(f.audited) +
+                            " parties over)",
+                        std::move(findings));
 }
 
 SrdsSchemePtr make_instance_scheme(BoostProtocol protocol, BaseSigBackend backend,

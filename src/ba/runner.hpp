@@ -4,14 +4,19 @@
 // Used by the integration tests, the benchmark binaries and the examples.
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "ba/attack.hpp"
+#include "common/rng.hpp"
 #include "crypto/simsig.hpp"
 #include "net/campaign.hpp"
 #include "net/faults.hpp"
+#include "net/simulator.hpp"
 #include "net/stats.hpp"
 #include "obs/budget.hpp"
 #include "obs/ledger.hpp"
@@ -32,6 +37,11 @@ enum class BoostProtocol {
 
 const char* protocol_name(BoostProtocol p);
 
+/// OWF-SRDS sortition target (expected signers, the paper's polylog(n)) of
+/// every run that does not choose its own: run_ba's default and the svc
+/// daemon's fixed value.
+inline constexpr std::size_t kDefaultExpectedSigners = 48;
+
 struct BaRunConfig {
   std::size_t n = 0;
   double beta = 0.0;  // fraction of parties corrupted (fail-silent)
@@ -41,7 +51,7 @@ struct BaRunConfig {
   /// n >= 256; kWots exercises the faithful hash-based signatures).
   BaseSigBackend backend = BaseSigBackend::kCompact;
   /// OWF-SRDS sortition target (expected signers, the paper's polylog(n)).
-  std::size_t expected_signers = 48;
+  std::size_t expected_signers = kDefaultExpectedSigners;
   /// Every honest party's input bit (protocol validity: output must match
   /// when all honest inputs agree).
   bool input = true;
@@ -97,12 +107,17 @@ struct BaRunConfig {
   std::size_t workers = 0;
 };
 
-/// Thrown by run_ba under strict_budgets when an audited budget fails.
+/// Thrown under strict_budgets (run_ba, the svc daemon's audit) when an
+/// audited budget fails.
 struct BudgetViolation : std::runtime_error {
   explicit BudgetViolation(const std::string& what, std::vector<obs::BudgetEval> f)
       : std::runtime_error(what), findings(std::move(f)) {}
   std::vector<obs::BudgetEval> findings;
 };
+
+/// Throw BudgetViolation, naming the first, if any of `evals` is a finding
+/// (neither skipped nor ok). Returns otherwise.
+void throw_on_budget_findings(const std::vector<obs::BudgetEval>& evals);
 
 struct BaRunResult {
   NetworkStats stats{0};
@@ -150,46 +165,58 @@ struct BaRunResult {
 
 BaRunResult run_ba(const BaRunConfig& config);
 
-/// Corollary 1.2(1): run `ell` one-bit broadcasts (rotating honest senders,
-/// alternating bits) over one shared tree/PKI. Costs accumulate across
-/// executions per party, so `stats` reports the ℓ-execution totals — the
-/// corollary's claim is that the max per party grows as ℓ · polylog(n).
-struct BroadcastRunConfig {
-  std::size_t n = 0;
-  std::size_t ell = 1;
-  double beta = 0.0;
-  std::uint64_t seed = 1;
-  BoostProtocol protocol = BoostProtocol::kPiBaSnark;  // must be a π_ba variant
-  BaseSigBackend backend = BaseSigBackend::kCompact;
-  std::size_t expected_signers = 48;
+// --- Setup shared by run_ba and the svc daemon -------------------------------
+//
+// Only make_chaos_setup draws randomness, and only under a campaign, from
+// the caller's stream at the point of the call.
 
-  /// Optional ledger (non-owning). Switched to accumulate mode and fed from
-  /// all ℓ executions, so its per-party totals are the corollary's
-  /// ℓ-execution quantity.
-  obs::Ledger* ledger = nullptr;
+/// Chaos hardening of one π_ba schedule. Under a fault plan that can affect
+/// a delivery, or under an adaptive campaign, every party budgets a grace
+/// window for late traffic (the plan's suggested_grace(), at least 2) and
+/// retransmits certificate shares during π_ba's step 6 (certificate
+/// redundancy − 1, at most 3). Both derive from public configuration, so all
+/// parties agree on the stretched schedule; a fault-free run gets {0, 0}.
+struct ChaosHardening {
+  std::size_t grace_rounds = 0;
+  std::size_t dissem_retries = 0;
 };
 
-struct BroadcastRunResult {
-  NetworkStats stats{0};      // summed over the ℓ executions
-  std::size_t delivered = 0;  // honest deliveries matching the sender's bit
-  std::size_t possible = 0;   // honest parties x ℓ
-  bool agreement = true;
+ChaosHardening chaos_hardening(const std::optional<FaultPlan>& faults, CampaignKind campaign,
+                               std::size_t certificate_redundancy);
+
+/// A run's chaos as its simulator receives it: the campaign's adversary
+/// (null without a campaign), its adaptive corruption budget, and the
+/// effective fault plan — the configured one plus the campaign's partition
+/// windows (a campaign without faults gets a plan to carry them, keyed by
+/// the run's seed).
+struct ChaosSetup {
+  std::unique_ptr<Adversary> adversary;
+  std::size_t corruption_budget = 0;
+  std::optional<FaultPlan> plan;
 };
 
-BroadcastRunResult run_broadcast_service(const BroadcastRunConfig& config);
+/// Build `campaign` (kind, tree, registry and schedule anchors set by the
+/// caller) against the static mask `corrupt` with a budget of
+/// floor(corruption_rate · n), and merge its partitions into `faults`. The
+/// campaign's seed is drawn from `rng` only when there is a campaign, so a
+/// run without one draws nothing.
+ChaosSetup make_chaos_setup(CampaignConfig campaign, const std::vector<bool>& corrupt,
+                            double corruption_rate, const std::optional<FaultPlan>& faults,
+                            std::uint64_t seed, Rng& rng);
 
-/// Long-lived environment shared by every execution of a BA service
-/// (Cor. 1.2): one comm tree + signature registry amortized over the ℓ
-/// agreement requests, plus the static fail-silent corruption mask drawn the
-/// same way run_ba draws it. The svc daemon builds this once at startup.
-struct ServiceEnv {
-  std::shared_ptr<const CommTree> tree;
-  SimSigRegistryPtr registry;
-  std::vector<bool> corrupt;
-  std::vector<PartyId> honest;  // ids with corrupt[i] == false
+/// The round a protocol phase starts at, and its name.
+struct PhaseMark {
+  std::size_t round = 0;
+  const char* name = "";
 };
 
-ServiceEnv make_service_env(std::size_t n, double beta, std::uint64_t seed);
+/// Install a run's workers, ledger, chaos (corruption budget, and the plan
+/// when it can affect a delivery) and trace sink on `sim`, then register
+/// `phases` on the trace sink and on the simulator's ledger, so both
+/// attribute every round and its traffic to a phase.
+void wire_simulator(Simulator& sim, const ChaosSetup& chaos, std::size_t workers,
+                    obs::Ledger* ledger, obs::TraceSink* trace,
+                    std::span<const PhaseMark> phases);
 
 /// Build a fresh, fully keyed SRDS scheme for ONE broadcast execution over an
 /// existing comm tree (`virtual_count` = tree->virtual_count()). This is the
@@ -197,8 +224,8 @@ ServiceEnv make_service_env(std::size_t n, double beta, std::uint64_t seed);
 /// execution; the ℓ sets would be pre-published on the bulletin board in one
 /// setup, and generation is local either way so it costs no communication.
 /// `protocol` must be a π_ba variant (kPiBaOwf or kPiBaSnark; anything else
-/// throws std::invalid_argument). Shared by run_broadcast_service and the
-/// long-lived svc daemon, which mints one scheme per admitted request.
+/// throws std::invalid_argument). Used by run_ba and by the long-lived svc
+/// daemon, which mints one scheme per admitted request.
 SrdsSchemePtr make_instance_scheme(BoostProtocol protocol, BaseSigBackend backend,
                                    std::size_t expected_signers,
                                    std::size_t virtual_count, std::uint64_t seed);

@@ -98,9 +98,7 @@ class Simulator {
 
   /// Run until every live honest party reports done() or `max_rounds`
   /// elapse. Crash-stopped parties count as done. Returns the number of
-  /// rounds executed. Implemented on top of the incremental API below;
-  /// behavior (stats, trace events, determinism) is identical to the
-  /// historical closed loop.
+  /// rounds executed. Implemented on top of the incremental API below.
   std::size_t run(std::size_t max_rounds);
 
   // --- Incremental driving -------------------------------------------------

@@ -82,13 +82,6 @@ struct NetworkStats {
     return t;
   }
 
-  /// Max bytes sent by any single party (the paper's "max com. per party").
-  std::uint64_t max_bytes_sent() const {
-    std::uint64_t m = 0;
-    for (const auto& p : party) m = std::max(m, p.bytes_sent);
-    return m;
-  }
-
   /// Max of sent+received over parties.
   std::uint64_t max_bytes_total() const {
     std::uint64_t m = 0;
@@ -99,16 +92,6 @@ struct NetworkStats {
   std::size_t max_locality() const {
     std::size_t m = 0;
     for (const auto& p : party) m = std::max(m, p.locality());
-    return m;
-  }
-
-  /// Max over a subset of parties only (e.g., honest parties).
-  template <typename Pred>
-  std::uint64_t max_bytes_total_if(Pred&& keep) const {
-    std::uint64_t m = 0;
-    for (PartyId i = 0; i < party.size(); ++i) {
-      if (keep(i)) m = std::max(m, party[i].bytes_total());
-    }
     return m;
   }
 };

@@ -89,10 +89,10 @@ class Ledger final : public TraceSink {
   static constexpr std::size_t kAllPhases = static_cast<std::size_t>(-1);
 
   /// Accumulate across simulator runs instead of resetting at each
-  /// on_run_begin (same n required): the ℓ-execution services (broadcast,
-  /// Cor 1.2(1)) account their per-party totals and peers over all
-  /// executions, which is exactly the quantity the corollary bounds. Phase
-  /// tallies still reset per run. Default off.
+  /// on_run_begin (same n required): per-party totals and peers carry over
+  /// from run to run, so the interactive committee election (one simulator
+  /// run per tree level, tree/election.cpp) sums its levels. Phase tallies
+  /// still reset per run. Default off.
   void set_accumulate(bool on) { accumulate_ = on; }
 
   void on_run_begin(std::size_t n_parties) override;

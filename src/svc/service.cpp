@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ba/attack.hpp"
 #include "ba/pi_ba.hpp"
 #include "obs/alloc_hooks.hpp"
 #include "obs/prof.hpp"
@@ -25,6 +24,20 @@ constexpr double kAmortizedBitsPerLog4 = 18000.0;
 
 }  // namespace
 
+ServiceEnv make_service_env(std::size_t n, double beta, std::uint64_t seed) {
+  Rng rng(seed ^ 0x73766320656e7600ULL);
+  ServiceEnv env;
+  env.tree = std::make_shared<const CommTree>(TreeParams::scaled(n), rng.next());
+  env.registry = std::make_shared<const SimSigRegistry>(n, rng.next());
+  env.corrupt.assign(n, false);
+  const std::size_t t = static_cast<std::size_t>(beta * static_cast<double>(n));
+  for (auto idx : rng.subset(n, t)) env.corrupt[idx] = true;
+  for (PartyId i = 0; i < n; ++i) {
+    if (!env.corrupt[i]) env.honest.push_back(i);
+  }
+  return env;
+}
+
 BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
     : cfg_(std::move(config)),
       rng_(cfg_.seed ^ 0x7376632d6261640dULL),
@@ -40,89 +53,47 @@ BaServiceDaemon::BaServiceDaemon(ServiceConfig config)
                                 std::to_string(cfg_.beta));
   }
 
-  // Chaos hardening mirrors run_ba: under faults or a campaign every
-  // instance gets a grace window and step-6 retransmits. Both derive from
-  // public configuration, so all parties agree on the stretched schedule.
-  const bool chaos = (cfg_.faults.has_value() && cfg_.faults->any()) ||
-                     cfg_.campaign != CampaignKind::kNone;
-  if (chaos) {
-    grace_rounds_ = std::max<std::size_t>(
-        cfg_.faults ? cfg_.faults->suggested_grace() : 0, 2);
-  }
-  dissem_retries_ = chaos ? 2 : 0;
+  // Every instance runs run_ba's chaos hardening at π_ba's default
+  // certificate redundancy.
+  hardening_ = chaos_hardening(cfg_.faults, cfg_.campaign, PiBaConfig{}.certificate_redundancy);
 
   // Every instance shares one schedule (it depends only on the tree and the
   // grace/retry knobs), so probe it once with a throwaway party.
-  first_scheme_ = make_instance_scheme(cfg_.protocol, cfg_.backend,
-                                       cfg_.expected_signers,
+  first_scheme_ = make_instance_scheme(cfg_.protocol, cfg_.backend, kDefaultExpectedSigners,
                                        env_.tree->virtual_count(), rng_.next());
-  std::size_t boost_start = 0, dissem_start = 0;
+  CampaignConfig cc;
   {
     PiBaConfig pc;
     pc.ae.tree = env_.tree;
     pc.ae.registry = env_.registry;
     pc.ae.seed = 0;
     pc.ae.broadcaster = env_.honest.front();
-    pc.ae.grace_rounds = grace_rounds_;
+    pc.ae.grace_rounds = hardening_.grace_rounds;
     pc.scheme = first_scheme_;
-    pc.dissem_retries = dissem_retries_;
+    pc.dissem_retries = hardening_.dissem_retries;
     PiBaParty probe(std::move(pc), env_.honest.front(), false);
     instance_rounds_ = probe.total_rounds();
-    boost_start = probe.boost_start();
-    dissem_start = probe.dissem_start();
+    cc.boost_start = probe.boost_start();
+    cc.dissem_start = probe.dissem_start();
   }
 
   // Campaign against the service: the adversary's schedule anchors are the
   // first instance's (admitted at round 0 in the intended deployments), so
   // its moves land on the early instances while later ones run through the
   // aftermath — partitions, seized committee seats, churned-out parties.
-  std::unique_ptr<Adversary> adversary;
-  std::vector<PartitionWindow> campaign_partitions;
-  std::size_t corruption_budget = 0;
-  if (cfg_.campaign != CampaignKind::kNone) {
-    corruption_budget = static_cast<std::size_t>(cfg_.corruption_rate *
-                                                 static_cast<double>(cfg_.n));
-    CampaignConfig cc;
-    cc.kind = cfg_.campaign;
-    cc.tree = env_.tree;
-    cc.registry = env_.registry;
-    cc.corrupt = env_.corrupt;
-    cc.budget = corruption_budget;
-    cc.seed = rng_.next();
-    cc.dissem_start = dissem_start;
-    cc.boost_start = boost_start;
-    cc.total_rounds = instance_rounds_;
-    CampaignSetup setup = make_campaign(std::move(cc));
-    adversary = std::move(setup.adversary);
-    campaign_partitions = std::move(setup.partitions);
-  }
-
-  std::optional<FaultPlan> plan = cfg_.faults;
-  if (!campaign_partitions.empty()) {
-    if (!plan.has_value()) {
-      plan.emplace();
-      plan->seed = cfg_.seed ^ 0x63616d706169676eULL;
-    }
-    plan->partitions.insert(plan->partitions.end(), campaign_partitions.begin(),
-                            campaign_partitions.end());
-  }
+  cc.kind = cfg_.campaign;
+  cc.tree = env_.tree;
+  cc.registry = env_.registry;
+  cc.total_rounds = instance_rounds_;
+  ChaosSetup chaos = make_chaos_setup(std::move(cc), env_.corrupt, cfg_.corruption_rate,
+                                      cfg_.faults, cfg_.seed, rng_);
 
   std::vector<std::unique_ptr<Party>> parties(cfg_.n);
   for (PartyId i : env_.honest) parties[i] = std::make_unique<InstancePipeline>(i);
   sim_ = std::make_unique<Simulator>(std::move(parties), env_.corrupt,
-                                     std::move(adversary));
-  sim_->set_workers(cfg_.workers);
-  sim_->set_ledger(cfg_.ledger);
-  sim_->set_corruption_budget(corruption_budget);
-  if (plan.has_value() && plan->any()) sim_->set_fault_plan(*plan);
-  sim_->set_trace_sink(cfg_.trace);
-  for (obs::TraceSink* sink : {static_cast<obs::TraceSink*>(cfg_.trace),
-                               static_cast<obs::TraceSink*>(&sim_->ledger())}) {
-    if (sink) sink->on_phase(0, "service");
-  }
-  // Accumulate mode: the ledger's per-party totals span the whole service
-  // lifetime — exactly the quantity the amortized budget bounds.
-  if (cfg_.ledger) cfg_.ledger->set_accumulate(true);
+                                     std::move(chaos.adversary));
+  const PhaseMark phases[] = {{0, "service"}};
+  wire_simulator(*sim_, chaos, cfg_.workers, cfg_.ledger, cfg_.trace, phases);
 }
 
 BaServiceDaemon::~BaServiceDaemon() {
@@ -282,15 +253,15 @@ void BaServiceDaemon::admit_one(const QueuedAdmission& q) {
   pc.ae.registry = env_.registry;
   pc.ae.seed = rng_.next();
   pc.ae.broadcaster = broadcaster;
-  pc.ae.grace_rounds = grace_rounds_;
+  pc.ae.grace_rounds = hardening_.grace_rounds;
   // One-time signatures: a fresh SRDS key set per instance (pre-published on
   // the bulletin board in one setup; generation is local so it costs no
   // communication). The probe's scheme serves the first admission.
   pc.scheme = first_scheme_ ? std::move(first_scheme_)
                             : make_instance_scheme(cfg_.protocol, cfg_.backend,
-                                                   cfg_.expected_signers,
+                                                   kDefaultExpectedSigners,
                                                    env_.tree->virtual_count(), rng_.next());
-  pc.dissem_retries = dissem_retries_;
+  pc.dissem_retries = hardening_.dissem_retries;
 
   for (PartyId i : env_.honest) {
     if (sim_->is_corrupt(i) || sim_->is_crashed(i)) continue;
@@ -424,17 +395,7 @@ std::vector<obs::BudgetEval> BaServiceDaemon::audit() {
   std::vector<bool> exclude(cfg_.n, false);
   for (PartyId i = 0; i < cfg_.n; ++i) exclude[i] = sim_->is_corrupt(i);
   std::vector<obs::BudgetEval> evals = auditor.evaluate(*cfg_.ledger, &exclude);
-  if (cfg_.strict_budgets) {
-    for (const obs::BudgetEval& e : evals) {
-      if (e.skipped || e.ok) continue;
-      throw BudgetViolation(
-          "amortized budget violation: " + e.protocol + " at n=" + std::to_string(e.n) +
-              " over " + std::to_string(stats_.decisions) + " decisions: party " +
-              std::to_string(e.worst_party) + " used " + std::to_string(e.max_bits) +
-              " bits > bound " + std::to_string(static_cast<std::uint64_t>(e.bound_bits)),
-          {e});
-    }
-  }
+  if (cfg_.strict_budgets) throw_on_budget_findings(evals);
   return evals;
 }
 

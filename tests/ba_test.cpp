@@ -2,6 +2,7 @@
 // and the baseline boost protocols on the network simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ba/runner.hpp"
@@ -24,6 +25,33 @@ void expect_success(const BaRunResult& r, double min_decided, const char* label)
   EXPECT_TRUE(*r.value) << label << ": validity broken (all honest inputs were 1)";
   EXPECT_EQ(r.correct, r.decided) << label;
   EXPECT_GE(r.decided_fraction(), min_decided) << label;
+}
+
+// --- Chaos hardening (shared by run_ba and the svc daemon) ---
+
+TEST(ChaosHardening, DerivesGraceAndRetriesFromPublicConfig) {
+  const ChaosHardening quiet = chaos_hardening(std::nullopt, CampaignKind::kNone, 3);
+  EXPECT_EQ(quiet.grace_rounds, 0u);
+  EXPECT_EQ(quiet.dissem_retries, 0u);
+  // A plan that cannot affect any delivery is no chaos either.
+  const ChaosHardening inert = chaos_hardening(FaultPlan{}, CampaignKind::kNone, 3);
+  EXPECT_EQ(inert.grace_rounds, 0u);
+  EXPECT_EQ(inert.dissem_retries, 0u);
+
+  const ChaosHardening campaign = chaos_hardening(std::nullopt, CampaignKind::kEclipse, 3);
+  EXPECT_EQ(campaign.grace_rounds, 2u);
+  EXPECT_EQ(campaign.dissem_retries, 2u);
+  EXPECT_EQ(chaos_hardening(std::nullopt, CampaignKind::kEclipse, 1).dissem_retries, 0u);
+  EXPECT_EQ(chaos_hardening(std::nullopt, CampaignKind::kEclipse, 9).dissem_retries, 3u);
+
+  for (std::size_t d : {1u, 4u}) {
+    FaultPlan plan;
+    plan.delay_prob = 0.1;
+    plan.max_delay = d;
+    const ChaosHardening delayed = chaos_hardening(plan, CampaignKind::kNone, 3);
+    EXPECT_EQ(delayed.grace_rounds, std::max<std::size_t>(plan.suggested_grace(), 2)) << d;
+    EXPECT_EQ(delayed.dissem_retries, 2u) << d;
+  }
 }
 
 // --- π_ba with both SRDS instantiations ---

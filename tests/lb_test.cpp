@@ -1,8 +1,6 @@
-// Tests for the lower-bound isolation experiments (Theorems 1.3 / 1.4) and
-// the broadcast-service corollary (Corollary 1.2(1)).
+// Tests for the lower-bound isolation experiments (Theorems 1.3 / 1.4).
 #include <gtest/gtest.h>
 
-#include "ba/runner.hpp"
 #include "lb/isolation.hpp"
 
 namespace srds {
@@ -61,46 +59,6 @@ TEST(IsolationAttack, GapWidensWithN) {
   double gap_large = static_cast<double>(large.forged_support) /
                      static_cast<double>(large.honest_support + 1);
   EXPECT_GT(gap_large, gap_small);
-}
-
-// --- Corollary 1.2(1): broadcast service ---
-
-TEST(BroadcastService, DeliversEveryBroadcast) {
-  BroadcastRunConfig c;
-  c.n = 128;
-  c.ell = 3;
-  c.beta = 0.1;
-  c.seed = 6;
-  auto r = run_broadcast_service(c);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_GE(static_cast<double>(r.delivered), 0.9 * static_cast<double>(r.possible));
-}
-
-TEST(BroadcastService, CostScalesLinearlyInEll) {
-  BroadcastRunConfig c;
-  c.n = 128;
-  c.beta = 0.0;
-  c.seed = 7;
-  c.ell = 1;
-  auto one = run_broadcast_service(c);
-  c.ell = 4;
-  auto four = run_broadcast_service(c);
-  double growth = static_cast<double>(four.stats.max_bytes_total()) /
-                  static_cast<double>(one.stats.max_bytes_total());
-  EXPECT_GT(growth, 2.5);  // roughly linear in ell...
-  EXPECT_LT(growth, 6.0);  // ...with no super-linear blowup
-}
-
-TEST(BroadcastService, OwfVariantWorks) {
-  BroadcastRunConfig c;
-  c.n = 128;
-  c.ell = 2;
-  c.beta = 0.1;
-  c.seed = 8;
-  c.protocol = BoostProtocol::kPiBaOwf;
-  auto r = run_broadcast_service(c);
-  EXPECT_TRUE(r.agreement);
-  EXPECT_GE(static_cast<double>(r.delivered), 0.9 * static_cast<double>(r.possible));
 }
 
 }  // namespace

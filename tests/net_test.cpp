@@ -83,7 +83,6 @@ TEST(Simulator, AccountsBytesSymmetrically) {
     EXPECT_EQ(st.party[i].locality(), 4u);
   }
   EXPECT_EQ(st.total_bytes(), 5u * 8u);
-  EXPECT_EQ(st.max_bytes_sent(), 8u);
   EXPECT_EQ(st.max_bytes_total(), 16u);
   EXPECT_EQ(st.max_locality(), 4u);
 }

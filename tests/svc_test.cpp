@@ -295,6 +295,7 @@ struct ServiceRun {
   std::vector<ServiceClient::ClientDecision> decisions;
   std::uint64_t client_rejects = 0;
   std::string ledger_json;
+  std::uint64_t max_party_bytes = 0;  // worst party's lifetime bytes (sent + received)
 };
 
 /// Drive one daemon + one client over the loopback transport until `ell`
@@ -340,6 +341,7 @@ void run_loopback_service_into(ServiceRun& out, ServiceConfig cfg, std::size_t e
   out.stats = daemon.stats();
   out.client_rejects = client.rejects_received();
   out.ledger_json = ledger.to_json(true).dump();
+  out.max_party_bytes = ledger.stat(obs::LedgerField::kBytesTotal).max;
 }
 
 ServiceConfig small_config() {
@@ -418,6 +420,52 @@ TEST(ServiceDaemon, SurvivesAnEclipseCampaignWithAgreement) {
     EXPECT_TRUE(d.decision.agreement) << "seq " << d.seq;
   }
   EXPECT_EQ(run.stats.agreed, 6u);
+}
+
+// --- Corollary 1.2(1): the sequential broadcast service ---
+//
+// With one request in flight the daemon runs ℓ broadcasts back to back over
+// one tree and PKI.
+
+ServiceConfig sequential_config(std::size_t n, double beta, std::uint64_t seed) {
+  ServiceConfig cfg;
+  cfg.n = n;
+  cfg.beta = beta;
+  cfg.seed = seed;
+  cfg.session_window = 1;
+  cfg.max_inflight = 1;
+  return cfg;
+}
+
+void expect_delivered(const ServiceRun& run, std::size_t ell) {
+  ASSERT_EQ(run.decisions.size(), ell);
+  EXPECT_EQ(run.stats.agreed, ell);
+  EXPECT_GE(static_cast<double>(run.stats.delivered), 0.9 * static_cast<double>(ell));
+}
+
+TEST(ServiceDaemon, SequentialServiceDeliversEveryBroadcast) {
+  ServiceRun run;
+  run_loopback_service_into(run, sequential_config(128, 0.1, 6), 3);
+  expect_delivered(run, 3);
+}
+
+TEST(ServiceDaemon, SequentialOwfServiceDeliversEveryBroadcast) {
+  ServiceConfig cfg = sequential_config(128, 0.1, 8);
+  cfg.protocol = BoostProtocol::kPiBaOwf;
+  ServiceRun run;
+  run_loopback_service_into(run, cfg, 2);
+  expect_delivered(run, 2);
+}
+
+TEST(ServiceDaemon, LifetimeCostScalesLinearlyInEll) {
+  ServiceRun one, four;
+  run_loopback_service_into(one, sequential_config(128, 0.0, 7), 1);
+  run_loopback_service_into(four, sequential_config(128, 0.0, 7), 4);
+  ASSERT_GT(one.max_party_bytes, 0u);
+  const double growth =
+      static_cast<double>(four.max_party_bytes) / static_cast<double>(one.max_party_bytes);
+  EXPECT_GT(growth, 2.5);  // roughly linear in ell...
+  EXPECT_LT(growth, 6.0);  // ...with no super-linear blowup
 }
 
 TEST(ServiceDaemon, ClosedSessionDropsQueuedSubmissions) {
