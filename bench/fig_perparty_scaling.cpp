@@ -115,9 +115,10 @@ int main(int argc, char** argv) {
       "the top of this sweep), ~0.7 for sampling, and well below 0.5 for both\n"
       "pi_ba rows (polylog wiggle only: the non-monotone cells are real, they\n"
       "track ceil(log n) jumps in committee size/tree height). Measured\n"
-      "crossover: pi_ba/snark undercuts bgt13-multisig by n=2048 and\n"
-      "extrapolates past naive around n~4k; the flat pi_ba rows win against\n"
-      "every Theta(n) row from there on out.\n");
+      "crossovers: pi_ba/snark undercuts bgt13-multisig by n=2048 and naive\n"
+      "at n=4096 (243,016 vs 331,695 boost bytes at seed 101); pi_ba/owf\n"
+      "crosses naive between n=4096 and n=8192. The flat pi_ba rows win\n"
+      "against every Theta(n) row from there on out.\n");
   finish_report(rep, args);
   return 0;
 }

@@ -67,34 +67,33 @@ void BM_ReporterAddRow(benchmark::State& state) {
 }
 BENCHMARK(BM_ReporterAddRow);
 
-/// Sends an empty message to each of `fanout` fixed peers every round and
-/// never finishes, so the simulator can be ticked indefinitely.
+/// Sends one empty body to `fanout` fixed peers every round and never
+/// finishes, so the simulator can be ticked indefinitely.
 class FanoutParty final : public Party {
  public:
-  FanoutParty(PartyId me, std::size_t n, std::size_t fanout)
-      : me_(me), n_(n), fanout_(fanout) {}
-
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&) override {
-    std::vector<Message> out;
-    out.reserve(fanout_);
-    for (std::size_t k = 0; k < fanout_; ++k) {
-      out.push_back(Message{me_, (me_ + 1 + k * 31) % n_, {}});
+  FanoutParty(PartyId me, std::size_t n, std::size_t fanout) {
+    for (std::size_t k = 0; k < fanout; ++k) {
+      peers_.push_back(static_cast<PartyId>((me + 1 + k * 31) % n));
     }
+  }
+
+  SendList on_round(std::size_t, const std::vector<Message>&) override {
+    SendList out;
+    out.send_all(peers_, Payload(), MsgKind::kUnknown);
     return out;
   }
   bool done() const override { return false; }
 
  private:
-  PartyId me_;
-  std::size_t n_, fanout_;
+  std::vector<PartyId> peers_;
 };
 
 // One simulator round at n=1024 with every party sending to 32 peers, all
 // of it counted into an installed Ledger (tallies per party, phase and
 // kind, plus the per-phase peer lists behind locality). Payloads are empty,
-// so the allocations left are the parties' outboxes (one per party per
-// round); the accounting itself must add none once the peer lists have
-// reached their steady size.
+// so the allocations left are the parties' send lists (two per party per
+// round: the body and its recipients); delivery and the accounting must add
+// none once the inboxes and the peer lists have reached their steady size.
 void BM_SimRoundAccounting(benchmark::State& state) {
   constexpr std::size_t kN = 1024, kFanout = 32;
   std::vector<std::unique_ptr<Party>> parties;
@@ -154,8 +153,8 @@ std::unique_ptr<ParallelProto> relay_block(std::size_t c, bool sender) {
 // ParallelProto's child index, the coin toss's kind byte and the channel
 // tag, and the six messages come back in through untag_body, the kind byte
 // and a receiver's ParallelProto demux. The body is written once, each layer
-// writes its header into it once, the six messages share it and the
-// receiving side borrows it: allocs_per_op (12 with libstdc++) is the body,
+// writes its header into it once, the six recipients share it and the
+// receiving side borrows it: allocs_per_op (10 with libstdc++) is the body,
 // its shared block and per-step vectors, none per recipient.
 void BM_FrameNestedRoundTrip(benchmark::State& state) {
   constexpr std::size_t kC = 7;
@@ -167,19 +166,21 @@ void BM_FrameNestedRoundTrip(benchmark::State& state) {
   for (auto _ : state) {
     Outbox sends = sender->step(0, no_inbox);
     sends.frame(std::array{kKind});
-    std::vector<Message> msgs;
-    send_tagged(msgs, 0, std::move(sends), 2, 0, MsgKind::kCoinToss);
+    SendList out;
+    send_tagged(out, std::move(sends), 2, 0, MsgKind::kCoinToss);
 
     std::vector<TaggedMsg> inbox;
-    inbox.reserve(msgs.size());
-    for (const Message& m : msgs) {
+    inbox.reserve(out.messages());
+    for (std::size_t k = 0; k < out.size(); ++k) {
       std::uint32_t phase;
       std::uint64_t instance;
       BytesView body;
-      if (!untag_body(m.payload, phase, instance, body)) continue;
+      if (!untag_body(out.body(k), phase, instance, body)) continue;
       Reader r(body);
       if (r.u8() != kKind) continue;
-      inbox.emplace_back(m.from, r.view(r.remaining()), instance);
+      for (std::size_t c = 0; c < out.to(k).size(); ++c) {
+        inbox.emplace_back(PartyId{0}, r.view(r.remaining()), instance);
+      }
     }
     benchmark::DoNotOptimize(receiver->step(0, inbox));
   }

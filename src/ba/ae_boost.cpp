@@ -59,8 +59,7 @@ void AeBoostParty::make_committee_protocols(bool ba_input_bit) {
   }
 }
 
-std::vector<Message> AeBoostParty::on_round(std::size_t round,
-                                            const std::vector<Message>& inbox) {
+SendList AeBoostParty::on_round(std::size_t round, const std::vector<Message>& inbox) {
   // Demux by phase tag. Bodies borrow `inbox`, which outlives this call.
   std::vector<TaggedMsg> ba_in, ct_in, dissem_in, boost_in;
   for (const auto& m : inbox) {
@@ -80,7 +79,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
     }
   }
 
-  std::vector<Message> out;
+  SendList out;
   auto emit = [&](std::uint32_t phase, Outbox sends) {
     MsgKind kind = MsgKind::kUnknown;
     switch (phase) {
@@ -89,7 +88,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
       case 3: kind = MsgKind::kDissem; break;
       default: break;
     }
-    send_tagged(out, me_, std::move(sends), phase, 0, kind);
+    send_tagged(out, std::move(sends), phase, 0, kind);
   };
 
   // P0 (broadcast mode only): the sender injects its bit into the supreme
@@ -97,8 +96,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
   if (cfg_.broadcaster.has_value()) {
     if (round == 0 && me_ == *cfg_.broadcaster) {
       const Bytes bit{static_cast<std::uint8_t>(input_ ? 1 : 0)};
-      make_msgs(out, me_, cfg_.tree->supreme_committee(), tag_body(4, 0, bit),
-                MsgKind::kInject, me_);
+      out.send_all(cfg_.tree->supreme_committee(), tag_body(4, 0, bit), MsgKind::kInject, me_);
       if (in_committee_) injected_bit_ = input_;
     }
     if (round == 1 && in_committee_) {
@@ -146,9 +144,7 @@ std::vector<Message> AeBoostParty::on_round(std::size_t round,
   // ingest-only step (messages sent in its step k arrive at step k+1).
   const std::size_t boost_end = boost_start_ + boost_rounds();
   if (round >= boost_start_ && round < boost_end) {
-    auto msgs = boost_step(round - boost_start_, boost_in);
-    out.insert(out.end(), std::make_move_iterator(msgs.begin()),
-               std::make_move_iterator(msgs.end()));
+    out.append(boost_step(round - boost_start_, boost_in));
     if (round + 1 == boost_end) {
       boost_finish();
       if (cfg_.grace_rounds == 0) done_ = true;

@@ -54,7 +54,7 @@ class AeBoostParty : public Party {
  public:
   AeBoostParty(AeConfig config, PartyId me, bool input);
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& inbox) final;
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) final;
   bool done() const final { return done_; }
 
   /// The decided bit (nullopt = undecided; isolated parties may stay
@@ -102,10 +102,9 @@ class AeBoostParty : public Party {
   /// One boost round (k = 0 .. boost_rounds()-1). `inbox` holds the
   /// boost-phase bodies addressed to me this round, each with its channel
   /// tag's instance in TaggedMsg::instance; the bodies are valid only during
-  /// this call. Returned messages must already be fully framed (use
+  /// this call. Returned bodies must already be fully framed (use
   /// send_boost).
-  virtual std::vector<Message> boost_step(std::size_t k,
-                                          const std::vector<TaggedMsg>& inbox) = 0;
+  virtual SendList boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) = 0;
 
   /// Called once after the final boost round's arrivals were processed.
   virtual void boost_finish() {}
@@ -123,14 +122,14 @@ class AeBoostParty : public Party {
     if (ae_y_.has_value()) output_ = *ae_y_;
   }
 
-  /// Append one boost message per party in `to` but `except`, in order,
-  /// all sharing `body` framed with the boost tag (make_msgs). `kind` labels
-  /// the send for the observability layer's per-kind breakdowns; it never
-  /// affects delivery or protocol behavior.
+  /// Send `body`, framed with the boost tag, to every party in `to` but
+  /// `except`, in order. `kind` labels the send for the observability
+  /// layer's per-kind breakdowns; it never affects delivery or protocol
+  /// behavior.
   template <typename Range>
-  void send_boost(std::vector<Message>& out, const Range& to, std::uint64_t instance,
-                  Bytes body, MsgKind kind, PartyId except = kNoParty) const {
-    make_msgs(out, me_, to, tag_body(kBoostPhase, instance, std::move(body)), kind, except);
+  static void send_boost(SendList& out, const Range& to, std::uint64_t instance, Bytes body,
+                         MsgKind kind, PartyId except = kNoParty) {
+    out.send_all(to, tag_body(kBoostPhase, instance, std::move(body)), kind, except);
   }
 
   void set_output(bool y) { output_ = y; }

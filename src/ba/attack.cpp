@@ -23,9 +23,8 @@ class PiBaAttacker final : public Adversary {
   explicit PiBaAttacker(PiBaAttackConfig config)
       : cfg_(std::move(config)), rng_(cfg_.seed ^ 0x61747461636bULL) {}
 
-  std::vector<Message> on_round(
-      std::size_t round, const std::vector<Message>&,
-      const std::vector<std::vector<Message>>& honest_outboxes) override {
+  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
+                                const std::vector<SendList>& honest_sends) override {
     std::vector<Message> out;
     const CommTree& tree = *cfg_.tree;
     const std::size_t h = tree.height();
@@ -40,7 +39,7 @@ class PiBaAttacker final : public Adversary {
     // rushing view and replay them into *every* leaf committee; also spray
     // malformed signatures. ---
     if (round == cfg_.boost_start) {
-      attack_signing(honest_outboxes, out);
+      attack_signing(honest_sends, out);
     }
 
     // --- Step-5 aggregation: garbage candidates to every parent committee
@@ -104,21 +103,23 @@ class PiBaAttacker final : public Adversary {
     });
   }
 
-  void attack_signing(const std::vector<std::vector<Message>>& honest_outboxes,
-                      std::vector<Message>& out) {
+  void attack_signing(const std::vector<SendList>& honest_sends, std::vector<Message>& out) {
     const CommTree& tree = *cfg_.tree;
-    // Collect honest base-signature bodies from the rushing view. untag_body
+    // Collect honest base-signature bodies from the rushing view, one per
+    // message: a body sent to k recipients is lifted up to k times. untag_body
     // already strips (phase, instance): each body is the signature itself.
-    // The views borrow `honest_outboxes`, which outlives this call.
+    // The views borrow `honest_sends`, which outlives this call.
     std::vector<BytesView> lifted;
-    for (const auto& outbox : honest_outboxes) {
-      for (const auto& m : outbox) {
+    for (const SendList& sends : honest_sends) {
+      for (std::size_t k = 0; k < sends.size(); ++k) {
         std::uint32_t phase;
         std::uint64_t instance;
         BytesView body;
-        if (!untag_body(m.payload, phase, instance, body)) continue;
+        if (!untag_body(sends.body(k), phase, instance, body)) continue;
         if (phase != AeBoostParty::kBoostPhase) continue;
-        if (lifted.size() < 8) lifted.push_back(body);
+        for (std::size_t c = sends.to(k).size(); c > 0 && lifted.size() < 8; --c) {
+          lifted.push_back(body);
+        }
       }
     }
     // Replay them into every leaf from every corrupted party, plus garbage.
@@ -253,11 +254,10 @@ class GridCampaignAdversary final : public CampaignAdversary {
 
   const std::vector<PartitionWindow>& partitions() const { return partitions_; }
 
-  std::vector<Message> on_round(
-      std::size_t round, const std::vector<Message>& corrupt_inbox,
-      const std::vector<std::vector<Message>>& honest_outboxes) override {
+  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
+                                const std::vector<SendList>& honest_sends) override {
     std::vector<Message> out;
-    if (round == cfg_.dissem_start) lift_blob(honest_outboxes);
+    if (round == cfg_.dissem_start) lift_blob(honest_sends);
     if (!good_blob_.has_value()) return out;
 
     const std::size_t h = cfg_.tree->height();
@@ -430,13 +430,13 @@ class GridCampaignAdversary final : public CampaignAdversary {
 
   /// Rushing lift of the true (y, s) from the root committee's dissemination
   /// push; the forged blob flips y and keeps s.
-  void lift_blob(const std::vector<std::vector<Message>>& honest_outboxes) {
-    for (const auto& outbox : honest_outboxes) {
-      for (const Message& m : outbox) {
+  void lift_blob(const std::vector<SendList>& honest_sends) {
+    for (const SendList& sends : honest_sends) {
+      for (std::size_t k = 0; k < sends.size(); ++k) {
         std::uint32_t phase;
         std::uint64_t instance;
         BytesView body;
-        if (!untag_body(m.payload, phase, instance, body)) continue;
+        if (!untag_body(sends.body(k), phase, instance, body)) continue;
         if (phase != 3) continue;
         Reader r(body);
         r.u8();   // stage

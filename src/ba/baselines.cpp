@@ -12,10 +12,9 @@ namespace srds {
 
 // --- Naive: all-to-all signed value exchange ---
 
-std::vector<Message> NaiveBoostParty::boost_step(std::size_t k,
-                                                 const std::vector<TaggedMsg>& inbox) {
+SendList NaiveBoostParty::boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) {
   const std::size_t n = config().tree->params().n;
-  std::vector<Message> out;
+  SendList out;
   if (k == 0) {
     if (!ae_y().has_value()) return out;
     std::uint8_t y = *ae_y() ? 1 : 0;
@@ -63,12 +62,11 @@ std::size_t MultisigBoostParty::boost_rounds() const {
   return 1 + h + (h + 1) + 1 + 1;  // sign, aggregate, disseminate, prf, ingest
 }
 
-std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
-                                                    const std::vector<TaggedMsg>& inbox) {
+SendList MultisigBoostParty::boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) {
   const CommTree& tree = *config().tree;
   const std::size_t h = tree.height();
   const std::size_t n = tree.params().n;
-  std::vector<Message> out;
+  SendList out;
 
   if (k == 0) {
     // Sign and send a singleton multisig to my home leaf's committee.
@@ -152,7 +150,7 @@ std::vector<Message> MultisigBoostParty::boost_step(std::size_t k,
     for (const auto& msg : inbox) {
       if (msg.instance == kDissemInstance) dissem_in.push_back(msg);
     }
-    send_tagged(out, me(), cert_dissem_->step(sub, dissem_in), kBoostPhase, kDissemInstance,
+    send_tagged(out, cert_dissem_->step(sub, dissem_in), kBoostPhase, kDissemInstance,
                 MsgKind::kBoostCert);
     if (sub == h) {
       if (cert_dissem_->value().has_value() && !cert_dissem_->certificate().empty()) {
@@ -216,10 +214,9 @@ SamplingBoostParty::SamplingBoostParty(AeConfig config, PartyId me, bool input,
   }
 }
 
-std::vector<Message> SamplingBoostParty::boost_step(std::size_t k,
-                                                    const std::vector<TaggedMsg>& inbox) {
+SendList SamplingBoostParty::boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) {
   const std::size_t n = config().tree->params().n;
-  std::vector<Message> out;
+  SendList out;
   if (k == 0) {
     // Query a random sample.
     send_boost(out, rng_.subset(n, samples_), 0, Bytes{std::uint8_t('q')},
@@ -261,11 +258,10 @@ std::vector<Message> SamplingBoostParty::boost_step(std::size_t k,
 
 // --- ACD'19-style star boost ---
 
-std::vector<Message> StarBoostParty::boost_step(std::size_t k,
-                                                const std::vector<TaggedMsg>& inbox) {
+SendList StarBoostParty::boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) {
   const std::size_t n = config().tree->params().n;
   const auto& committee = config().tree->supreme_committee();
-  std::vector<Message> out;
+  SendList out;
   if (k == 0) {
     // Supreme-committee members push the signed value to everyone.
     if (!in_supreme_committee() || !ae_blob().has_value()) return out;

@@ -38,8 +38,7 @@ class NaiveBoostParty final : public AeBoostParty {
 
  protected:
   std::size_t boost_rounds() const override { return 2; }  // send + ingest
-  std::vector<Message> boost_step(std::size_t k,
-                                  const std::vector<TaggedMsg>& inbox) override;
+  SendList boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) override;
 
  private:
   std::size_t votes_[2] = {0, 0};
@@ -60,8 +59,7 @@ class MultisigBoostParty final : public AeBoostParty {
 
  protected:
   std::size_t boost_rounds() const override;
-  std::vector<Message> boost_step(std::size_t k,
-                                  const std::vector<TaggedMsg>& inbox) override;
+  SendList boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) override;
 
  private:
   static constexpr std::uint64_t kDissemInstance = 1ULL << 62;
@@ -94,8 +92,7 @@ class SamplingBoostParty final : public AeBoostParty {
 
  protected:
   std::size_t boost_rounds() const override { return 3; }  // query/respond/ingest
-  std::vector<Message> boost_step(std::size_t k,
-                                  const std::vector<TaggedMsg>& inbox) override;
+  SendList boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) override;
 
  private:
   std::size_t samples_;
@@ -114,8 +111,7 @@ class StarBoostParty final : public AeBoostParty {
 
  protected:
   std::size_t boost_rounds() const override { return 2; }  // push + ingest
-  std::vector<Message> boost_step(std::size_t k,
-                                  const std::vector<TaggedMsg>& inbox) override;
+  SendList boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) override;
 
  private:
   std::map<Bytes, std::size_t> committee_votes_;

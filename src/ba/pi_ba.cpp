@@ -30,8 +30,7 @@ std::size_t PiBaParty::boost_rounds() const {
   return 1 + h + (h + 1 + cfg2_.dissem_retries) + 1 + 1;
 }
 
-std::vector<Message> PiBaParty::boost_step(std::size_t k,
-                                           const std::vector<TaggedMsg>& inbox) {
+SendList PiBaParty::boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) {
   const std::size_t h = cfg2_.ae.tree->height();
   const std::size_t dissem_rounds = h + 1 + cfg2_.dissem_retries;
 
@@ -61,8 +60,8 @@ std::vector<Message> PiBaParty::boost_step(std::size_t k,
     for (const auto& msg : inbox) {
       if (msg.instance == kDissemInstance) dissem_in.push_back(msg);
     }
-    std::vector<Message> out;
-    send_tagged(out, me(), cert_dissem_->step(sub, dissem_in), kBoostPhase, kDissemInstance,
+    SendList out;
+    send_tagged(out, cert_dissem_->step(sub, dissem_in), kBoostPhase, kDissemInstance,
                 MsgKind::kBoostCert);
     if (sub + 1 == dissem_rounds) {
       // Dissemination finished; fix my certified pair if valid.
@@ -83,8 +82,8 @@ std::vector<Message> PiBaParty::boost_step(std::size_t k,
   return {};
 }
 
-std::vector<Message> PiBaParty::step_sign_and_send() {
-  std::vector<Message> out;
+SendList PiBaParty::step_sign_and_send() {
+  SendList out;
   if (!ae_blob().has_value()) return out;  // isolated: nothing to sign with
   const CommTree& tree = *cfg2_.ae.tree;
   for (std::uint64_t vid : tree.virtuals_of(me())) {
@@ -138,10 +137,9 @@ void PiBaParty::ingest_aggregation(const std::vector<TaggedMsg>& inbox, std::siz
   }
 }
 
-std::vector<Message> PiBaParty::step_aggregate(std::size_t level,
-                                               const std::vector<TaggedMsg>& inbox) {
+SendList PiBaParty::step_aggregate(std::size_t level, const std::vector<TaggedMsg>& inbox) {
   ingest_aggregation(inbox, level);
-  std::vector<Message> out;
+  SendList out;
   if (!ae_blob().has_value()) return out;
   const CommTree& tree = *cfg2_.ae.tree;
   for (std::size_t id : tree.level_nodes(level)) {
@@ -171,8 +169,8 @@ std::vector<Message> PiBaParty::step_aggregate(std::size_t level,
   return out;
 }
 
-std::vector<Message> PiBaParty::step_prf_send() {
-  std::vector<Message> out;
+SendList PiBaParty::step_prf_send() {
+  SendList out;
   if (!certified_blob_.has_value() || certificate_.empty()) return out;
   bool y;
   Bytes s;

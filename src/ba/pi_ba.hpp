@@ -56,8 +56,7 @@ class PiBaParty final : public AeBoostParty {
 
  protected:
   std::size_t boost_rounds() const override;
-  std::vector<Message> boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox)
-      override;
+  SendList boost_step(std::size_t k, const std::vector<TaggedMsg>& inbox) override;
   void boost_finish() override;
   /// Under a grace window, delayed step-7 sends are still accepted — they
   /// carry self-certifying (y, s, σ), so late acceptance is always safe.
@@ -73,11 +72,10 @@ class PiBaParty final : public AeBoostParty {
   static constexpr std::uint64_t kDissemInstance = 1ULL << 62;
   static constexpr std::uint64_t kPrfInstance = (1ULL << 62) + 1;
 
-  std::vector<Message> step_sign_and_send();                           // step 4
+  SendList step_sign_and_send();                                       // step 4
   void ingest_aggregation(const std::vector<TaggedMsg>& inbox, std::size_t level);
-  std::vector<Message> step_aggregate(std::size_t level,
-                                      const std::vector<TaggedMsg>& inbox);  // step 5
-  std::vector<Message> step_prf_send();                                // step 7
+  SendList step_aggregate(std::size_t level, const std::vector<TaggedMsg>& inbox);  // step 5
+  SendList step_prf_send();                                            // step 7
   void ingest_prf(const std::vector<TaggedMsg>& inbox);                // step 8
 
   PiBaConfig cfg2_;

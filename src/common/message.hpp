@@ -6,8 +6,12 @@
 // under the L1 layering rule.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
-#include <optional>
+#include <ranges>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -15,8 +19,10 @@
 
 namespace srds {
 
-/// Index of a party in [0, n).
-using PartyId = std::size_t;
+/// Index of a party in [0, n). 32 bits: ids fill every Message, send list
+/// and peer list, and a network holds fewer than kNoParty parties (the
+/// Simulator rejects more).
+using PartyId = std::uint32_t;
 
 /// Coarse classification of what a message carries, tagged by the sender's
 /// protocol logic for observability (the Ledger's per-kind byte and message
@@ -62,8 +68,9 @@ inline const char* msg_kind_name(MsgKind k) {
 }
 
 /// A point-to-point message. Delivery is synchronous: a message sent in
-/// round r is delivered at the beginning of round r+1. The messages of one
-/// multicast share their payload (make_msgs).
+/// round r is delivered at the beginning of round r+1. The simulator builds
+/// one per recipient of a send list as it lands; the messages of one body
+/// share its payload.
 struct Message {
   PartyId from = 0;
   PartyId to = 0;
@@ -71,14 +78,14 @@ struct Message {
   MsgKind kind = MsgKind::kUnknown;
 };
 
-/// No party: the default `except` of make_msgs and Outbox::send_all.
+/// No party: the default `except` of BasicOutbox::send_all.
 inline constexpr PartyId kNoParty = static_cast<PartyId>(-1);
 
-/// The sanctioned way for protocol code to build an outbox message.
-/// srds-lint rule B1 forbids raw `Message{...}` construction outside
-/// src/net: this factory makes the MsgKind tag an explicit, reviewed
-/// decision at every send site, so the per-kind byte breakdowns behind the
-/// Table 1 comparison never silently lose traffic to the untagged bucket.
+/// The sanctioned way for adversary code to build a message. srds-lint rule
+/// B1 forbids raw `Message{...}` construction outside src/net: this factory
+/// makes the MsgKind tag an explicit, reviewed decision at every send site,
+/// so the per-kind byte breakdowns behind the Table 1 comparison never
+/// silently lose traffic to the untagged bucket.
 inline Message make_msg(PartyId from, PartyId to, Payload payload, MsgKind kind) {
   Message m;
   m.from = from;
@@ -88,17 +95,99 @@ inline Message make_msg(PartyId from, PartyId to, Payload payload, MsgKind kind)
   return m;
 }
 
-/// One multicast: append a message from `from` to every party in `to` but
-/// `except`, in order, all sharing one `payload`.
-template <typename Range>
-void make_msgs(std::vector<Message>& out, PartyId from, const Range& to, Bytes payload,
-               MsgKind kind, PartyId except = kNoParty) {
-  std::optional<Payload> body;
-  for (PartyId p : to) {
-    if (p == except) continue;
-    if (!body) body.emplace(std::move(payload));
-    out.push_back(make_msg(from, p, *body, kind));
+/// What one step sends: each body once, with its kind and the parties it
+/// goes to. It stands for the messages body 0 -> each of its recipients in
+/// order, then body 1 -> each of its recipients, and so on; a recipient
+/// costs one PartyId. A party's SendList holds the Payload that its
+/// recipients share once delivered, and names every body's kind: the
+/// per-kind byte breakdowns behind the Table 1 comparison must never
+/// silently lose traffic to the untagged bucket. A sub-protocol's Outbox
+/// (net/subproto.hpp) holds Bytes, so that outer layers write their
+/// headers in place, and leaves the kind to the party boundary.
+template <typename Body>
+class BasicOutbox {
+ public:
+  /// Send `body` to `to`.
+  void send(PartyId to, Body body, MsgKind kind) {
+    to_.push_back(to);
+    bodies_.push_back(Entry{std::move(body), to_.size(), kind});
   }
-}
+  void send(PartyId to, Bytes body)
+    requires std::same_as<Body, Bytes>
+  {
+    send(to, std::move(body), MsgKind::kUnknown);
+  }
+
+  /// Send one body to every party in `to` but `except`, in order; nothing
+  /// when no party is left (the body is then never built).
+  template <typename Range, typename B>
+    requires std::constructible_from<Body, B&&>
+  void send_all(const Range& to, B&& body, MsgKind kind, PartyId except = kNoParty) {
+    const std::size_t first = to_.size();
+    if constexpr (std::ranges::sized_range<Range>) {
+      const std::size_t need = first + std::ranges::size(to);
+      if (need > to_.capacity()) to_.reserve(std::max(need, 2 * to_.capacity()));
+    }
+    for (PartyId p : to) {
+      if (p != except) to_.push_back(p);
+    }
+    if (to_.size() > first) {
+      bodies_.push_back(Entry{Body(std::forward<B>(body)), to_.size(), kind});
+    }
+  }
+  template <typename Range>
+    requires std::same_as<Body, Bytes>
+  void send_all(const Range& to, Bytes body, PartyId except = kNoParty) {
+    send_all(to, std::move(body), MsgKind::kUnknown, except);
+  }
+
+  /// Distinct bodies.
+  std::size_t size() const { return bodies_.size(); }
+  /// Messages: one per (body, recipient).
+  std::size_t messages() const { return to_.size(); }
+  /// Body k, its kind and its recipients, in send order.
+  Body& body(std::size_t k) { return bodies_[k].body; }
+  const Body& body(std::size_t k) const { return bodies_[k].body; }
+  MsgKind kind(std::size_t k) const { return bodies_[k].kind; }
+  std::span<const PartyId> to(std::size_t k) const {
+    const std::size_t first = k == 0 ? 0 : bodies_[k - 1].end;
+    return {to_.data() + first, bodies_[k].end - first};
+  }
+
+  /// Write `header` in front of every body, once per body (in place when
+  /// the body has spare capacity).
+  void frame(BytesView header)
+    requires std::same_as<Body, Bytes>
+  {
+    for (Entry& e : bodies_) prepend(e.body, header);
+  }
+
+  /// Move `other`'s sends onto the end of this one.
+  void append(BasicOutbox&& other) {
+    if (bodies_.empty()) {
+      *this = std::move(other);
+      return;
+    }
+    const std::size_t offset = to_.size();
+    to_.insert(to_.end(), other.to_.begin(), other.to_.end());
+    bodies_.reserve(bodies_.size() + other.bodies_.size());
+    for (Entry& e : other.bodies_) {
+      bodies_.push_back(Entry{std::move(e.body), e.end + offset, e.kind});
+    }
+  }
+
+ private:
+  struct Entry {
+    Body body;
+    std::size_t end;  // one past its last recipient in to_
+    MsgKind kind;
+  };
+  std::vector<Entry> bodies_;
+  std::vector<PartyId> to_;  // every body's recipients, concatenated
+};
+
+/// What a party sends in one round (Party::on_round): each payload once,
+/// with its kind and recipients.
+using SendList = BasicOutbox<Payload>;
 
 }  // namespace srds

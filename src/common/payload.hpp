@@ -52,11 +52,6 @@ class Payload {
     return p;
   }
 
-  /// True if this payload and `other` are the same bytes of one block.
-  bool shares(const Payload& other) const {
-    return block_ && block_ == other.block_ && offset_ == other.offset_;
-  }
-
   BytesView view() const {
     return block_ ? BytesView(block_->bytes).subspan(offset_) : BytesView();
   }

@@ -47,11 +47,10 @@ class MpcParty final : public Party {
 
   std::size_t total_rounds() const { return total_rounds_; }
 
-  std::vector<Message> on_round(std::size_t round,
-                                const std::vector<Message>& inbox) override {
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
     const CommTree& tree = *shared_->tree;
     const std::size_t h = tree.height();
-    std::vector<Message> out;
+    SendList out;
 
     // Demux. Bodies borrow `inbox`, which outlives this call.
     std::vector<TaggedMsg> agg_in, dec_in, del_in;
@@ -78,8 +77,7 @@ class MpcParty final : public Party {
       std::sort(recipients.begin(), recipients.end());
       recipients.erase(std::unique(recipients.begin(), recipients.end()),
                        recipients.end());
-      make_msgs(out, me_, recipients, tag_body(kPhaseInput, leaf, ct.serialize()),
-                MsgKind::kMpc);
+      out.send_all(recipients, tag_body(kPhaseInput, leaf, ct.serialize()), MsgKind::kMpc);
       return out;
     }
 
@@ -94,8 +92,8 @@ class MpcParty final : public Party {
       // Supreme-committee members announce cooperation (a partial
       // decryption message) to each other.
       if (in_committee_ && root_ct_.has_value()) {
-        make_msgs(out, me_, tree.supreme_committee(),
-                  tag_body(kPhaseDecrypt, 0, root_ct_->serialize()), MsgKind::kMpc, me_);
+        out.send_all(tree.supreme_committee(), tag_body(kPhaseDecrypt, 0, root_ct_->serialize()),
+                     MsgKind::kMpc, me_);
       }
       return out;
     }
@@ -130,7 +128,7 @@ class MpcParty final : public Party {
         }
         dissem_ = std::make_unique<DisseminationProto>(shared_->tree, me_, std::move(init));
       }
-      send_tagged(out, me_, dissem_->step(sub, del_in), kPhaseDeliver, 0, MsgKind::kMpc);
+      send_tagged(out, dissem_->step(sub, del_in), kPhaseDeliver, 0, MsgKind::kMpc);
       if (sub == h && dissem_->output().has_value()) {
         Reader r(*dissem_->output());
         std::uint64_t v = r.u64();
@@ -188,7 +186,7 @@ class MpcParty final : public Party {
     }
   }
 
-  void aggregate_level(std::size_t level, std::vector<Message>& out) {
+  void aggregate_level(std::size_t level, SendList& out) {
     const CommTree& tree = *shared_->tree;
     for (std::size_t id : tree.level_nodes(level)) {
       const TreeNode& node = tree.node(id);
@@ -236,8 +234,8 @@ class MpcParty final : public Party {
         std::sort(recipients.begin(), recipients.end());
         recipients.erase(std::unique(recipients.begin(), recipients.end()),
                          recipients.end());
-        make_msgs(out, me_, recipients,
-                  tag_body(kPhaseAggregate, node.parent, std::move(bw).take()), MsgKind::kMpc);
+        out.send_all(recipients, tag_body(kPhaseAggregate, node.parent, std::move(bw).take()),
+                     MsgKind::kMpc);
       }
     }
   }

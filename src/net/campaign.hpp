@@ -77,12 +77,11 @@ class CampaignAdversary : public Adversary {
   std::size_t granted() const { return granted_; }
 
   /// Default: the coalition stays silent. Campaigns override.
-  std::vector<Message> on_round(
-      std::size_t round, const std::vector<Message>& corrupt_inbox,
-      const std::vector<std::vector<Message>>& honest_outboxes) override {
+  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
+                                const std::vector<SendList>& honest_sends) override {
     (void)round;
     (void)corrupt_inbox;
-    (void)honest_outboxes;
+    (void)honest_sends;
     return {};
   }
 

@@ -16,12 +16,10 @@ namespace srds {
 
 class SubProtocolHost final : public Party {
  public:
-  SubProtocolHost(PartyId me, std::unique_ptr<SubProtocol> proto,
-                  std::uint64_t instance = 0)
-      : me_(me), proto_(std::move(proto)), instance_(instance) {}
+  explicit SubProtocolHost(std::unique_ptr<SubProtocol> proto, std::uint64_t instance = 0)
+      : proto_(std::move(proto)), instance_(instance) {}
 
-  std::vector<Message> on_round(std::size_t round,
-                                const std::vector<Message>& inbox) override {
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
     if (round >= proto_->rounds()) {
       done_ = true;
       return {};
@@ -35,10 +33,10 @@ class SubProtocolHost final : public Party {
         bodies.emplace_back(m.from, body, inst);
       }
     }
-    std::vector<Message> msgs;
-    send_tagged(msgs, me_, proto_->step(round, bodies), 0, instance_, MsgKind::kUnknown);
+    SendList out;
+    send_tagged(out, proto_->step(round, bodies), 0, instance_, MsgKind::kUnknown);
     if (round + 1 >= proto_->rounds()) done_ = true;
-    return msgs;
+    return out;
   }
 
   bool done() const override { return done_; }
@@ -46,7 +44,6 @@ class SubProtocolHost final : public Party {
   SubProtocol* protocol() { return proto_.get(); }
 
  private:
-  PartyId me_;
   std::unique_ptr<SubProtocol> proto_;
   std::uint64_t instance_;
   bool done_ = false;

@@ -12,7 +12,8 @@ namespace srds {
 ///
 /// The simulator calls `on_round(r, inbox)` exactly once per synchronous
 /// round; `inbox` holds the messages sent to this party in round r-1 (empty
-/// in round 0). The return value is the party's outbox for round r.
+/// in round 0). The return value is what the party sends in round r: each
+/// body once, with its recipients (SendList).
 ///
 /// Different parties' `on_round` calls in one round may run concurrently on
 /// the simulator's worker pool (DESIGN.md §7): state shared between parties
@@ -26,8 +27,7 @@ class Party {
  public:
   virtual ~Party() = default;
 
-  virtual std::vector<Message> on_round(std::size_t round,
-                                        const std::vector<Message>& inbox) = 0;
+  virtual SendList on_round(std::size_t round, const std::vector<Message>& inbox) = 0;
 
   /// True once the party has produced its final output.
   virtual bool done() const = 0;
@@ -51,16 +51,16 @@ class Adversary {
   virtual ~Adversary() = default;
 
   /// `corrupt_inbox` — messages delivered this round to corrupted parties;
-  /// `honest_outboxes` — the messages honest parties are sending this round,
-  /// indexed by sender: `honest_outboxes[i]` is party i's outbox in emission
-  /// order, empty for parties that did not step (corrupt, crashed, offline).
-  /// Read in sender order, it is the order the network delivers in. The
-  /// view is valid only for this call.
+  /// `honest_sends` — what honest parties are sending this round, indexed
+  /// by sender: `honest_sends[i]` is party i's send list, empty for parties
+  /// that did not step (corrupt, crashed, offline). Read in sender order,
+  /// body by body and each body's recipients in order, it is the order the
+  /// network delivers in. The view is valid only for this call.
   /// Returns the corrupted parties' messages for this round (each message's
   /// `from` must be a corrupted party; the simulator enforces this).
-  virtual std::vector<Message> on_round(
-      std::size_t round, const std::vector<Message>& corrupt_inbox,
-      const std::vector<std::vector<Message>>& honest_outboxes) = 0;
+  virtual std::vector<Message> on_round(std::size_t round,
+                                        const std::vector<Message>& corrupt_inbox,
+                                        const std::vector<SendList>& honest_sends) = 0;
 
   /// Parties this adversary wants to corrupt at the start of `round`,
   /// in priority order. Only consulted when a corruption budget is set;
@@ -88,7 +88,7 @@ class Adversary {
 class SilentAdversary final : public Adversary {
  public:
   std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     return {};
   }
 };

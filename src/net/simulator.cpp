@@ -1,6 +1,7 @@
 #include "net/simulator.hpp"
 
 #include <chrono>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -19,6 +20,10 @@ Simulator::Simulator(std::vector<std::unique_ptr<Party>> parties, std::vector<bo
       pool_(std::make_unique<WorkerPool>()) {
   if (corrupt_.size() != parties_.size()) {
     throw std::invalid_argument("Simulator: corrupt mask size mismatch");
+  }
+  // Party ids are 32-bit and kNoParty is reserved for "no party".
+  if (parties_.size() >= kNoParty) {
+    throw std::invalid_argument("Simulator: too many parties for a 32-bit PartyId");
   }
   // Construction-time invariant only: a slot that is *statically* corrupt
   // never holds honest logic. Adaptive corruption later flips corrupt_[i]
@@ -146,7 +151,7 @@ std::size_t Simulator::step_inline(std::size_t round, std::size_t lanes) {
   for (std::size_t k = 0; k < count;) {
     const PartyId i = runnable_[k];
     step_party(round, i);
-    msgs += outs_[i].size();
+    msgs += outs_[i].messages();
     ++k;
     if (lanes < 2) continue;
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0);
@@ -240,7 +245,7 @@ bool Simulator::tick() {
   if (all_done) return false;
   if (trace_) trace_->on_round_begin(round);
 
-  // Honest parties step, each writing only its own outbox and error slot
+  // Honest parties step, each writing only its own send list and error slot
   // (DESIGN.md §7). An explicit worker count uses the pool on every
   // round; the automatic mode steps inline until the parties stepped so far
   // project that the pool pays for the rest. Churned-offline parties
@@ -275,11 +280,14 @@ bool Simulator::tick() {
       failure = errors_[i];
       break;
     }
-    for (const Message& m : outs_[i]) {
-      if (m.from != i || m.to >= n) {
-        failure = std::make_exception_ptr(
-            std::logic_error("Simulator: honest party emitted ill-addressed message"));
-        break;
+    const SendList& sends = outs_[i];
+    for (std::size_t k = 0; k < sends.size() && !failure; ++k) {
+      for (PartyId to : sends.to(k)) {
+        if (to >= n) {
+          failure = std::make_exception_ptr(
+              std::logic_error("Simulator: honest party emitted ill-addressed message"));
+          break;
+        }
       }
     }
     if (failure) break;
@@ -317,10 +325,18 @@ bool Simulator::tick() {
     }
   }
   // Honest traffic in sender order, then the adversary's accepted messages.
-  // A routed outbox is empty; its buffer goes too.
+  // A message is built only here, as it lands: one per recipient of each
+  // body, in send-list order, all sharing the body (the last one takes it).
   for (PartyId i = 0; i < n; ++i) {
-    for (Message& m : outs_[i]) route(round, std::move(m));
-    outs_[i] = std::vector<Message>();
+    SendList& sends = outs_[i];
+    for (std::size_t k = 0; k < sends.size(); ++k) {
+      const std::span<const PartyId> to = sends.to(k);
+      for (std::size_t j = 0; j + 1 < to.size(); ++j) {
+        route(round, make_msg(i, to[j], sends.body(k), sends.kind(k)));
+      }
+      route(round, make_msg(i, to.back(), std::move(sends.body(k)), sends.kind(k)));
+    }
+    sends = SendList();
   }
   for (Message& m : adv_out) {
     // The adversary's messages are untrusted input to the network: it

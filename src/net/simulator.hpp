@@ -156,7 +156,7 @@ class Simulator {
   }
   /// Measured costs behind pool_pays (4-vCPU Xeon, DESIGN.md §7): waking
   /// and joining the pool, and handing one message across cores (the
-  /// coordinator reading a worker-built outbox and later freeing it into
+  /// coordinator reading a worker-built send list and later freeing it into
   /// another thread's arena).
   static constexpr double kDispatchNs = 40e3;
   static constexpr double kHandoffNsPerMsg = 50;
@@ -174,7 +174,7 @@ class Simulator {
   /// Deliver one accepted message, or hand it straight to the receiver's
   /// inbox when it is loopback.
   void route(std::size_t round, Message m);
-  /// Step honest party i: its outbox into outs_[i], a throw into errors_[i].
+  /// Step honest party i: its send list into outs_[i], a throw into errors_[i].
   /// Runs inline or on a pool worker.
   void step_party(std::size_t round, PartyId i);
   /// Step runnable_ in order on this thread; with lanes >= 2 stop as soon
@@ -203,10 +203,10 @@ class Simulator {
   std::map<std::size_t, std::vector<Message>> delayed_;  // delivery round -> msgs
 
   // Incremental-driving state. inboxes_[i] = messages to deliver to party i
-  // at the start of the next tick; outs_[i] = party i's outbox for the
+  // at the start of the next tick; outs_[i] = party i's send list for the
   // current round, indexed by sender (empty for parties that did not step).
   std::vector<std::vector<Message>> inboxes_;
-  std::vector<std::vector<Message>> outs_;
+  std::vector<SendList> outs_;
   std::vector<std::exception_ptr> errors_;  // a party step's throw, by party
   std::vector<PartyId> runnable_;           // parties stepping this round
   std::size_t workers_ = 0;                 // set_workers(); 0 = automatic

@@ -17,8 +17,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <ranges>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,71 +49,10 @@ struct TaggedMsg {
 /// once per body, however many recipients share it.
 inline constexpr std::size_t kFrameHeadroom = 17;
 
-/// What one `step` sends: each body once, with the parties it goes to. It
-/// stands for the messages body 0 -> each of its recipients in order, then
-/// body 1 -> each of its recipients, and so on; the party boundary
-/// (send_tagged) turns every body into one payload that its recipients share.
-class Outbox {
- public:
-  /// Send `body` to `to`.
-  void send(PartyId to, Bytes body) {
-    to_.push_back(to);
-    bodies_.push_back(Entry{std::move(body), to_.size()});
-  }
-
-  /// Send one `body` to every party in `to` but `except`, in order; nothing
-  /// when no party is left.
-  template <typename Range>
-  void send_all(const Range& to, Bytes body, PartyId except = kNoParty) {
-    const std::size_t first = to_.size();
-    if constexpr (std::ranges::sized_range<Range>) {
-      const std::size_t need = first + std::ranges::size(to);
-      if (need > to_.capacity()) to_.reserve(std::max(need, 2 * to_.capacity()));
-    }
-    for (PartyId p : to) {
-      if (p != except) to_.push_back(p);
-    }
-    if (to_.size() > first) bodies_.push_back(Entry{std::move(body), to_.size()});
-  }
-
-  /// Distinct bodies.
-  std::size_t size() const { return bodies_.size(); }
-  /// Messages: one per (body, recipient).
-  std::size_t messages() const { return to_.size(); }
-  /// Body k and its recipients, in send order.
-  Bytes& body(std::size_t k) { return bodies_[k].body; }
-  const Bytes& body(std::size_t k) const { return bodies_[k].body; }
-  std::span<const PartyId> to(std::size_t k) const {
-    const std::size_t first = k == 0 ? 0 : bodies_[k - 1].end;
-    return {to_.data() + first, bodies_[k].end - first};
-  }
-
-  /// Write `header` in front of every body, once per body (in place when
-  /// the body has kFrameHeadroom to spare).
-  void frame(BytesView header) {
-    for (Entry& e : bodies_) prepend(e.body, header);
-  }
-
-  /// Move `other`'s sends onto the end of this outbox.
-  void append(Outbox&& other) {
-    if (bodies_.empty()) {
-      *this = std::move(other);
-      return;
-    }
-    const std::size_t offset = to_.size();
-    to_.insert(to_.end(), other.to_.begin(), other.to_.end());
-    bodies_.reserve(bodies_.size() + other.bodies_.size());
-    for (Entry& e : other.bodies_) bodies_.push_back(Entry{std::move(e.body), e.end + offset});
-  }
-
- private:
-  struct Entry {
-    Bytes body;
-    std::size_t end;  // one past its last recipient in to_
-  };
-  std::vector<Entry> bodies_;
-  std::vector<PartyId> to_;  // every body's recipients, concatenated
-};
+/// What one `step` sends: each body once, with the parties it goes to
+/// (common/message.hpp). The party boundary (send_tagged) frames every body
+/// once and labels it; a sub-protocol leaves the kind unset.
+using Outbox = BasicOutbox<Bytes>;
 
 /// Per-party logic of an embedded synchronous sub-protocol with a fixed
 /// round schedule. `step` is called once per round while the instance is
@@ -164,15 +101,12 @@ inline Bytes tag_body(std::uint32_t phase, std::uint64_t instance, Bytes&& body)
   return std::move(body);
 }
 
-/// The party boundary: append the messages `sends` stands for to `out`,
-/// each body framed once with the channel tag (phase, instance) and shared
-/// by its recipients (make_msgs).
-inline void send_tagged(std::vector<Message>& out, PartyId from, Outbox sends,
-                        std::uint32_t phase, std::uint64_t instance, MsgKind kind) {
-  out.reserve(out.size() + sends.messages());
+/// The party boundary: append `sends` to `out`, each body framed once with
+/// the channel tag (phase, instance) and labelled `kind`.
+inline void send_tagged(SendList& out, Outbox sends, std::uint32_t phase,
+                        std::uint64_t instance, MsgKind kind) {
   for (std::size_t k = 0; k < sends.size(); ++k) {
-    make_msgs(out, from, sends.to(k), tag_body(phase, instance, std::move(sends.body(k))),
-              kind);
+    out.send_all(sends.to(k), tag_body(phase, instance, std::move(sends.body(k))), kind);
   }
 }
 

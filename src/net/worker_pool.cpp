@@ -57,7 +57,7 @@ void WorkerPool::drain(const Job& job) {
     const std::size_t b = static_cast<std::size_t>(c & kIndex);
     const std::size_t e = std::min(b + job.chunk, job.count);
     for (std::size_t i = b; i < e; ++i) job.fn(job.ctx, i);
-    // acq_rel chains every thread's writes (its parties' outboxes) into
+    // acq_rel chains every thread's writes (its parties' send lists) into
     // the caller's acquire of the final count.
     if (done_.fetch_add(e - b, std::memory_order_acq_rel) + (e - b) == job.count) {
       std::lock_guard<std::mutex> lk(mu_);

@@ -20,8 +20,7 @@ std::vector<InstancePipeline::Retired> InstancePipeline::take_retired() {
   return out;
 }
 
-std::vector<Message> InstancePipeline::on_round(std::size_t round,
-                                                const std::vector<Message>& inbox) {
+SendList InstancePipeline::on_round(std::size_t round, const std::vector<Message>& inbox) {
   PROF_SCOPE(obs::ProfSiteId::kSvcPipelineStep);
   // Demux by instance id. Instance lookup is by linear scan over the (small,
   // bounded by the daemon's max_inflight) active set.
@@ -47,24 +46,16 @@ std::vector<Message> InstancePipeline::on_round(std::size_t round,
     if (!routed) stale_ += 1;  // retired or never-admitted instance
   }
 
-  std::vector<Message> out;
+  SendList out;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
     const std::size_t local = round - s.base_round;
-    // The instance id is written in front of each distinct payload once: a
-    // run of consecutive messages that share a body shares the framed one
-    // too (DESIGN.md, "Message framing").
+    // The instance id is written in front of each body once, and its
+    // recipients share the framed body (DESIGN.md, "Message framing").
     const auto header = le_bytes(s.id);
-    std::vector<Message> msgs = s.party->on_round(local, per_slot[i]);
-    for (std::size_t a = 0; a < msgs.size();) {
-      std::size_t b = a + 1;
-      while (b < msgs.size() && msgs[b].payload.shares(msgs[a].payload)) ++b;
-      const Payload framed = concat(header, msgs[a].payload.view());
-      for (std::size_t k = a; k < b; ++k) {
-        msgs[k].payload = framed;
-        out.push_back(std::move(msgs[k]));
-      }
-      a = b;
+    const SendList sends = s.party->on_round(local, per_slot[i]);
+    for (std::size_t k = 0; k < sends.size(); ++k) {
+      out.send_all(sends.to(k), concat(header, sends.body(k).view()), sends.kind(k));
     }
   }
 

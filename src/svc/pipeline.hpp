@@ -63,7 +63,7 @@ class InstancePipeline final : public Party {
   void close() { open_ = false; }
   bool done() const override { return !open_ && slots_.empty(); }
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& inbox) override;
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override;
 
   /// Frame-parse failures: payloads too short for the instance header, plus
   /// whatever the hosted instances' own demux layers rejected.

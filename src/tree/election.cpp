@@ -44,7 +44,7 @@ std::vector<Bytes> run_coin_level(std::size_t n, const std::vector<bool>& corrup
     if (corrupt[p]) continue;
     std::size_t gi = group_of[p];
     if (gi == groups.size()) {
-      parties[p] = std::make_unique<SubProtocolHost>(p, std::make_unique<IdleProto>(1));
+      parties[p] = std::make_unique<SubProtocolHost>(std::make_unique<IdleProto>(1));
       continue;
     }
     const auto& members = groups[gi];
@@ -57,7 +57,7 @@ std::vector<Bytes> run_coin_level(std::size_t n, const std::vector<bool>& corrup
                                                 std::move(domain).take(), p,
                                                 seed * 1315423911ULL + p);
     max_rounds = std::max(max_rounds, coin->rounds());
-    parties[p] = std::make_unique<SubProtocolHost>(p, std::move(coin), gi);
+    parties[p] = std::make_unique<SubProtocolHost>(std::move(coin), gi);
   }
 
   Simulator sim(std::move(parties), corrupt, nullptr);

@@ -81,12 +81,11 @@ TEST(ActiveAttack, ReplaysLiftedSignatureUnchangedIntoEveryLeaf) {
   Bytes sig(97);
   for (std::size_t i = 0; i < sig.size(); ++i) sig[i] = static_cast<std::uint8_t>(i * 7 + 1);
   const PartyId honest = 0;
-  std::vector<std::vector<Message>> honest_outboxes(honest + 1);
-  honest_outboxes[honest].push_back(
-      make_msg(honest, tree->node(0).committee.front(),
-               tag_body(AeBoostParty::kBoostPhase, 0, sig), MsgKind::kBoostSign));
+  std::vector<SendList> honest_sends(honest + 1);
+  honest_sends[honest].send(tree->node(0).committee.front(),
+                            tag_body(AeBoostParty::kBoostPhase, 0, sig), MsgKind::kBoostSign);
 
-  const auto out = attacker->on_round(cfg.boost_start, {}, honest_outboxes);
+  const auto out = attacker->on_round(cfg.boost_start, {}, honest_sends);
 
   // Every replay carries the signature byte for byte (no prefix lost), and
   // each leaf committee receives one copy per seat.

@@ -109,7 +109,7 @@ class ForgedCertAdversary final : public Adversary {
       : tree_(std::move(tree)), corrupt_(std::move(corrupt)) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     std::vector<Message> out;
     const std::size_t h = tree_->height();
     if (round >= h) return out;

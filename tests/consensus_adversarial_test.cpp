@@ -50,7 +50,7 @@ class MultiValueFlooder final : public Adversary {
   MultiValueFlooder(Fixture fx, Bytes domain) : fx_(std::move(fx)), domain_(std::move(domain)) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     if (round > fx_.t) return {};
     std::vector<Message> out;
     PartyId sender = fx_.members[0];
@@ -97,7 +97,7 @@ class InconsistentDealer final : public Adversary {
   explicit InconsistentDealer(Fixture fx) : fx_(std::move(fx)), rng_(99) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     std::vector<Message> out;
     if (round != 0) return out;
     // Send garbage "private shares" to every member under the coin-toss
@@ -149,7 +149,7 @@ class BaEquivocator final : public Adversary {
   explicit BaEquivocator(Fixture fx) : fx_(std::move(fx)) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     if (round != 0) return {};
     std::vector<Message> out;
     PartyId sender = fx_.members[1];

@@ -423,7 +423,7 @@ class EquivocatingSender : public Adversary {
   }
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     if (round != 0) return {};
     PartyId sender = fx_.members[sender_idx_];
     std::vector<Message> out;
@@ -475,7 +475,7 @@ class LateInjector final : public EquivocatingSender {
   using EquivocatingSender::EquivocatingSender;
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     // Inject at the final arrival round (t+1) with a 1-signature chain.
     if (round != fx_.t) return {};
     PartyId sender = fx_.members[sender_idx_];
@@ -677,7 +677,7 @@ class BadDealers final : public Adversary {
       : registry_(std::move(registry)), c_(c), t_(t), domain_(std::move(domain)), bad_(bad) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     std::vector<Message> out;
     if (round != 0) return out;
     Rng rng(4141);

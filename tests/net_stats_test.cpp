@@ -16,27 +16,28 @@ namespace {
 /// Sends `bytes_per_round` to party 1 every round for `rounds` rounds.
 class MeteredSender final : public Party {
  public:
-  MeteredSender(PartyId me, std::size_t rounds, std::size_t bytes_per_round)
-      : me_(me), rounds_(rounds), bytes_(bytes_per_round) {}
+  MeteredSender(std::size_t rounds, std::size_t bytes_per_round)
+      : rounds_(rounds), bytes_(bytes_per_round) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&) override {
+    SendList out;
     if (round >= rounds_) {
       done_ = true;
-      return {};
+      return out;
     }
-    return {Message{me_, 1, Bytes(bytes_, 0xAB)}};
+    out.send(1, Bytes(bytes_, 0xAB), MsgKind::kUnknown);
+    return out;
   }
   bool done() const override { return done_; }
 
  private:
-  PartyId me_;
   std::size_t rounds_, bytes_;
   bool done_ = false;
 };
 
 class Sink final : public Party {
  public:
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&) override {
+  SendList on_round(std::size_t, const std::vector<Message>&) override {
     return {};
   }
   bool done() const override { return true; }
@@ -51,7 +52,7 @@ NetworkStats phase_snapshot(const Simulator& sim, const std::string& name) {
 
 TEST(PhaseStats, MarkSplitsAccounting) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<MeteredSender>(0, 10, 100));
+  parties.push_back(std::make_unique<MeteredSender>(10, 100));
   parties.push_back(std::make_unique<Sink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   sim.ledger().on_phase(6, "tail");
@@ -71,7 +72,7 @@ TEST(PhaseStats, MarkSplitsAccounting) {
 
 TEST(PhaseStats, NoMarkMeansEmptyPhaseBucket) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<MeteredSender>(0, 3, 10));
+  parties.push_back(std::make_unique<MeteredSender>(3, 10));
   parties.push_back(std::make_unique<Sink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   sim.run(16);
@@ -85,7 +86,7 @@ TEST(PhaseStats, NoMarkMeansEmptyPhaseBucket) {
 
 TEST(PhaseStats, MarkAtZeroCapturesEverything) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<MeteredSender>(0, 4, 7));
+  parties.push_back(std::make_unique<MeteredSender>(4, 7));
   parties.push_back(std::make_unique<Sink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   sim.ledger().on_phase(0, "all");
@@ -164,7 +165,7 @@ TEST(NetworkStats, EqualityCoversFaultCounters) {
 
 TEST(FaultlessRunHasZeroFaultCounters, EvenWithPlanInstalled) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<MeteredSender>(0, 3, 10));
+  parties.push_back(std::make_unique<MeteredSender>(3, 10));
   parties.push_back(std::make_unique<Sink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   FaultPlan plan;  // all-default: no faults configured
@@ -261,18 +262,18 @@ class Chatter final : public Party {
   Chatter(PartyId me, std::size_t n, std::size_t rounds, std::size_t salt)
       : me_(me), n_(n), rounds_(rounds), salt_(salt) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&) override {
     if (round >= rounds_) {
       done_ = true;
       return {};
     }
-    std::vector<Message> out;
+    SendList out;
     for (std::size_t k = 0; k < 3; ++k) {
       const PartyId to = (me_ + 1 + ((round / 3) * salt_ + k) % (n_ - 1)) % n_;
-      out.push_back(Message{me_, to, Bytes(1 + (me_ * 7 + round * 3 + k) % 17, 0x11)});
+      out.send(to, Bytes(1 + (me_ * 7 + round * 3 + k) % 17, 0x11), MsgKind::kUnknown);
     }
-    out.push_back(out.front());
-    out.push_back(Message{me_, me_, Bytes(5, 0x22)});
+    out.send(out.to(0)[0], out.body(0), MsgKind::kUnknown);  // the first again, shared
+    out.send(me_, Bytes(5, 0x22), MsgKind::kUnknown);
     return out;
   }
   bool done() const override { return done_; }
@@ -297,10 +298,13 @@ class SeizingAdversary final : public Adversary {
   void on_corrupted(std::size_t, PartyId p, Party*) override { corrupt_[p] = true; }
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     std::vector<Message> out;
     for (PartyId c = 0; c < n_; ++c) {
-      if (corrupt_[c]) out.push_back(Message{c, (c + 2 + round) % n_, Bytes(9, 0x33)});
+      if (corrupt_[c]) {
+        const auto to = static_cast<PartyId>((c + 2 + round) % n_);
+        out.push_back(make_msg(c, to, Bytes(9, 0x33), MsgKind::kUnknown));
+      }
     }
     out.push_back(Message{0, 1, Bytes(4, 0x44)});  // spoofed honest sender
     return out;
@@ -429,7 +433,7 @@ TEST(LedgerOracle, AccumulateModeCarriesPeersAcrossRuns) {
 
 TEST(LedgerPhases, DelayedReceiveChargedToArrivalPhase) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<MeteredSender>(0, 3, 10));  // rounds 0..2
+  parties.push_back(std::make_unique<MeteredSender>(3, 10));  // rounds 0..2
   parties.push_back(std::make_unique<Sink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   FaultPlan plan;

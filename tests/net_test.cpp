@@ -16,20 +16,17 @@ namespace {
 /// `rounds` rounds, records everything it receives.
 class FloodParty final : public Party {
  public:
-  FloodParty(PartyId id, std::vector<PartyId> peers, std::size_t rounds)
-      : id_(id), peers_(std::move(peers)), rounds_(rounds) {}
+  FloodParty(std::vector<PartyId> peers, std::size_t rounds)
+      : peers_(std::move(peers)), rounds_(rounds) {}
 
-  std::vector<Message> on_round(std::size_t round,
-                                const std::vector<Message>& inbox) override {
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
     for (const auto& m : inbox) received_.push_back(m);
     if (round >= rounds_) {
       done_ = true;
       return {};
     }
-    std::vector<Message> out;
-    for (auto p : peers_) {
-      out.push_back(Message{id_, p, Bytes{static_cast<std::uint8_t>(round)}});
-    }
+    SendList out;
+    out.send_all(peers_, Bytes{static_cast<std::uint8_t>(round)}, MsgKind::kUnknown);
     return out;
   }
 
@@ -38,7 +35,6 @@ class FloodParty final : public Party {
   const std::vector<Message>& received() const { return received_; }
 
  private:
-  PartyId id_;
   std::vector<PartyId> peers_;
   std::size_t rounds_;
   bool done_ = false;
@@ -53,7 +49,7 @@ std::unique_ptr<Simulator> make_flood_sim(std::size_t n, std::size_t rounds) {
     for (PartyId j = 0; j < n; ++j) {
       if (j != i) peers.push_back(j);
     }
-    parties.push_back(std::make_unique<FloodParty>(i, peers, rounds));
+    parties.push_back(std::make_unique<FloodParty>(peers, rounds));
   }
   return std::make_unique<Simulator>(std::move(parties), corrupt, nullptr);
 }
@@ -104,7 +100,7 @@ TEST(Simulator, RespectsMaxRounds) {
 class SpoofingAdversary final : public Adversary {
  public:
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     if (round > 0) return {};
     return {
         Message{0, 1, to_bytes("spoofed-as-honest")},   // party 0 is honest
@@ -117,7 +113,7 @@ class SpoofingAdversary final : public Adversary {
 class SinkParty final : public Party {
  public:
   explicit SinkParty(std::size_t rounds) : rounds_(rounds) {}
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& inbox) override {
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
     for (const auto& m : inbox) received_.push_back(m);
     if (round >= rounds_) done_ = true;
     return {};
@@ -170,9 +166,9 @@ class PeekingAdversary final : public Adversary {
       : seen_(honest_msgs_seen) {}
   std::vector<Message> on_round(
       std::size_t, const std::vector<Message>&,
-      const std::vector<std::vector<Message>>& honest_outboxes) override {
+      const std::vector<SendList>& honest_sends) override {
     std::size_t msgs = 0;
-    for (const auto& outbox : honest_outboxes) msgs += outbox.size();
+    for (const SendList& sends : honest_sends) msgs += sends.messages();
     seen_->push_back(msgs);
     return {};
   }
@@ -183,7 +179,7 @@ class PeekingAdversary final : public Adversary {
 
 TEST(Simulator, AdversaryIsRushing) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<FloodParty>(0, std::vector<PartyId>{1}, 1));
+  parties.push_back(std::make_unique<FloodParty>(std::vector<PartyId>{1}, 1));
   parties.push_back(std::make_unique<SinkParty>(2));
   parties.push_back(nullptr);
   std::vector<bool> corrupt{false, false, true};
@@ -203,8 +199,7 @@ class CountingReceiver final : public Party {
  public:
   CountingReceiver(std::size_t expect, std::size_t give_up_round)
       : expect_(expect), give_up_(give_up_round) {}
-  std::vector<Message> on_round(std::size_t round,
-                                const std::vector<Message>& inbox) override {
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
     for (const auto& m : inbox) received_.push_back(m);
     if (received_.size() >= expect_ || round >= give_up_) done_ = true;
     return {};
@@ -247,7 +242,7 @@ TEST(FaultInjection, DropsAreCountedAndConserved) {
 TEST(FaultInjection, DelayedMessageArrivesLaterExactlyOnce) {
   std::vector<std::unique_ptr<Party>> parties;
   const std::size_t kSends = 5;
-  parties.push_back(std::make_unique<FloodParty>(0, std::vector<PartyId>{1}, kSends));
+  parties.push_back(std::make_unique<FloodParty>(std::vector<PartyId>{1}, kSends));
   parties.push_back(std::make_unique<CountingReceiver>(kSends, 30));
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   FaultPlan plan;
@@ -330,7 +325,7 @@ TEST(FaultInjection, PartitionCutsExactlyCrossTraffic) {
 class OversizeAdversary final : public Adversary {
  public:
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     if (round > 0) return {};
     return {
         Message{2, 0, Bytes(Simulator::kMaxAdversaryPayload + 1, 0xEE)},  // one byte over the cap
@@ -463,7 +458,7 @@ class GrabbyAdversary final : public Adversary {
  public:
   explicit GrabbyAdversary(std::vector<PartyId> wants) : wants_(std::move(wants)) {}
   std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     return {};
   }
   std::vector<PartyId> corruption_requests(std::size_t round) override {
@@ -525,7 +520,7 @@ TEST(Churn, OfflineWindowDropsDeliveriesAndFreezesParty) {
   // delivered in rounds 2 and 3 — both lost to churn; everything else
   // arrives, and party 1 resumes with its state intact.
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<FloodParty>(0, std::vector<PartyId>{1}, 6));
+  parties.push_back(std::make_unique<FloodParty>(std::vector<PartyId>{1}, 6));
   parties.push_back(std::make_unique<CountingReceiver>(4, 30));
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   FaultPlan plan;
@@ -570,12 +565,11 @@ TEST(SubProto, OwnedTagReusesCapacity) {
 TEST(SharedPayload, CopiesShareOneBufferAndOutliveTheOriginal) {
   Payload body(to_bytes("body"));
   Payload copy = body;
-  EXPECT_TRUE(copy.shares(body));
   EXPECT_EQ(copy.data(), body.data());
   EXPECT_EQ(copy.size(), 4u);
   body = Payload();  // the copy keeps the buffer alive
   EXPECT_EQ(to_string(copy), "body");
-  EXPECT_FALSE(Payload(to_bytes("body")).shares(copy));  // equal bytes, another block
+  EXPECT_NE(Payload(to_bytes("body")).data(), copy.data());  // equal bytes, another block
   EXPECT_EQ(Payload(to_bytes("body")), copy);
 }
 
@@ -584,8 +578,7 @@ TEST(SharedPayload, SuffixSharesTheBlockAndOutlivesTheOriginal) {
   Payload tail = frame.suffix(4);
   EXPECT_EQ(tail.data(), frame.data() + 4);  // the same block, no copy
   EXPECT_EQ(tail.size(), 4u);
-  EXPECT_FALSE(tail.shares(frame));          // other bytes of that block
-  EXPECT_TRUE(tail.shares(frame.suffix(4)));
+  EXPECT_EQ(tail.data(), frame.suffix(4).data());
   EXPECT_EQ(tail.suffix(2).data(), frame.data() + 6);
   EXPECT_EQ(frame.suffix(100).size(), 0u);
   frame = Payload();  // the suffix keeps the block alive
@@ -601,14 +594,14 @@ TEST(SharedPayload, DolevStrongRelayToCommitteeSharesOneBody) {
   Outbox sends = sender.step(0, {});
   ASSERT_EQ(sends.size(), 1u);  // one body ...
   EXPECT_EQ(sends.messages(), kC - 1);  // ... for the c - 1 other members
-  std::vector<Message> msgs;
-  send_tagged(msgs, 0, std::move(sends), 1, 0, MsgKind::kCommitteeBa);
-  ASSERT_EQ(msgs.size(), kC - 1);
-  for (std::size_t k = 0; k < msgs.size(); ++k) {
-    EXPECT_EQ(msgs[k].to, k + 1);
-    EXPECT_TRUE(msgs[k].payload.shares(msgs[0].payload));
-    EXPECT_EQ(msgs[k].payload.data(), msgs[0].payload.data());
-  }
+  const std::uint8_t* storage = sends.body(0).data();
+  SendList out;
+  send_tagged(out, std::move(sends), 1, 0, MsgKind::kCommitteeBa);
+  ASSERT_EQ(out.size(), 1u);  // still one body, tagged in place ...
+  EXPECT_EQ(out.body(0).data(), storage);
+  EXPECT_EQ(out.kind(0), MsgKind::kCommitteeBa);
+  ASSERT_EQ(out.to(0).size(), kC - 1);  // ... with a 4-byte id per recipient
+  for (std::size_t k = 0; k < kC - 1; ++k) EXPECT_EQ(out.to(0)[k], k + 1);
 }
 
 TEST(SharedPayload, SendAllSkipsTheExceptedRecipient) {
@@ -617,44 +610,45 @@ TEST(SharedPayload, SendAllSkipsTheExceptedRecipient) {
   sends.send_all(std::vector<PartyId>{1, 2}, to_bytes("skipped"), 1);  // only 2 is left
   sends.send_all(std::vector<PartyId>{4}, to_bytes("none"), 4);        // nobody is left
   ASSERT_EQ(sends.size(), 2u);
-  std::vector<Message> msgs;
-  send_tagged(msgs, 0, std::move(sends), 0, 0, MsgKind::kUnknown);
-  ASSERT_EQ(msgs.size(), 2u);
-  EXPECT_EQ(msgs[0].to, 3u);
-  EXPECT_EQ(msgs[1].to, 2u);
-  EXPECT_FALSE(msgs[0].payload.shares(msgs[1].payload));
+  SendList out;
+  send_tagged(out, std::move(sends), 0, 0, MsgKind::kUnknown);
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_EQ(out.messages(), 2u);
+  EXPECT_EQ(out.to(0)[0], 3u);
+  EXPECT_EQ(out.to(1)[0], 2u);
+  EXPECT_EQ(to_string(out.body(1)).substr(kTagSize), "skipped");
 }
 
-TEST(SharedPayload, MessageIsFortyBytes) {
-  // One per recipient: two party ids, a payload handle (block pointer and
+TEST(SharedPayload, MessageIsThirtyTwoBytes) {
+  // A send list holds one 4-byte id per recipient; a Message, built only as
+  // it lands in an inbox, is two ids, a payload handle (block pointer and
   // offset) and the kind.
+  EXPECT_EQ(sizeof(PartyId), 4u);
   EXPECT_EQ(sizeof(Payload), 16u);
-  EXPECT_EQ(sizeof(Message), 40u);
+  EXPECT_EQ(sizeof(Message), 32u);
 }
 
 /// Sends one shared body to its peers each round for `rounds` rounds; byte 0
 /// of the body is the send round.
 class MulticastParty final : public Party {
  public:
-  MulticastParty(PartyId me, std::vector<PartyId> peers, std::size_t rounds,
-                 std::size_t body_size)
-      : me_(me), peers_(std::move(peers)), rounds_(rounds), body_size_(body_size) {}
+  MulticastParty(std::vector<PartyId> peers, std::size_t rounds, std::size_t body_size)
+      : peers_(std::move(peers)), rounds_(rounds), body_size_(body_size) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>&) override {
+    SendList out;
     if (round >= rounds_) {
       done_ = true;
       return out;
     }
     Bytes body(body_size_, 0x5a);
     body[0] = static_cast<std::uint8_t>(round);
-    make_msgs(out, me_, peers_, std::move(body), MsgKind::kUnknown);
+    out.send_all(peers_, std::move(body), MsgKind::kUnknown);
     return out;
   }
   bool done() const override { return done_; }
 
  private:
-  PartyId me_;
   std::vector<PartyId> peers_;
   std::size_t rounds_, body_size_;
   bool done_ = false;
@@ -666,7 +660,7 @@ std::unique_ptr<Simulator> make_multicast_sim(std::size_t n, std::size_t rounds,
   std::vector<std::unique_ptr<Party>> parties;
   std::vector<PartyId> peers;
   for (PartyId p = 1; p < n; ++p) peers.push_back(p);
-  parties.push_back(std::make_unique<MulticastParty>(0, peers, rounds, body_size));
+  parties.push_back(std::make_unique<MulticastParty>(peers, rounds, body_size));
   for (PartyId p = 1; p < n; ++p) parties.push_back(std::make_unique<CountingReceiver>(rounds, 30));
   return std::make_unique<Simulator>(std::move(parties), std::vector<bool>(n, false), nullptr);
 }
@@ -687,7 +681,7 @@ TEST(SharedPayload, LedgerChargesEveryRecipientTheFullSize) {
     ASSERT_EQ(rx->received().size(), kRounds);
     // Every recipient holds the same buffer as recipient 1.
     for (std::size_t r = 0; r < kRounds; ++r) {
-      EXPECT_TRUE(rx->received()[r].payload.shares(first->received()[r].payload));
+      EXPECT_EQ(rx->received()[r].payload.data(), first->received()[r].payload.data());
     }
   }
 }
@@ -705,7 +699,7 @@ TEST(SharedPayload, DuplicateSharesTheBody) {
     ASSERT_NE(rx, nullptr);
     ASSERT_EQ(rx->received().size(), 4u);  // two rounds, two copies each
     for (std::size_t k = 0; k < 4; k += 2) {
-      EXPECT_TRUE(rx->received()[k].payload.shares(rx->received()[k + 1].payload));
+      EXPECT_EQ(rx->received()[k].payload.data(), rx->received()[k + 1].payload.data());
     }
   }
 }
@@ -736,6 +730,85 @@ TEST(SharedPayload, DelayedPayloadIsIntactWhenItArrives) {
     }
     for (std::size_t r = 0; r < kRounds; ++r) EXPECT_EQ(tally[r], 1) << "send round " << r;
   }
+}
+
+TEST(SharedPayload, OneBodyToKRecipientsLandsAsKPlusOneMessagesOnOneBlock) {
+  // Party 0 sends one body to parties 1..k in round 0. Fault decisions are a
+  // pure function of (plan seed, round, link, seq), so the search below
+  // finds the first seed under which exactly one copy is duplicated and
+  // another delayed. Every copy that lands, the duplicate and the late one
+  // included, must be a message on the sender's one block (under ASan, a
+  // copy outliving its block fails).
+  constexpr std::size_t kK = 6, kSize = 48;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    auto sim = make_multicast_sim(kK + 1, 1, kSize);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.duplicate_prob = 0.2;
+    plan.delay_prob = 0.2;
+    plan.max_delay = 2;
+    sim->set_fault_plan(plan);
+    sim->run(40);
+    const FaultCounters& f = sim->stats().faults;
+    if (f.duplicated != 1 || f.delayed != 1) continue;
+    EXPECT_EQ(f.late_delivered, 1u);
+    std::vector<const Message*> landed;
+    for (PartyId p = 1; p <= kK; ++p) {
+      auto* rx = dynamic_cast<CountingReceiver*>(sim->party(p));
+      ASSERT_NE(rx, nullptr);
+      for (const Message& m : rx->received()) landed.push_back(&m);
+    }
+    ASSERT_EQ(landed.size(), kK + 1) << "seed " << seed;
+    for (const Message* m : landed) {
+      EXPECT_EQ(m->from, 0u);
+      EXPECT_EQ(m->payload.size(), kSize);
+      EXPECT_EQ(m->payload.data(), landed.front()->payload.data()) << "seed " << seed;
+    }
+    EXPECT_EQ(sim->stats().party[0].msgs_sent, kK);  // the duplicate is the network's
+    return;
+  }
+  FAIL() << "no plan seed in 1..500 duplicates exactly one copy and delays another";
+}
+
+/// Sends to party 1 every round, except that its first round-1 body also
+/// names party 7, outside a two-party network.
+class MisaddressingParty final : public Party {
+ public:
+  SendList on_round(std::size_t round, const std::vector<Message>&) override {
+    SendList out;
+    if (round == 1 && !misaddressed_) {
+      misaddressed_ = true;
+      out.send_all(std::vector<PartyId>{1, 7}, Bytes{0xBB}, MsgKind::kUnknown);
+    } else {
+      out.send(1, Bytes{static_cast<std::uint8_t>(round)}, MsgKind::kUnknown);
+    }
+    return out;
+  }
+  bool done() const override { return false; }
+
+ private:
+  bool misaddressed_ = false;
+};
+
+TEST(Simulator, IllAddressedHonestSendThrowsAndTheRetryRunsClean) {
+  std::vector<std::unique_ptr<Party>> parties;
+  parties.push_back(std::make_unique<MisaddressingParty>());
+  parties.push_back(std::make_unique<SinkParty>(100));
+  Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
+  ASSERT_TRUE(sim.tick());
+  EXPECT_THROW(sim.tick(), std::logic_error);
+  EXPECT_EQ(sim.current_round(), 1u) << "the failed round must not complete";
+  ASSERT_TRUE(sim.tick());  // round 1 again: party 0 now sends to party 1 only
+  ASSERT_TRUE(sim.tick());
+  sim.end_run();
+  // Round 0's and the retried round 1's messages arrived; the discarded
+  // round sent nothing, to party 1 or anyone else.
+  auto* sink = dynamic_cast<SinkParty*>(sim.party(1));
+  ASSERT_NE(sink, nullptr);
+  ASSERT_EQ(sink->received().size(), 2u);
+  EXPECT_EQ(sink->received()[0].payload, Payload(Bytes{0}));
+  EXPECT_EQ(sink->received()[1].payload, Payload(Bytes{1}));
+  EXPECT_EQ(sim.stats().party[0].msgs_sent, 3u);  // rounds 0, 1 (retried) and 2
 }
 
 // A TaggedMsg borrows its body, so one built from a temporary buffer would

@@ -277,7 +277,7 @@ TEST(FramingAllocs, NestedRelayCostsOneAllocationPerFrame) {
   ASSERT_EQ(bare.size(), 1u);
   ASSERT_EQ(bare.messages(), c - 1);
 
-  std::vector<Message> msgs;
+  SendList out;
   a0 = alloc_ops();
   // ParallelProto's child index, then the coin toss's kind byte, then the
   // channel tag: each written once in front of the one body.
@@ -285,9 +285,10 @@ TEST(FramingAllocs, NestedRelayCostsOneAllocationPerFrame) {
   sends.frame(std::array<std::uint8_t, 1>{2});
   ASSERT_EQ(sends.size(), 1u);
   const std::uint8_t* storage = sends.body(0).data();
-  send_tagged(msgs, 0, std::move(sends), 2, 0, MsgKind::kCoinToss);
+  send_tagged(out, std::move(sends), 2, 0, MsgKind::kCoinToss);
   const std::uint64_t nested_allocs = alloc_ops() - a0;
-  ASSERT_EQ(msgs.size(), c - 1);
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out.messages(), c - 1);
 
   // The leaf's buffers: one body for all c - 1 recipients, plus six that do
   // not scale with them (its signature chain, the signed target, its
@@ -295,12 +296,11 @@ TEST(FramingAllocs, NestedRelayCostsOneAllocationPerFrame) {
   // copy of this one).
   EXPECT_EQ(leaf_allocs, 1 + 6);
   // The outer layers add no allocation per recipient: ParallelProto's
-  // per-child demux vector, the message vector and the shared block.
-  EXPECT_EQ(nested_allocs, leaf_allocs + 3);
-  for (const Message& m : msgs) {
-    EXPECT_EQ(m.payload.size(), kTagSize + 1 + 4 + bare.body(0).size());
-    EXPECT_EQ(m.payload.data(), storage) << "reallocated on the way out";
-  }
+  // per-child demux vector, the send list's two vectors and the shared
+  // block.
+  EXPECT_EQ(nested_allocs, leaf_allocs + 4);
+  EXPECT_EQ(out.body(0).size(), kTagSize + 1 + 4 + bare.body(0).size());
+  EXPECT_EQ(out.body(0).data(), storage) << "reallocated on the way out";
 }
 
 /// Child that counts the bodies it is handed and remembers where the first

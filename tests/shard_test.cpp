@@ -7,10 +7,10 @@
 //     bytes included) and the run's outputs are equal — for π_ba/snark,
 //     KS'11 sampling, BGT'13 multisig and naive under drops, delays,
 //     duplicates, churn and an eclipse campaign with adaptive corruption,
-//     plus scalable MPC, one service stream, and multicasts whose shared
-//     bodies an adversary echoes on;
-//   * the adversary's per-sender outboxes, flattened, are the network's
-//     delivery order;
+//     plus scalable MPC, one service stream, and multi-body send lists whose
+//     shared bodies an adversary echoes on and replays from the rushing view;
+//   * the adversary's per-sender send lists, flattened body by body, are the
+//     network's delivery order;
 //   * a party that throws on a worker surfaces on the caller's thread, the
 //     lowest party id's exception first, and leaves no stale slot behind;
 //   * the automatic mode keeps rounds of trivial steps inline and hands
@@ -252,14 +252,15 @@ TEST(ShardedRoundLoop, ServiceStreamIsBitIdentical) {
 class Chatter final : public Party {
  public:
   Chatter(PartyId me, std::size_t n) : me_(me), n_(n) {}
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& inbox) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
+    SendList out;
     const std::size_t k = 1 + (me_ * 7 + round + inbox.size()) % 4;
     for (std::size_t j = 0; j < k; ++j) {
       const PartyId to = (me_ * 31 + round * 17 + j * 5) % n_;
-      Bytes payload{static_cast<std::uint8_t>(me_), static_cast<std::uint8_t>(round),
-                    static_cast<std::uint8_t>(j)};
-      out.push_back(make_msg(me_, to, std::move(payload), MsgKind::kUnknown));
+      out.send(to,
+               Bytes{static_cast<std::uint8_t>(me_), static_cast<std::uint8_t>(round),
+                     static_cast<std::uint8_t>(j)},
+               MsgKind::kUnknown);
     }
     return out;
   }
@@ -277,18 +278,20 @@ struct Sent {
   bool operator==(const Sent&) const = default;
 };
 
-/// Records the rushing view, flattened in sender order, skipping loopback
-/// (which never reaches the network).
+/// Records the rushing view, flattened in sender order, body by body and
+/// each body's recipients in order, skipping loopback (which never reaches
+/// the network).
 class FlatteningAdversary final : public Adversary {
  public:
   explicit FlatteningAdversary(std::vector<Sent>* flat) : flat_(flat) {}
-  std::vector<Message> on_round(
-      std::size_t round, const std::vector<Message>&,
-      const std::vector<std::vector<Message>>& honest_outboxes) override {
-    for (PartyId i = 0; i < honest_outboxes.size(); ++i) {
-      for (const Message& m : honest_outboxes[i]) {
-        EXPECT_EQ(m.from, i) << "outbox " << i << " holds another sender's message";
-        if (m.from != m.to) flat_->push_back(Sent{round, m.from, m.to, m.payload});
+  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
+                                const std::vector<SendList>& honest_sends) override {
+    for (PartyId i = 0; i < honest_sends.size(); ++i) {
+      const SendList& sends = honest_sends[i];
+      for (std::size_t k = 0; k < sends.size(); ++k) {
+        for (PartyId to : sends.to(k)) {
+          if (to != i) flat_->push_back(Sent{round, i, to, sends.body(k)});
+        }
       }
     }
     return {};
@@ -306,19 +309,22 @@ class SendRecorder final : public obs::TraceSink {
   std::vector<Sent> sent;
 };
 
-/// Multicasts one shared body to a few pseudo-random peers each round.
+/// Multicasts one shared body to a few pseudo-random peers each round, the
+/// first of them twice, then sends a second body to one more peer.
 class Multicaster final : public Party {
  public:
   Multicaster(PartyId me, std::size_t n) : me_(me), n_(n) {}
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& inbox) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>& inbox) override {
+    SendList out;
     std::vector<PartyId> to;
     for (std::size_t j = 0; j < 2 + (me_ + round) % 5; ++j) {
-      to.push_back((me_ * 13 + round * 7 + j * 3 + 1) % n_);
+      to.push_back(static_cast<PartyId>((me_ * 13 + round * 7 + j * 3 + 1) % n_));
     }
+    to.push_back(to.front());
     Bytes body(24 + inbox.size(), static_cast<std::uint8_t>(me_));
     body[0] = static_cast<std::uint8_t>(round);
-    make_msgs(out, me_, to, std::move(body), MsgKind::kUnknown);
+    out.send_all(to, std::move(body), MsgKind::kUnknown);
+    out.send(static_cast<PartyId>((me_ + round + 1) % n_), Bytes(8, 0x77), MsgKind::kBoostFlood);
     return out;
   }
   bool done() const override { return false; }
@@ -329,22 +335,31 @@ class Multicaster final : public Party {
 };
 
 /// Echoes every message its corrupt parties receive on to the next party,
-/// sharing the body: the copy is made on the coordinator, the original on a
+/// and replays each honest sender's last body from the rushing view, sharing
+/// the bodies: the copies are made on the coordinator, the originals on a
 /// worker, and either may be released first.
 class EchoAdversary final : public Adversary {
  public:
-  explicit EchoAdversary(std::size_t n) : n_(n) {}
+  EchoAdversary(std::size_t n, PartyId replayer) : n_(n), replayer_(replayer) {}
   std::vector<Message> on_round(std::size_t, const std::vector<Message>& corrupt_inbox,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>& honest_sends) override {
     std::vector<Message> out;
     for (const Message& m : corrupt_inbox) {
-      out.push_back(make_msg(m.to, (m.to + 1) % n_, m.payload, MsgKind::kUnknown));
+      const auto next = static_cast<PartyId>((m.to + 1) % n_);
+      out.push_back(make_msg(m.to, next, m.payload, MsgKind::kUnknown));
+    }
+    for (PartyId i = 0; i < honest_sends.size(); ++i) {
+      const SendList& sends = honest_sends[i];
+      if (sends.size() == 0) continue;
+      const std::size_t last = sends.size() - 1;
+      out.push_back(make_msg(replayer_, sends.to(last)[0], sends.body(last), sends.kind(last)));
     }
     return out;
   }
 
  private:
   std::size_t n_;
+  PartyId replayer_;
 };
 
 TEST(ShardedRoundLoop, SharedBodiesAreBitIdenticalUnderChaos) {
@@ -358,7 +373,7 @@ TEST(ShardedRoundLoop, SharedBodiesAreBitIdenticalUnderChaos) {
     }
     obs::Ledger ledger;
     HashSink sink;
-    Simulator sim(std::move(parties), corrupt, std::make_unique<EchoAdversary>(kN));
+    Simulator sim(std::move(parties), corrupt, std::make_unique<EchoAdversary>(kN, 20));
     FaultPlan plan;
     plan.seed = 17;
     plan.drop_prob = 0.05;
@@ -407,7 +422,7 @@ TEST(ShardedRoundLoop, FlattenedOutboxesAreTheDeliveryOrder) {
 class Thrower final : public Party {
  public:
   Thrower(PartyId me, std::size_t round) : me_(me), round_(round) {}
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&) override {
     if (round == round_ && !thrown_) {
       thrown_ = true;
       throw std::runtime_error("party " + std::to_string(me_));
@@ -509,7 +524,7 @@ TEST(WorkerPool, BackToBackJobsRunEveryIndexExactlyOnce) {
 class Spinner final : public Party {
  public:
   explicit Spinner(std::chrono::nanoseconds ns) : ns_(ns), home_(std::this_thread::get_id()) {}
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&) override {
+  SendList on_round(std::size_t, const std::vector<Message>&) override {
     const auto t0 = std::chrono::steady_clock::now();
     while (std::chrono::steady_clock::now() - t0 < ns_) {
     }

@@ -20,7 +20,7 @@ inline std::unique_ptr<Simulator> make_subproto_sim(std::size_t n,
   std::vector<std::unique_ptr<Party>> parties(n);
   for (PartyId i = 0; i < n; ++i) {
     if (!corrupt[i]) {
-      parties[i] = std::make_unique<SubProtocolHost>(i, factory(i));
+      parties[i] = std::make_unique<SubProtocolHost>(factory(i));
     }
   }
   return std::make_unique<Simulator>(std::move(parties), corrupt,

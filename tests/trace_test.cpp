@@ -21,20 +21,21 @@ using testjson::PJson;
 /// Sends one tagged message to party 1 per round for `rounds` rounds.
 class KindSender final : public Party {
  public:
-  KindSender(PartyId me, std::size_t rounds, std::size_t bytes, MsgKind kind)
-      : me_(me), rounds_(rounds), bytes_(bytes), kind_(kind) {}
+  KindSender(std::size_t rounds, std::size_t bytes, MsgKind kind)
+      : rounds_(rounds), bytes_(bytes), kind_(kind) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&) override {
+    SendList out;
     if (round >= rounds_) {
       done_ = true;
-      return {};
+      return out;
     }
-    return {Message{me_, 1, Bytes(bytes_, 0xCD), kind_}};
+    out.send(1, Bytes(bytes_, 0xCD), kind_);
+    return out;
   }
   bool done() const override { return done_; }
 
  private:
-  PartyId me_;
   std::size_t rounds_, bytes_;
   MsgKind kind_;
   bool done_ = false;
@@ -42,7 +43,7 @@ class KindSender final : public Party {
 
 class SilentSink final : public Party {
  public:
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&) override {
+  SendList on_round(std::size_t, const std::vector<Message>&) override {
     return {};
   }
   bool done() const override { return true; }
@@ -50,7 +51,7 @@ class SilentSink final : public Party {
 
 TEST(Ledger, ScriptedRunFillsPerRoundRows) {
   std::vector<std::unique_ptr<Party>> parties;
-  parties.push_back(std::make_unique<KindSender>(0, 5, 40, MsgKind::kBoostFlood));
+  parties.push_back(std::make_unique<KindSender>(5, 40, MsgKind::kBoostFlood));
   parties.push_back(std::make_unique<SilentSink>());
   Simulator sim(std::move(parties), std::vector<bool>{false, false}, nullptr);
   obs::Ledger& led = sim.ledger();

@@ -303,7 +303,7 @@ class EvilDisseminator final : public Adversary {
       : tree_(std::move(tree)), corrupt_(std::move(corrupt)), evil_(std::move(evil)) {}
 
   std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<std::vector<Message>>&) override {
+                                const std::vector<SendList>&) override {
     // Mirror DisseminationProto's schedule: at step k, members of level
     // h-k nodes forward; sends at step k arrive at k+1.
     std::vector<Message> out;
