@@ -1,5 +1,5 @@
 // Micro-benchmarks for the cryptographic substrate (google-benchmark):
-// SHA-256, HMAC, Merkle trees, Lamport and WOTS one-time signatures,
+// SHA-256, HMAC, Merkle trees, WOTS one-time signatures,
 // Shamir sharing. These put concrete per-operation costs under the
 // protocol-level results.
 #include <benchmark/benchmark.h>
@@ -8,7 +8,6 @@
 #include "micro_main.hpp"
 #include "consensus/shamir.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/multisig.hpp"
 #include "crypto/sha256.hpp"
@@ -70,29 +69,6 @@ void BM_MerklePathVerify(benchmark::State& state) {
   bench::report_allocs(state, a0);
 }
 BENCHMARK(BM_MerklePathVerify)->Arg(4096);
-
-void BM_LamportKeygen(benchmark::State& state) {
-  Rng rng(5);
-  Bytes seed = rng.bytes(32);
-  const std::uint64_t a0 = bench::alloc_ops();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lamport_keygen(seed));
-  }
-  bench::report_allocs(state, a0);
-}
-BENCHMARK(BM_LamportKeygen);
-
-void BM_LamportSignVerify(benchmark::State& state) {
-  auto kp = lamport_keygen(Rng(6).bytes(32));
-  Bytes m = to_bytes("bench message");
-  const std::uint64_t a0 = bench::alloc_ops();
-  for (auto _ : state) {
-    auto sig = lamport_sign(kp, m);
-    benchmark::DoNotOptimize(lamport_verify(kp.verification_key, m, sig));
-  }
-  bench::report_allocs(state, a0);
-}
-BENCHMARK(BM_LamportSignVerify);
 
 void BM_WotsKeygen(benchmark::State& state) {
   Rng rng(7);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <ranges>
 
 #include "ba/ae_boost.hpp"
 #include "common/rng.hpp"
@@ -23,9 +24,9 @@ class PiBaAttacker final : public Adversary {
   explicit PiBaAttacker(PiBaAttackConfig config)
       : cfg_(std::move(config)), rng_(cfg_.seed ^ 0x61747461636bULL) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>& honest_sends) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>& honest_sends) override {
+    SendList out;
     const CommTree& tree = *cfg_.tree;
     const std::size_t h = tree.height();
 
@@ -74,7 +75,7 @@ class PiBaAttacker final : public Adversary {
   }
 
   void attack_dissemination(std::size_t sub, std::uint32_t phase, const Bytes& value,
-                            std::vector<Message>& out) {
+                            SendList& out) {
     const CommTree& tree = *cfg_.tree;
     const std::size_t h = tree.height();
     std::size_t level = h - sub;
@@ -85,25 +86,21 @@ class PiBaAttacker final : public Adversary {
           w.u8(0);  // kStageCommittee
           w.u64(child);
           w.raw(value);
-          const Payload body = tag_body(phase, 0, std::move(w).take());
-          for (PartyId p : tree.node(child).committee) {
-            out.push_back(make_msg(member, p, body, MsgKind::kUnknown));
-          }
+          out.send_all(member, tree.node(child).committee, tag_body(phase, 0, std::move(w).take()),
+                       MsgKind::kUnknown);
         }
       } else {
         Writer w;
         w.u8(1);  // kStageParty
         w.u64(node.id);
         w.raw(value);
-        const Payload body = tag_body(phase, 0, std::move(w).take());
-        for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-          out.push_back(make_msg(member, tree.owner_of_virtual(v), body, MsgKind::kUnknown));
-        }
+        out.send_all(member, tree.slot_owners(node), tag_body(phase, 0, std::move(w).take()),
+                     MsgKind::kUnknown);
       }
     });
   }
 
-  void attack_signing(const std::vector<SendList>& honest_sends, std::vector<Message>& out) {
+  void attack_signing(const std::vector<SendList>& honest_sends, SendList& out) {
     const CommTree& tree = *cfg_.tree;
     // Collect honest base-signature bodies from the rushing view, one per
     // message: a body sent to k recipients is lifted up to k times. untag_body
@@ -132,62 +129,52 @@ class PiBaAttacker final : public Adversary {
       const TreeNode& node = tree.node(leaf);
       PartyId sender = corrupt_ids[leaf % corrupt_ids.size()];
       for (BytesView sig : lifted) {
-        const Payload replay = tag_body(AeBoostParty::kBoostPhase, leaf, sig);
-        for (PartyId p : node.committee) {
-          out.push_back(make_msg(sender, p, replay, MsgKind::kUnknown));
-        }
+        out.send_all(sender, node.committee, tag_body(AeBoostParty::kBoostPhase, leaf, sig),
+                     MsgKind::kUnknown);
       }
-      const Payload junk = tag_body(AeBoostParty::kBoostPhase, leaf, rng_.bytes(60));
-      for (PartyId p : node.committee) {
-        out.push_back(make_msg(sender, p, junk, MsgKind::kUnknown));
-      }
+      out.send_all(sender, node.committee,
+                   tag_body(AeBoostParty::kBoostPhase, leaf, rng_.bytes(60)), MsgKind::kUnknown);
     }
   }
 
-  void attack_aggregation(std::size_t level, std::vector<Message>& out) {
+  void attack_aggregation(std::size_t level, SendList& out) {
     const CommTree& tree = *cfg_.tree;
     if (level > tree.height()) return;
     for_each_corrupt_member(level, [&](PartyId member, const TreeNode& node) {
       if (node.parent == TreeNode::kNoParent) return;
-      const Payload junk =
-          tag_body(AeBoostParty::kBoostPhase, node.parent, rng_.bytes(80 + rng_.below(64)));
-      for (PartyId p : tree.node(node.parent).committee) {
-        out.push_back(make_msg(member, p, junk, MsgKind::kUnknown));
-      }
+      out.send_all(member, tree.node(node.parent).committee,
+                   tag_body(AeBoostParty::kBoostPhase, node.parent,
+                            rng_.bytes(80 + rng_.below(64))),
+                   MsgKind::kUnknown);
     });
   }
 
-  void attack_certified(std::size_t sub, std::vector<Message>& out) {
+  void attack_certified(std::size_t sub, SendList& out) {
     const CommTree& tree = *cfg_.tree;
     const std::size_t h = tree.height();
     std::size_t level = h - sub;
     Bytes evil = evil_blob();
     Bytes fake_sigma = rng_.bytes(160);
     for_each_corrupt_member(level, [&](PartyId member, const TreeNode& node) {
-      auto push = [&](PartyId to, std::uint8_t stage, std::uint64_t nid) {
+      auto push = [&](const auto& to, std::uint8_t stage, std::uint64_t nid) {
         Writer w;
         w.u8(stage);
         w.u64(nid);
         w.bytes(evil);
         w.bytes(fake_sigma);
-        out.push_back(make_msg(member, to,
-                               tag_body(AeBoostParty::kBoostPhase, 1ULL << 62,
-                                        std::move(w).take()),
-                               MsgKind::kUnknown));
+        out.send_all(member, to,
+                     tag_body(AeBoostParty::kBoostPhase, 1ULL << 62, std::move(w).take()),
+                     MsgKind::kUnknown);
       };
       if (level > 1) {
-        for (std::size_t child : node.children) {
-          for (PartyId p : tree.node(child).committee) push(p, 0, child);
-        }
+        for (std::size_t child : node.children) push(tree.node(child).committee, 0, child);
       } else {
-        for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-          push(tree.owner_of_virtual(v), 1, node.id);
-        }
+        push(tree.slot_owners(node), 1, node.id);
       }
     });
   }
 
-  void attack_prf_flood(std::vector<Message>& out) {
+  void attack_prf_flood(SendList& out) {
     const std::size_t n = cfg_.corrupt.size();
     Bytes evil = evil_blob();
     Writer w;
@@ -195,11 +182,12 @@ class PiBaAttacker final : public Adversary {
     w.bytes(rng_.bytes(160));  // forged certificate (cannot verify)
     const Payload body =
         tag_body(AeBoostParty::kBoostPhase, (1ULL << 62) + 1, std::move(w).take());
+    std::vector<PartyId> honest;
+    for (PartyId p = 0; p < n; ++p) {
+      if (!cfg_.corrupt[p]) honest.push_back(p);
+    }
     for (PartyId c = 0; c < n; ++c) {
-      if (!cfg_.corrupt[c]) continue;
-      for (PartyId to = 0; to < n; ++to) {
-        if (!cfg_.corrupt[to]) out.push_back(make_msg(c, to, body, MsgKind::kUnknown));
-      }
+      if (cfg_.corrupt[c]) out.send_all(c, honest, body, MsgKind::kUnknown);
     }
   }
 
@@ -254,9 +242,9 @@ class GridCampaignAdversary final : public CampaignAdversary {
 
   const std::vector<PartitionWindow>& partitions() const { return partitions_; }
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
-                                const std::vector<SendList>& honest_sends) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
+                    const std::vector<SendList>& honest_sends) override {
+    SendList out;
     if (round == cfg_.dissem_start) lift_blob(honest_sends);
     if (!good_blob_.has_value()) return out;
 
@@ -452,7 +440,7 @@ class GridCampaignAdversary final : public CampaignAdversary {
     }
   }
 
-  void takeover_poison_subtree(std::vector<Message>& out) {
+  void takeover_poison_subtree(SendList& out) {
     const CommTree& tree = *cfg_.tree;
     if (tree.root().children.empty()) return;
     Writer w;
@@ -461,14 +449,13 @@ class GridCampaignAdversary final : public CampaignAdversary {
     w.raw(evil_blob_);
     const Payload body = tag_body(3, 0, std::move(w).take());
     for (PartyId member : tree.supreme_committee()) {
-      if (!controls(member)) continue;
-      for (PartyId p : tree.node(chosen_child_).committee) {
-        out.push_back(make_msg(member, p, body, MsgKind::kUnknown));
+      if (controls(member)) {
+        out.send_all(member, tree.node(chosen_child_).committee, body, MsgKind::kUnknown);
       }
     }
   }
 
-  void takeover_split_push(std::vector<Message>& out) {
+  void takeover_split_push(SendList& out) {
     const CommTree& tree = *cfg_.tree;
     const std::size_t n = cfg_.corrupt.size();
     auto framed = [&](PartyId signer, const Bytes& blob) {
@@ -482,17 +469,15 @@ class GridCampaignAdversary final : public CampaignAdversary {
     members.erase(std::unique(members.begin(), members.end()), members.end());
     for (PartyId member : members) {
       if (!controls(member)) continue;
-      const Payload evil = framed(member, evil_blob_);
-      const Payload good = framed(member, *good_blob_);
-      for (PartyId p = 0; p < n; ++p) {
-        if (p == member) continue;
-        out.push_back(make_msg(member, p, p < n / 2 ? evil : good, MsgKind::kUnknown));
-      }
+      const auto half = static_cast<PartyId>(n / 2);
+      out.send_all(member, std::views::iota(PartyId{0}, half), framed(member, evil_blob_),
+                   MsgKind::kUnknown, member);
+      out.send_all(member, std::views::iota(half, static_cast<PartyId>(n)),
+                   framed(member, *good_blob_), MsgKind::kUnknown, member);
     }
   }
 
-  void takeover_answer_polls(const std::vector<Message>& corrupt_inbox,
-                             std::vector<Message>& out) {
+  void takeover_answer_polls(const std::vector<Message>& corrupt_inbox, SendList& out) {
     bool y;
     Bytes s;
     if (!decode_ys(evil_blob_, y, s)) return;
@@ -505,13 +490,11 @@ class GridCampaignAdversary final : public CampaignAdversary {
       if (phase != AeBoostParty::kBoostPhase) continue;
       if (body.size() != 1 || body[0] != 'q') continue;
       if (!controls(m.to)) continue;
-      out.push_back(make_msg(m.to, m.from,
-                             tag_body(AeBoostParty::kBoostPhase, 0, reply),
-                             MsgKind::kUnknown));
+      out.send(m.to, m.from, tag_body(AeBoostParty::kBoostPhase, 0, reply), MsgKind::kUnknown);
     }
   }
 
-  void eclipse_feed_victims(std::vector<Message>& out) {
+  void eclipse_feed_victims(SendList& out) {
     const CommTree& tree = *cfg_.tree;
     for (const Victim& v : victims_) {
       for (const auto& [agent, leaf] : v.feeds) {
@@ -520,8 +503,7 @@ class GridCampaignAdversary final : public CampaignAdversary {
         w.u8(1);  // kStageParty
         w.u64(tree.node(leaf).id);
         w.raw(evil_blob_);
-        out.push_back(make_msg(agent, v.party, tag_body(3, 0, std::move(w).take()),
-                               MsgKind::kUnknown));
+        out.send(agent, v.party, tag_body(3, 0, std::move(w).take()), MsgKind::kUnknown);
       }
     }
   }

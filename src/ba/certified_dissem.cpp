@@ -147,10 +147,7 @@ Outbox CertifiedDissemProto::step(std::size_t subround, const std::vector<Tagged
       }
     } else {
       // Leaf: deliver to slot owners; σ to a rotating subset of slots.
-      std::vector<PartyId> owners;
-      for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-        owners.push_back(tree_->owner_of_virtual(v));
-      }
+      const std::span<const PartyId> owners = tree_->slot_owners(node);
       std::set<std::size_t> sigma_slots;
       for (std::size_t j = 0; j < redundancy_ && j < owners.size(); ++j) {
         sigma_slots.insert((seat + j) % owners.size());

@@ -67,10 +67,11 @@ inline const char* msg_kind_name(MsgKind k) {
   return "?";
 }
 
-/// A point-to-point message. Delivery is synchronous: a message sent in
-/// round r is delivered at the beginning of round r+1. The simulator builds
-/// one per recipient of a send list as it lands; the messages of one body
-/// share its payload.
+/// A point-to-point message as it lands in an inbox. Delivery is
+/// synchronous: a message sent in round r is delivered at the beginning of
+/// round r+1. Only the network builds one, per recipient of a send list as
+/// it lands (the svc pipeline's inbox demux re-frames a delivered one); the
+/// messages of one body share its payload.
 struct Message {
   PartyId from = 0;
   PartyId to = 0;
@@ -78,22 +79,9 @@ struct Message {
   MsgKind kind = MsgKind::kUnknown;
 };
 
-/// No party: the default `except` of BasicOutbox::send_all.
+/// No party: the default `except` of BasicOutbox::send_all, and the sender
+/// of a body that does not name one.
 inline constexpr PartyId kNoParty = static_cast<PartyId>(-1);
-
-/// The sanctioned way for adversary code to build a message. srds-lint rule
-/// B1 forbids raw `Message{...}` construction outside src/net: this factory
-/// makes the MsgKind tag an explicit, reviewed decision at every send site,
-/// so the per-kind byte breakdowns behind the Table 1 comparison never
-/// silently lose traffic to the untagged bucket.
-inline Message make_msg(PartyId from, PartyId to, Payload payload, MsgKind kind) {
-  Message m;
-  m.from = from;
-  m.to = to;
-  m.payload = std::move(payload);
-  m.kind = kind;
-  return m;
-}
 
 /// What one step sends: each body once, with its kind and the parties it
 /// goes to. It stands for the messages body 0 -> each of its recipients in
@@ -101,28 +89,45 @@ inline Message make_msg(PartyId from, PartyId to, Payload payload, MsgKind kind)
 /// costs one PartyId. A party's SendList holds the Payload that its
 /// recipients share once delivered, and names every body's kind: the
 /// per-kind byte breakdowns behind the Table 1 comparison must never
-/// silently lose traffic to the untagged bucket. A sub-protocol's Outbox
-/// (net/subproto.hpp) holds Bytes, so that outer layers write their
-/// headers in place, and leaves the kind to the party boundary.
+/// silently lose traffic to the untagged bucket. A body's sender is the
+/// party whose list it is, unless the body names one (`from`): the
+/// adversary speaks for every corrupted party through one list. A
+/// sub-protocol's Outbox (net/subproto.hpp) holds Bytes, so that outer
+/// layers write their headers in place, and leaves the kind to the party
+/// boundary.
 template <typename Body>
 class BasicOutbox {
  public:
   /// Send `body` to `to`.
-  void send(PartyId to, Body body, MsgKind kind) {
-    to_.push_back(to);
-    bodies_.push_back(Entry{std::move(body), to_.size(), kind});
-  }
+  void send(PartyId to, Body body, MsgKind kind) { send(kNoParty, to, std::move(body), kind); }
   void send(PartyId to, Bytes body)
     requires std::same_as<Body, Bytes>
   {
     send(to, std::move(body), MsgKind::kUnknown);
   }
+  /// Send `body` to `to` as party `from`.
+  void send(PartyId from, PartyId to, Body body, MsgKind kind) {
+    to_.push_back(to);
+    bodies_.push_back(Entry{std::move(body), to_.size(), kind, from});
+  }
 
   /// Send one body to every party in `to` but `except`, in order; nothing
   /// when no party is left (the body is then never built).
-  template <typename Range, typename B>
+  template <std::ranges::input_range Range, typename B>
     requires std::constructible_from<Body, B&&>
   void send_all(const Range& to, B&& body, MsgKind kind, PartyId except = kNoParty) {
+    send_all(kNoParty, to, std::forward<B>(body), kind, except);
+  }
+  template <std::ranges::input_range Range>
+    requires std::same_as<Body, Bytes>
+  void send_all(const Range& to, Bytes body, PartyId except = kNoParty) {
+    send_all(to, std::move(body), MsgKind::kUnknown, except);
+  }
+  /// The same, as party `from`.
+  template <std::ranges::input_range Range, typename B>
+    requires std::constructible_from<Body, B&&>
+  void send_all(PartyId from, const Range& to, B&& body, MsgKind kind,
+                PartyId except = kNoParty) {
     const std::size_t first = to_.size();
     if constexpr (std::ranges::sized_range<Range>) {
       const std::size_t need = first + std::ranges::size(to);
@@ -132,23 +137,20 @@ class BasicOutbox {
       if (p != except) to_.push_back(p);
     }
     if (to_.size() > first) {
-      bodies_.push_back(Entry{Body(std::forward<B>(body)), to_.size(), kind});
+      bodies_.push_back(Entry{Body(std::forward<B>(body)), to_.size(), kind, from});
     }
-  }
-  template <typename Range>
-    requires std::same_as<Body, Bytes>
-  void send_all(const Range& to, Bytes body, PartyId except = kNoParty) {
-    send_all(to, std::move(body), MsgKind::kUnknown, except);
   }
 
   /// Distinct bodies.
   std::size_t size() const { return bodies_.size(); }
   /// Messages: one per (body, recipient).
   std::size_t messages() const { return to_.size(); }
-  /// Body k, its kind and its recipients, in send order.
+  /// Body k, its kind, its sender (kNoParty unless it names one) and its
+  /// recipients, in send order.
   Body& body(std::size_t k) { return bodies_[k].body; }
   const Body& body(std::size_t k) const { return bodies_[k].body; }
   MsgKind kind(std::size_t k) const { return bodies_[k].kind; }
+  PartyId from(std::size_t k) const { return bodies_[k].from; }
   std::span<const PartyId> to(std::size_t k) const {
     const std::size_t first = k == 0 ? 0 : bodies_[k - 1].end;
     return {to_.data() + first, bodies_[k].end - first};
@@ -172,7 +174,7 @@ class BasicOutbox {
     to_.insert(to_.end(), other.to_.begin(), other.to_.end());
     bodies_.reserve(bodies_.size() + other.bodies_.size());
     for (Entry& e : other.bodies_) {
-      bodies_.push_back(Entry{std::move(e.body), e.end + offset, e.kind});
+      bodies_.push_back(Entry{std::move(e.body), e.end + offset, e.kind, e.from});
     }
   }
 
@@ -181,7 +183,11 @@ class BasicOutbox {
     Body body;
     std::size_t end;  // one past its last recipient in to_
     MsgKind kind;
+    PartyId from;  // kNoParty: the list's owner
   };
+  // `kind` and `from` share the padding after `end`.
+  static_assert(sizeof(Entry) == (std::same_as<Body, Payload> ? 32 : 40),
+                "a SendList entry is 32 bytes and an Outbox entry 40");
   std::vector<Entry> bodies_;
   std::vector<PartyId> to_;  // every body's recipients, concatenated
 };

@@ -1,9 +1,8 @@
 // Merkle hash trees over byte-string leaves.
 //
-// Used to (a) compress Lamport verification keys to 32 bytes, and (b) bind
-// partially-aggregated SRDS signatures to the multiset of base signatures
-// they contain (the CRH-based anti-duplication device of the SNARK-based
-// construction, paper §2.2).
+// Used to bind partially-aggregated SRDS signatures to the multiset of base
+// signatures they contain (the CRH-based anti-duplication device of the
+// SNARK-based construction, paper §2.2).
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,5 @@
 // Counter-mode PRG from HMAC-SHA256. Used to expand short seeds into
-// key material (e.g., the 512 Lamport secret preimages of one key pair).
+// key material (e.g., the 67 WOTS chain seeds of one key pair).
 #pragma once
 
 #include <cstdint>

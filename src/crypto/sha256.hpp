@@ -1,7 +1,7 @@
 // SHA-256 (FIPS 180-4), implemented from scratch — this project has no
 // external crypto dependencies. Serves as the collision-resistant hash (CRH)
 // assumed by the SNARK-based SRDS construction, and as the base primitive for
-// HMAC, the PRF/PRG, Merkle trees and Lamport signatures.
+// HMAC, the PRF/PRG, Merkle trees and WOTS signatures.
 //
 // The block compression is chosen once per process: the x86 SHA extensions
 // (SHA-NI) when the CPU has them, otherwise the portable scalar kernel, which

@@ -1,13 +1,21 @@
 // Winternitz one-time signatures (WOTS) over SHA-256, with oblivious key
-// generation.
+// generation (paper §2.2, OWF-based SRDS).
 //
-// Functionally equivalent to the Lamport scheme in lamport.hpp (one-time,
-// OWF-based, oblivious keygen) but ~8x smaller: with w = 16 a signature is
-// 67 x 32 B ≈ 2.1 KiB. The SRDS constructions use WOTS for base signatures —
-// in the OWF-based SRDS all base signatures travel to the root by
-// concatenation, so base-signature size directly multiplies per-party
-// communication (a poly(κ) factor the Õ(·) notation hides, but which
-// simulation wall-clock does not).
+// The paper instantiates the OWF-based SRDS with Lamport signatures; WOTS
+// is the same kind of scheme (one-time, from a one-way function, with
+// oblivious keygen) but ~8x smaller: with w = 16 a signature is
+// 67 x 32 B ≈ 2.1 KiB against Lamport's 16 KiB. The SRDS constructions use
+// WOTS for base signatures — in the OWF-based SRDS all base signatures
+// travel to the root by concatenation, so base-signature size directly
+// multiplies per-party communication (a poly(κ) factor the Õ(·) notation
+// hides, but which simulation wall-clock does not).
+//
+// Oblivious key generation (`wots_oblivious_keygen`) outputs a uniformly
+// random 32-byte verification key with no corresponding signing key.
+// Against the hash modeled as a random function, such a key is
+// indistinguishable from an honestly generated one — exactly the property
+// the OWF-based SRDS sortition needs: an adversary inspecting the trusted
+// PKI cannot tell which parties hold signing ability.
 //
 // Layout: the message digest is split into 64 hex digits d_0..d_63; two
 // checksum digits... (standard WOTS checksum over 4-bit digits needs
@@ -38,8 +46,8 @@ struct WotsSignature {
 
 WotsKeyPair wots_keygen(BytesView seed32);
 
-/// Uniformly random verification key with no signing key (see lamport.hpp
-/// for why this gives sortition-compatible indistinguishability).
+/// Uniformly random verification key with no signing key (see the file
+/// comment for why this gives sortition-compatible indistinguishability).
 Digest wots_oblivious_keygen(Rng& rng);
 
 WotsSignature wots_sign(const WotsKeyPair& kp, BytesView message);

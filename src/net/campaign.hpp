@@ -77,8 +77,8 @@ class CampaignAdversary : public Adversary {
   std::size_t granted() const { return granted_; }
 
   /// Default: the coalition stays silent. Campaigns override.
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
-                                const std::vector<SendList>& honest_sends) override {
+  SendList on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
+                    const std::vector<SendList>& honest_sends) override {
     (void)round;
     (void)corrupt_inbox;
     (void)honest_sends;

@@ -34,8 +34,8 @@ class Party {
 };
 
 /// The adversary controls all corrupted parties jointly and is *rushing*:
-/// in each round it sees the honest parties' outgoing messages for that round
-/// (full-information network) before choosing the corrupted parties' messages.
+/// in each round it reads the honest parties' send lists for that round
+/// (full-information network) before choosing the corrupted parties' sends.
 /// It always runs on the simulator's coordinating thread, after every honest
 /// step of the round has finished (DESIGN.md §7), so it needs no locking.
 ///
@@ -56,11 +56,15 @@ class Adversary {
   /// that did not step (corrupt, crashed, offline). Read in sender order,
   /// body by body and each body's recipients in order, it is the order the
   /// network delivers in. The view is valid only for this call.
-  /// Returns the corrupted parties' messages for this round (each message's
-  /// `from` must be a corrupted party; the simulator enforces this).
-  virtual std::vector<Message> on_round(std::size_t round,
-                                        const std::vector<Message>& corrupt_inbox,
-                                        const std::vector<SendList>& honest_sends) = 0;
+  /// Returns the corrupted parties' sends for this round as one send list
+  /// in which every body names its sender (`send(from, to, ...)`,
+  /// `send_all(from, to, ...)`). The network delivers it after the honest
+  /// lists, in emission order. Each (body, recipient) pair is checked on its
+  /// own: a sender that is not a corrupted party, a recipient outside
+  /// [0, n) or a payload over Simulator::kMaxAdversaryPayload is rejected
+  /// and counted.
+  virtual SendList on_round(std::size_t round, const std::vector<Message>& corrupt_inbox,
+                            const std::vector<SendList>& honest_sends) = 0;
 
   /// Parties this adversary wants to corrupt at the start of `round`,
   /// in priority order. Only consulted when a corruption budget is set;
@@ -87,8 +91,8 @@ class Adversary {
 /// An adversary whose corrupted parties stay silent (fail-stop-like).
 class SilentAdversary final : public Adversary {
  public:
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     return {};
   }
 };

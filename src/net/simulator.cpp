@@ -308,7 +308,7 @@ bool Simulator::tick() {
     if (!corrupt_[i]) continue;
     for (auto& m : inboxes_[i]) corrupt_in.push_back(std::move(m));
   }
-  std::vector<Message> adv_out = adversary_->on_round(round, corrupt_in, outs_);
+  SendList adv_out = adversary_->on_round(round, corrupt_in, outs_);
 
   // Release this round's inbound mail here, on one thread: a payload is
   // freed into the malloc arena of the thread that built it, and workers
@@ -324,31 +324,37 @@ bool Simulator::tick() {
       ib.clear();
     }
   }
-  // Honest traffic in sender order, then the adversary's accepted messages.
-  // A message is built only here, as it lands: one per recipient of each
-  // body, in send-list order, all sharing the body (the last one takes it).
-  for (PartyId i = 0; i < n; ++i) {
-    SendList& sends = outs_[i];
+  // Every send list in turn: the honest ones in sender order, then the
+  // adversary's. A message is built only here, as it lands: one per
+  // recipient of each body, in send-list order, all sharing the body (the
+  // last one takes it). An honest body's sender is its list's slot; an
+  // adversary body names its own. The adversary's sends are untrusted input
+  // to the network: it cannot spoof honest senders (channels are
+  // authenticated), address parties outside [0, n), or exceed the payload
+  // cap. Each such (body, recipient) pair is dropped and counted, never
+  // indexed into stats; honest recipients were checked above.
+  for (std::size_t s = 0; s <= n; ++s) {
+    const bool adversary = s == n;
+    SendList& sends = adversary ? adv_out : outs_[s];
     for (std::size_t k = 0; k < sends.size(); ++k) {
+      const PartyId from = adversary ? sends.from(k) : static_cast<PartyId>(s);
       const std::span<const PartyId> to = sends.to(k);
-      for (std::size_t j = 0; j + 1 < to.size(); ++j) {
-        route(round, make_msg(i, to[j], sends.body(k), sends.kind(k)));
+      if (adversary && (from >= n || !corrupt_[from] ||
+                        sends.body(k).size() > kMaxAdversaryPayload)) {
+        stats_.faults.adversary_rejected += to.size();
+        continue;
       }
-      route(round, make_msg(i, to.back(), std::move(sends.body(k)), sends.kind(k)));
+      for (std::size_t j = 0; j < to.size(); ++j) {
+        if (to[j] >= n) {
+          stats_.faults.adversary_rejected += 1;
+        } else if (j + 1 < to.size()) {
+          route(round, Message{from, to[j], sends.body(k), sends.kind(k)});
+        } else {
+          route(round, Message{from, to[j], std::move(sends.body(k)), sends.kind(k)});
+        }
+      }
     }
     sends = SendList();
-  }
-  for (Message& m : adv_out) {
-    // The adversary's messages are untrusted input to the network: it
-    // cannot spoof honest senders (channels are authenticated), address
-    // parties outside [0, n), or exceed the payload cap. Ill-formed
-    // messages are dropped and counted — never indexed into stats.
-    if (m.from >= n || !corrupt_[m.from] || m.to >= n ||
-        m.payload.size() > kMaxAdversaryPayload) {
-      stats_.faults.adversary_rejected += 1;
-      continue;
-    }
-    route(round, std::move(m));
   }
   if (trace_) trace_->on_round_end(round);
   ledger().on_round_end(round);

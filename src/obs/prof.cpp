@@ -24,8 +24,6 @@ constexpr const char* kProfSiteNames[kProfSiteCount] = {
     "crypto/sha256",
     "crypto/merkle/build",
     "crypto/merkle/verify",
-    "crypto/lamport/sign",
-    "crypto/lamport/verify",
     "srds/sign",
     "srds/aggregate1",
     "srds/aggregate2",

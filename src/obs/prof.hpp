@@ -47,8 +47,6 @@ enum class ProfSiteId : std::uint32_t {
   kCryptoSha256,       // crypto/sha256       — one-shot sha256()
   kCryptoMerkleBuild,  // crypto/merkle/build
   kCryptoMerkleVerify, // crypto/merkle/verify
-  kCryptoLamportSign,  // crypto/lamport/sign
-  kCryptoLamportVerify,// crypto/lamport/verify
   kSrdsSign,           // srds/sign
   kSrdsAggregate1,     // srds/aggregate1
   kSrdsAggregate2,     // srds/aggregate2

@@ -184,18 +184,10 @@ std::size_t FrameRouter::on_bytes(std::uint64_t conn, BytesView chunk) {
         handler_->on_hello(conn, *f);
         ++dispatched;
         break;
-      case FrameType::kSubmit: {
-        auto it = forwarded_seq_.find(f->session);
-        if (it != forwarded_seq_.end() && f->seq <= it->second) {
-          duplicates_ += 1;
-          handler_->on_duplicate_submit(conn, *f);
-          break;
-        }
-        forwarded_seq_[f->session] = f->seq;
+      case FrameType::kSubmit:
         handler_->on_submit(conn, *f);
         ++dispatched;
         break;
-      }
       case FrameType::kClose:
         handler_->on_close(conn, *f);
         ++dispatched;
@@ -215,12 +207,6 @@ std::size_t FrameRouter::on_bytes(std::uint64_t conn, BytesView chunk) {
     }
   }
   return dispatched;
-}
-
-void FrameRouter::unforward(std::uint64_t session, std::uint64_t seq) {
-  auto it = forwarded_seq_.find(session);
-  if (it == forwarded_seq_.end()) return;
-  if (it->second >= seq) it->second = seq - 1;
 }
 
 void FrameRouter::drop_connection(std::uint64_t conn) {

@@ -124,11 +124,8 @@ class FrameHandler {
   virtual ~FrameHandler() = default;
   /// `conn` identifies the connection the frame arrived on.
   virtual void on_hello(std::uint64_t conn, const Frame& f) = 0;
+  /// Every kSubmit, resends included: the session layer classifies them.
   virtual void on_submit(std::uint64_t conn, const Frame& f) = 0;
-  /// A kSubmit whose (session, seq) was already forwarded — the framing
-  /// layer's duplicate rejection. Typical response: replay the cached
-  /// decision if the instance already retired.
-  virtual void on_duplicate_submit(std::uint64_t conn, const Frame& f) = 0;
   virtual void on_close(std::uint64_t conn, const Frame& f) = 0;
   /// A kStats snapshot request. Default: ignore (daemons that predate the
   /// stats surface stay valid handlers).
@@ -139,10 +136,9 @@ class FrameHandler {
 };
 
 /// Demultiplexes the server side of many connections: owns one FrameDecoder
-/// per connection, rejects duplicate (session, seq) submissions, and
-/// dispatches everything else to the handler. Client-bound frame types
-/// arriving at the server (kDecision, ...) are counted as misdirected and
-/// dropped.
+/// per connection and dispatches every valid frame to the handler.
+/// Client-bound frame types arriving at the server (kDecision, ...) are
+/// counted as misdirected and dropped.
 class FrameRouter {
  public:
   explicit FrameRouter(FrameHandler* handler) : handler_(handler) {}
@@ -154,32 +150,18 @@ class FrameRouter {
   /// Forget a connection's decoder state (connection closed).
   void drop_connection(std::uint64_t conn);
 
-  /// Roll the session's duplicate watermark back so `seq` may be submitted
-  /// again. The daemon calls this when the session layer refused a forwarded
-  /// submission without consuming its seq (window full, out-of-order): the
-  /// client is expected to retry the SAME seq, which must not then be
-  /// rejected as a duplicate.
-  void unforward(std::uint64_t session, std::uint64_t seq);
-
   /// True if the connection's stream is poisoned (caller must close it).
   bool poisoned(std::uint64_t conn) const;
 
   /// Total malformed frames across all connections (live and dropped).
   std::uint64_t malformed_frames() const;
-  /// Duplicate (session, seq) submissions rejected at this layer.
-  std::uint64_t duplicates_rejected() const { return duplicates_; }
   /// Server frames that arrived pointed the wrong way (kDecision etc.).
   std::uint64_t misdirected_frames() const { return misdirected_; }
 
  private:
   FrameHandler* handler_;
   std::unordered_map<std::uint64_t, FrameDecoder> decoders_;
-  // Highest seq forwarded per session; submissions at or below it are
-  // duplicates. Sessions are monotone (SessionManager enforces ordering),
-  // so one watermark per session suffices.
-  std::unordered_map<std::uint64_t, std::uint64_t> forwarded_seq_;
   std::uint64_t malformed_dropped_ = 0;  // from decoders already dropped
-  std::uint64_t duplicates_ = 0;
   std::uint64_t misdirected_ = 0;
 };
 

@@ -38,7 +38,7 @@ SendList InstancePipeline::on_round(std::size_t round, const std::vector<Message
         // The frame minus its header, sharing the wire block, with the
         // original sender/kind: the instance's own demux (phase tags) sees
         // exactly what it would in a standalone run.
-        per_slot[i].push_back(make_msg(m.from, m.to, m.payload.suffix(sizeof id), m.kind));
+        per_slot[i].push_back(Message{m.from, m.to, m.payload.suffix(sizeof id), m.kind});
         routed = true;
         break;
       }

@@ -158,16 +158,13 @@ void BaServiceDaemon::on_hello(std::uint64_t conn, const Frame&) {
 void BaServiceDaemon::on_submit(std::uint64_t conn, const Frame& f) {
   auto bound = session_conn_.find(f.session);
   if (bound == session_conn_.end() || bound->second != conn) {
-    // Unknown session, or a submit for someone else's session: refuse, and
-    // leave the real owner's duplicate watermark untouched.
-    router_.unforward(f.session, f.seq);
+    // Unknown session, or a submit for someone else's session: refuse.
     send_to_conn(conn, make_error(f.session, f.seq, "unknown session on this connection"));
     return;
   }
   Reader r(f.payload);
   const bool bit = r.u8() != 0;
   if (!r.done()) {
-    router_.unforward(f.session, f.seq);
     send_to_conn(conn, make_error(f.session, f.seq, "malformed submit payload"));
     return;
   }
@@ -179,14 +176,15 @@ void BaServiceDaemon::on_submit(std::uint64_t conn, const Frame& f) {
       break;
     case SubmitStatus::kRejectedFull:
       // Backpressure: the seq was NOT consumed, so the client retries the
-      // same one — roll the router's duplicate watermark back accordingly.
+      // same one.
       ++stats_.rejected_backpressure;
-      router_.unforward(f.session, f.seq);
       send_frame(f.session, make_reject(f.session, f.seq, res.retry_after));
       break;
     case SubmitStatus::kDuplicateInFlight:
+      ++stats_.duplicates;
       break;  // the decision is coming; nothing to do
     case SubmitStatus::kDuplicateDecided:
+      ++stats_.duplicates;
       if (res.cached.has_value()) {
         send_frame(f.session, make_decision(f.session, f.seq, res.cached->value,
                                             res.cached->agreement, res.cached->round_span,
@@ -194,22 +192,16 @@ void BaServiceDaemon::on_submit(std::uint64_t conn, const Frame& f) {
       }
       break;
     case SubmitStatus::kDuplicateEvicted:
+      ++stats_.duplicates;
       send_frame(f.session, make_error(f.session, f.seq, "decision evicted from cache"));
       break;
     case SubmitStatus::kBadSession:
       send_frame(f.session, make_error(f.session, f.seq, "session closed"));
       break;
     case SubmitStatus::kBadSeq:
-      router_.unforward(f.session, f.seq);
       send_frame(f.session, make_error(f.session, f.seq, "out-of-order sequence number"));
       break;
   }
-}
-
-void BaServiceDaemon::on_duplicate_submit(std::uint64_t conn, const Frame& f) {
-  // The framing layer already counted the duplicate; classify it against the
-  // session state to decide between replay and silence.
-  on_submit(conn, f);
 }
 
 void BaServiceDaemon::on_close(std::uint64_t, const Frame& f) {
@@ -370,7 +362,6 @@ void BaServiceDaemon::shutdown() {
     stats_.pipeline_stale += pipeline(i)->stale_frames();
     pipeline(i)->close();
   }
-  stats_.duplicates = router_.duplicates_rejected();
   stats_.transport_malformed = router_.malformed_frames();
   stats_.adaptively_corrupted = sim_->stats().faults.adaptive_corruptions;
   sim_->end_run();

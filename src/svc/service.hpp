@@ -97,7 +97,7 @@ struct ServiceStats {
   std::size_t rounds = 0;             // simulator rounds actually ticked
   std::size_t agreed = 0;             // decisions with full honest agreement
   std::size_t delivered = 0;          // decisions matching the submitted bit
-  std::uint64_t duplicates = 0;       // framing-layer duplicate rejections
+  std::uint64_t duplicates = 0;       // resent submits (the session's kDuplicate*)
   std::uint64_t transport_malformed = 0;  // malformed frames off the wire
   std::uint64_t pipeline_malformed = 0;   // malformed instance/phase frames
   std::uint64_t pipeline_stale = 0;   // well-formed frames for dead instances
@@ -170,7 +170,6 @@ class BaServiceDaemon final : public FrameHandler {
   // FrameHandler (the router calls these from poll()):
   void on_hello(std::uint64_t conn, const Frame& f) override;
   void on_submit(std::uint64_t conn, const Frame& f) override;
-  void on_duplicate_submit(std::uint64_t conn, const Frame& f) override;
   void on_close(std::uint64_t conn, const Frame& f) override;
   void on_stats(std::uint64_t conn, const Frame& f) override;
 

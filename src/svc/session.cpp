@@ -38,8 +38,8 @@ SubmitResult SessionManager::submit(std::uint64_t session, std::uint64_t seq,
   Session& s = it->second;
 
   if (seq < s.next_seq) {
-    // Replay of an older submission. The FrameRouter already filters most of
-    // these; this path covers duplicates arriving via a different connection.
+    // Replay of an older submission: still in flight, decided (replay the
+    // cached decision) or evicted from the cache.
     if (auto p = s.pending.find(seq); p != s.pending.end()) {
       res.status = SubmitStatus::kDuplicateInFlight;
       return res;

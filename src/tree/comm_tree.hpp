@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/message.hpp"
@@ -106,6 +107,11 @@ class CommTree {
   // --- virtual identities (Def. 3.4) ---
   std::size_t virtual_count() const { return virtual_owner_.size(); }
   PartyId owner_of_virtual(std::uint64_t vid) const { return virtual_owner_[vid]; }
+  /// The owners of a node's virtual IDs [vmin, vmax], in ID order: a party
+  /// holding several of them appears once per ID.
+  std::span<const PartyId> slot_owners(const TreeNode& node) const {
+    return std::span<const PartyId>(virtual_owner_).subspan(node.vmin, node.vmax - node.vmin + 1);
+  }
   /// The virtual IDs held by party `i` (its idmap row), sorted ascending.
   const std::vector<std::uint64_t>& virtuals_of(PartyId i) const { return party_virtuals_[i]; }
   std::size_t leaf_of_virtual(std::uint64_t vid) const {

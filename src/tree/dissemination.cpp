@@ -128,10 +128,8 @@ Outbox DisseminationProto::step(std::size_t subround, const std::vector<TaggedMs
         }
       } else {
         // Leaf: deliver to the owners of the leaf's virtual slots.
-        std::vector<PartyId> owners;
-        for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-          owners.push_back(tree_->owner_of_virtual(v));
-        }
+        const std::span<const PartyId> slots = tree_->slot_owners(node);
+        std::vector<PartyId> owners(slots.begin(), slots.end());
         std::sort(owners.begin(), owners.end());
         owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
         out.send_all(owners, make_body(kStageParty, id, *value));

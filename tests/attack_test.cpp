@@ -87,19 +87,24 @@ TEST(ActiveAttack, ReplaysLiftedSignatureUnchangedIntoEveryLeaf) {
 
   const auto out = attacker->on_round(cfg.boost_start, {}, honest_sends);
 
-  // Every replay carries the signature byte for byte (no prefix lost), and
-  // each leaf committee receives one copy per seat.
+  // Every replay carries the signature byte for byte (no prefix lost), from
+  // a corrupted party, and each leaf committee receives it as one body
+  // addressed to every seat.
   std::map<std::uint64_t, std::vector<PartyId>> replayed_to;
-  for (const Message& m : out) {
+  for (std::size_t k = 0; k < out.size(); ++k) {
     std::uint32_t phase;
     std::uint64_t leaf;
     BytesView body;
-    ASSERT_TRUE(untag_body(m.payload, phase, leaf, body));
+    ASSERT_TRUE(untag_body(out.body(k), phase, leaf, body));
     EXPECT_EQ(phase, AeBoostParty::kBoostPhase);
-    EXPECT_TRUE(cfg.corrupt[m.from]);
+    ASSERT_LT(out.from(k), cfg.corrupt.size());
+    EXPECT_TRUE(cfg.corrupt[out.from(k)]);
+    EXPECT_EQ(out.kind(k), MsgKind::kUnknown);
     if (body.size() != sig.size()) continue;  // the 60-byte junk signatures
     EXPECT_EQ(Bytes(body.begin(), body.end()), sig);
-    replayed_to[leaf].push_back(m.to);
+    EXPECT_EQ(replayed_to.count(leaf), 0u) << "leaf " << leaf << " got the replay twice";
+    const auto to = out.to(k);
+    replayed_to[leaf].assign(to.begin(), to.end());
   }
   ASSERT_EQ(replayed_to.size(), tree->leaf_count());
   for (std::size_t leaf = 0; leaf < tree->leaf_count(); ++leaf) {

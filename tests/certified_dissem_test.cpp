@@ -108,9 +108,9 @@ class ForgedCertAdversary final : public Adversary {
   ForgedCertAdversary(std::shared_ptr<const CommTree> tree, std::vector<bool> corrupt)
       : tree_(std::move(tree)), corrupt_(std::move(corrupt)) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    SendList out;
     const std::size_t h = tree_->height();
     if (round >= h) return out;
     Bytes evil = to_bytes("EVIL");
@@ -127,10 +127,8 @@ class ForgedCertAdversary final : public Adversary {
             w.u64(child);
             w.bytes(evil);
             w.bytes(fake);
-            Bytes body = std::move(w).take();
-            for (PartyId p : tree_->node(child).committee) {
-              out.push_back(Message{member, p, tag_body(0, 0, body)});
-            }
+            out.send_all(member, tree_->node(child).committee,
+                         tag_body(0, 0, std::move(w).take()), MsgKind::kUnknown);
           }
         } else {
           Writer w;
@@ -138,11 +136,8 @@ class ForgedCertAdversary final : public Adversary {
           w.u64(id);
           w.bytes(evil);
           w.bytes(fake);
-          Bytes body = std::move(w).take();
-          for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-            out.push_back(Message{member, tree_->owner_of_virtual(v),
-                                  tag_body(0, 0, body)});
-          }
+          out.send_all(member, tree_->slot_owners(node), tag_body(0, 0, std::move(w).take()),
+                       MsgKind::kUnknown);
         }
       }
     }

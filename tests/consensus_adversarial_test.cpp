@@ -49,17 +49,15 @@ class MultiValueFlooder final : public Adversary {
  public:
   MultiValueFlooder(Fixture fx, Bytes domain) : fx_(std::move(fx)), domain_(std::move(domain)) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     if (round > fx_.t) return {};
-    std::vector<Message> out;
+    SendList out;
     PartyId sender = fx_.members[0];
     for (int v = 0; v < 12; ++v) {
       Bytes value = to_bytes("flood-" + std::to_string(v) + "-" + std::to_string(round));
       Bytes body = ds_body(fx_, domain_, 0, value, {sender});
-      for (PartyId to : fx_.members) {
-        if (to != sender) out.push_back(Message{sender, to, tag_body(0, 0, body)});
-      }
+      out.send_all(sender, fx_.members, tag_body(0, 0, body), MsgKind::kUnknown, sender);
     }
     return out;
   }
@@ -96,9 +94,9 @@ class InconsistentDealer final : public Adversary {
  public:
   explicit InconsistentDealer(Fixture fx) : fx_(std::move(fx)), rng_(99) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    SendList out;
     if (round != 0) return out;
     // Send garbage "private shares" to every member under the coin-toss
     // share framing (kind 1), from corrupt member 0.
@@ -109,7 +107,7 @@ class InconsistentDealer final : public Adversary {
       w.u8(1);  // kKindShare
       w.u64(rng_.next() % 1000);
       w.raw(rng_.bytes(16));
-      out.push_back(Message{dealer, to, tag_body(0, 0, std::move(w).take())});
+      out.send(dealer, to, tag_body(0, 0, std::move(w).take()), MsgKind::kUnknown);
     }
     return out;
   }
@@ -148,10 +146,10 @@ class BaEquivocator final : public Adversary {
  public:
   explicit BaEquivocator(Fixture fx) : fx_(std::move(fx)) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     if (round != 0) return {};
-    std::vector<Message> out;
+    SendList out;
     PartyId sender = fx_.members[1];
     std::size_t sender_idx = 1;
     // The committee-BA frames DS bodies inside a parallel-instance wrapper
@@ -169,7 +167,7 @@ class BaEquivocator final : public Adversary {
       Writer wrapped;
       wrapped.u32(static_cast<std::uint32_t>(sender_idx));
       wrapped.raw(body);
-      out.push_back(Message{sender, to, tag_body(0, 0, std::move(wrapped).take())});
+      out.send(sender, to, tag_body(0, 0, std::move(wrapped).take()), MsgKind::kUnknown);
     }
     return out;
   }

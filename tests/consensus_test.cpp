@@ -422,17 +422,17 @@ class EquivocatingSender : public Adversary {
     return std::move(w).take();
   }
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     if (round != 0) return {};
     PartyId sender = fx_.members[sender_idx_];
-    std::vector<Message> out;
+    SendList out;
     for (std::size_t k = 0; k < fx_.members.size(); ++k) {
       PartyId to = fx_.members[k];
       if (to == sender) continue;
       Bytes value = (k % 2 == 0) ? to_bytes("VALUE-A") : to_bytes("VALUE-B");
       Bytes body = ds_body(fx_, sender_idx_, value, {sender});
-      out.push_back(Message{sender, to, tag_body(0, 0, body)});
+      out.send(sender, to, tag_body(0, 0, body), MsgKind::kUnknown);
     }
     return out;
   }
@@ -474,16 +474,14 @@ class LateInjector final : public EquivocatingSender {
  public:
   using EquivocatingSender::EquivocatingSender;
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     // Inject at the final arrival round (t+1) with a 1-signature chain.
     if (round != fx_.t) return {};
     PartyId sender = fx_.members[sender_idx_];
     Bytes body = ds_body(fx_, sender_idx_, to_bytes("LATE"), {sender});
-    std::vector<Message> out;
-    for (PartyId to : fx_.members) {
-      if (to != sender) out.push_back(Message{sender, to, tag_body(0, 0, body)});
-    }
+    SendList out;
+    out.send_all(sender, fx_.members, tag_body(0, 0, body), MsgKind::kUnknown, sender);
     return out;
   }
 };
@@ -676,9 +674,9 @@ class BadDealers final : public Adversary {
   BadDealers(SimSigRegistryPtr registry, std::size_t c, std::size_t t, Bytes domain, bool bad)
       : registry_(std::move(registry)), c_(c), t_(t), domain_(std::move(domain)), bad_(bad) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    SendList out;
     if (round != 0) return out;
     Rng rng(4141);
     for (PartyId dealer : {PartyId{0}, PartyId{1}}) {
@@ -713,12 +711,12 @@ class BadDealers final : public Adversary {
       broadcast.raw(registry_->sign(dealer, digest.view()).view());
       for (PartyId to = 0; to < c_; ++to) {
         if (to == dealer) continue;
-        out.push_back(Message{dealer, to, tag_body(0, 0, broadcast.data())});
+        out.send(dealer, to, tag_body(0, 0, broadcast.data()), MsgKind::kUnknown);
         Writer share;
         share.u8(1);  // private share
         share.u64(shares[to].y);
         share.raw(rhos[to]);
-        out.push_back(Message{dealer, to, tag_body(0, 0, share.data())});
+        out.send(dealer, to, tag_body(0, 0, share.data()), MsgKind::kUnknown);
       }
     }
     return out;

@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "crypto/commit.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/multisig.hpp"
 #include "crypto/prf.hpp"
@@ -342,61 +341,6 @@ TEST(Merkle, RootDependsOnOrder) {
   EXPECT_NE(MerkleTree({a, b}).root(), MerkleTree({b, a}).root());
 }
 
-// --- Lamport OTS ---
-
-TEST(Lamport, SignVerify) {
-  auto kp = lamport_keygen(Rng(1).bytes(32));
-  Bytes m = to_bytes("agree on y=1");
-  auto sig = lamport_sign(kp, m);
-  EXPECT_TRUE(lamport_verify(kp.verification_key, m, sig));
-}
-
-TEST(Lamport, WrongMessageRejected) {
-  auto kp = lamport_keygen(Rng(2).bytes(32));
-  auto sig = lamport_sign(kp, to_bytes("m1"));
-  EXPECT_FALSE(lamport_verify(kp.verification_key, to_bytes("m2"), sig));
-}
-
-TEST(Lamport, WrongKeyRejected) {
-  auto kp1 = lamport_keygen(Rng(3).bytes(32));
-  auto kp2 = lamport_keygen(Rng(4).bytes(32));
-  Bytes m = to_bytes("m");
-  auto sig = lamport_sign(kp1, m);
-  EXPECT_FALSE(lamport_verify(kp2.verification_key, m, sig));
-}
-
-TEST(Lamport, TamperedSignatureRejected) {
-  auto kp = lamport_keygen(Rng(5).bytes(32));
-  Bytes m = to_bytes("m");
-  auto sig = lamport_sign(kp, m);
-  sig.revealed[17].v[0] ^= 1;
-  EXPECT_FALSE(lamport_verify(kp.verification_key, m, sig));
-}
-
-TEST(Lamport, SerializationRoundTrip) {
-  auto kp = lamport_keygen(Rng(6).bytes(32));
-  Bytes m = to_bytes("serialize me");
-  auto sig = lamport_sign(kp, m);
-  Bytes ser = sig.serialize();
-  EXPECT_EQ(ser.size(), LamportSignature::kSerializedSize);
-  LamportSignature back;
-  ASSERT_TRUE(LamportSignature::deserialize(ser, back));
-  EXPECT_TRUE(lamport_verify(kp.verification_key, m, back));
-}
-
-TEST(Lamport, ObliviousKeyLooksLikeRealKey) {
-  // Same size/shape; no trivial distinguisher on the byte level.
-  Rng rng(7);
-  Digest ob = lamport_oblivious_keygen(rng);
-  auto kp = lamport_keygen(rng.bytes(32));
-  EXPECT_EQ(ob.v.size(), kp.verification_key.v.size());
-  EXPECT_NE(ob, kp.verification_key);
-}
-
-TEST(Lamport, KeygenRequires32ByteSeed) {
-  EXPECT_THROW(lamport_keygen(Bytes(16, 0)), std::invalid_argument);
-}
-
 // --- WOTS ---
 
 TEST(Wots, SignVerify) {
@@ -435,10 +379,6 @@ TEST(Wots, SerializationRoundTrip) {
   WotsSignature back;
   ASSERT_TRUE(WotsSignature::deserialize(ser, back));
   EXPECT_TRUE(wots_verify(kp.verification_key, m, back));
-}
-
-TEST(Wots, SignatureMuchSmallerThanLamport) {
-  EXPECT_LT(WotsSignature::kSerializedSize * 7, LamportSignature::kSerializedSize);
 }
 
 class WotsFuzz : public ::testing::TestWithParam<std::uint64_t> {};

@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "consensus/coin_toss.hpp"
 #include "consensus/dolev_strong.hpp"
-#include "crypto/lamport.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/multisig.hpp"
 #include "crypto/wots.hpp"
@@ -50,8 +49,6 @@ TEST_P(WireFuzz, StructDeserializersNeverCrash) {
     Bytes junk = random_garbage(rng);
     WotsSignature wots;
     (void)WotsSignature::deserialize(junk, wots);
-    LamportSignature lamport;
-    (void)LamportSignature::deserialize(junk, lamport);
     MerklePath path;
     (void)MerklePath::deserialize(junk, path);
     Multisig ms;
@@ -317,7 +314,7 @@ TEST_P(FrameFuzz, DuplicationAndReorderDecodePerFrame) {
   for (int trial = 0; trial < 20; ++trial) {
     // Build a shuffled multiset of frames: duplicates and arbitrary order
     // are a transport-level reality the codec must be indifferent to (the
-    // router's watermark, not the decoder, is the dedup layer).
+    // session layer, not the decoder, classifies duplicates).
     std::vector<svc::Frame> frames = sample_frames();
     frames.push_back(frames[rng.below(frames.size())]);  // duplicate one
     rng.shuffle(frames);

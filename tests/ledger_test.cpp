@@ -28,7 +28,7 @@ using testjson::PJson;
 
 Message msg(PartyId from, PartyId to, std::size_t bytes,
             MsgKind kind = MsgKind::kDissem) {
-  return make_msg(from, to, Bytes(bytes, 0xAB), kind);
+  return Message{from, to, Bytes(bytes, 0xAB), kind};
 }
 
 TEST(Ledger, ChargesFollowNetworkStatsConventions) {

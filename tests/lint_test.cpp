@@ -73,21 +73,6 @@ TEST(LintD1, RngHomeIsExemptFromRandomnessChecks) {
   EXPECT_TRUE(hits(fs).empty());
 }
 
-TEST(LintB1, FlagsRawMessageConstructionOutsideNet) {
-  const auto fs =
-      lint_file("src/consensus/b1_raw_message.cpp", fixture("b1_raw_message.cpp"), {});
-  const std::set<std::pair<std::string, std::size_t>> expected = {
-      {"B1", 10},  // braced construction
-      {"B1", 14},  // functional cast
-  };
-  EXPECT_EQ(hits(fs), expected);
-}
-
-TEST(LintB1, NetLayerMayConstructMessages) {
-  const auto fs = lint_file("src/net/b1_raw_message.cpp", fixture("b1_raw_message.cpp"), {});
-  EXPECT_TRUE(hits(fs).empty());
-}
-
 TEST(LintS1, FlagsSerializeWithoutDeserialize) {
   const auto fs = lint_file("src/srds/s1_serialize.hpp", fixture("s1_serialize.hpp"), {});
   const std::set<std::pair<std::string, std::size_t>> expected = {
@@ -191,7 +176,7 @@ TEST(LintEngine, RuleTableLooksUpEveryRule) {
   }
   // The exact table, in report order: a rule can only join or leave it
   // deliberately.
-  const std::vector<std::string> want = {"D1", "B1", "S1", "H1", "L1", "T1",
+  const std::vector<std::string> want = {"D1", "S1", "H1", "L1", "T1",
                                          "P1", "P2", "T2", "A0"};
   EXPECT_EQ(ids, want);
   EXPECT_EQ(find_rule("Z9"), nullptr);
@@ -206,7 +191,6 @@ TEST(LintEngine, RuleTableLooksUpEveryRule) {
 TEST(LintDeterminism, JsonIsByteIdenticalAcrossRuns) {
   const std::vector<std::pair<std::string, std::string>> inputs = {
       {"src/ba/d1_nondet.cpp", fixture("d1_nondet.cpp")},
-      {"src/consensus/b1_raw_message.cpp", fixture("b1_raw_message.cpp")},
       {"src/srds/s1_serialize.hpp", fixture("s1_serialize.hpp")},
       {"src/tree/h1_header.hpp", fixture("h1_header.hpp")},
       {"src/obs/suppressed.cpp", fixture("suppressed.cpp")},

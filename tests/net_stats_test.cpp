@@ -297,16 +297,16 @@ class SeizingAdversary final : public Adversary {
   }
   void on_corrupted(std::size_t, PartyId p, Party*) override { corrupt_[p] = true; }
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    SendList out;
     for (PartyId c = 0; c < n_; ++c) {
       if (corrupt_[c]) {
         const auto to = static_cast<PartyId>((c + 2 + round) % n_);
-        out.push_back(make_msg(c, to, Bytes(9, 0x33), MsgKind::kUnknown));
+        out.send(c, to, Bytes(9, 0x33), MsgKind::kUnknown);
       }
     }
-    out.push_back(Message{0, 1, Bytes(4, 0x44)});  // spoofed honest sender
+    out.send(0, 1, Bytes(4, 0x44), MsgKind::kUnknown);  // spoofed honest sender
     return out;
   }
 

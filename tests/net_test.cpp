@@ -99,14 +99,14 @@ TEST(Simulator, RespectsMaxRounds) {
 /// Adversary that spoofs: tries to send with an honest `from` field.
 class SpoofingAdversary final : public Adversary {
  public:
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
-    if (round > 0) return {};
-    return {
-        Message{0, 1, to_bytes("spoofed-as-honest")},   // party 0 is honest
-        Message{2, 1, to_bytes("legit-corrupt-msg")},   // party 2 is corrupt
-        Message{2, 99, to_bytes("out-of-range-dest")},  // invalid recipient
-    };
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    SendList out;
+    if (round > 0) return out;
+    out.send(0, 1, to_bytes("spoofed-as-honest"), MsgKind::kUnknown);   // party 0 is honest
+    out.send(2, 1, to_bytes("legit-corrupt-msg"), MsgKind::kUnknown);   // party 2 is corrupt
+    out.send(2, 99, to_bytes("out-of-range-dest"), MsgKind::kUnknown);  // invalid recipient
+    return out;
   }
 };
 
@@ -164,9 +164,8 @@ class PeekingAdversary final : public Adversary {
  public:
   explicit PeekingAdversary(std::vector<std::size_t>* honest_msgs_seen)
       : seen_(honest_msgs_seen) {}
-  std::vector<Message> on_round(
-      std::size_t, const std::vector<Message>&,
-      const std::vector<SendList>& honest_sends) override {
+  SendList on_round(std::size_t, const std::vector<Message>&,
+                    const std::vector<SendList>& honest_sends) override {
     std::size_t msgs = 0;
     for (const SendList& sends : honest_sends) msgs += sends.messages();
     seen_->push_back(msgs);
@@ -324,13 +323,14 @@ TEST(FaultInjection, PartitionCutsExactlyCrossTraffic) {
 /// Adversary that sends one oversized and one in-bounds payload.
 class OversizeAdversary final : public Adversary {
  public:
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
-    if (round > 0) return {};
-    return {
-        Message{2, 0, Bytes(Simulator::kMaxAdversaryPayload + 1, 0xEE)},  // one byte over the cap
-        Message{2, 0, Bytes(4, 0xDD)},    // fine
-    };
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    SendList out;
+    if (round > 0) return out;
+    // One byte over the cap, then one that is fine.
+    out.send(2, 0, Bytes(Simulator::kMaxAdversaryPayload + 1, 0xEE), MsgKind::kUnknown);
+    out.send(2, 0, Bytes(4, 0xDD), MsgKind::kUnknown);
+    return out;
   }
 };
 
@@ -457,8 +457,8 @@ TEST(FaultInjection, CrashedPartyLeavesPartitionGroups) {
 class GrabbyAdversary final : public Adversary {
  public:
   explicit GrabbyAdversary(std::vector<PartyId> wants) : wants_(std::move(wants)) {}
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     return {};
   }
   std::vector<PartyId> corruption_requests(std::size_t round) override {
@@ -809,6 +809,103 @@ TEST(Simulator, IllAddressedHonestSendThrowsAndTheRetryRunsClean) {
   EXPECT_EQ(sink->received()[0].payload, Payload(Bytes{0}));
   EXPECT_EQ(sink->received()[1].payload, Payload(Bytes{1}));
   EXPECT_EQ(sim.stats().party[0].msgs_sent, 3u);  // rounds 0, 1 (retried) and 2
+}
+
+/// Returns one scripted send list in round 0 and stays silent after.
+class ScriptedAdversary final : public Adversary {
+ public:
+  explicit ScriptedAdversary(SendList script) : script_(std::move(script)) {}
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
+    return round == 0 ? std::move(script_) : SendList();
+  }
+
+ private:
+  SendList script_;
+};
+
+/// `honest` sink parties (slots 0..honest-1), then `corrupt` corrupted slots.
+Simulator scripted_sim(std::size_t honest, std::size_t corrupt, SendList script) {
+  std::vector<std::unique_ptr<Party>> parties;
+  for (std::size_t i = 0; i < honest; ++i) parties.push_back(std::make_unique<SinkParty>(3));
+  parties.resize(honest + corrupt);
+  std::vector<bool> mask(honest + corrupt, false);
+  std::fill(mask.begin() + static_cast<std::ptrdiff_t>(honest), mask.end(), true);
+  return Simulator(std::move(parties), std::move(mask),
+                   std::make_unique<ScriptedAdversary>(std::move(script)));
+}
+
+const SinkParty& sink(Simulator& sim, PartyId p) {
+  return dynamic_cast<const SinkParty&>(*sim.party(p));
+}
+
+TEST(AdversarySendList, InterleavedSendersLandInEmissionOrder) {
+  // Corrupted parties 1 and 2 take turns writing to party 0. Delivering the
+  // adversary's traffic grouped by sender would reorder this inbox.
+  SendList script;
+  script.send(2, 0, to_bytes("a"), MsgKind::kUnknown);
+  script.send(1, 0, to_bytes("b"), MsgKind::kUnknown);
+  script.send(2, 0, to_bytes("c"), MsgKind::kUnknown);
+  script.send(1, 0, to_bytes("d"), MsgKind::kBoostFlood);
+  Simulator sim = scripted_sim(1, 2, std::move(script));
+  sim.run(10);
+  const std::vector<Message>& got = sink(sim, 0).received();
+  ASSERT_EQ(got.size(), 4u);
+  const std::vector<std::pair<PartyId, std::string>> want = {
+      {2, "a"}, {1, "b"}, {2, "c"}, {1, "d"}};
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].from, want[j].first) << j;
+    EXPECT_EQ(to_string(got[j].payload), want[j].second) << j;
+  }
+  EXPECT_EQ(got[3].kind, MsgKind::kBoostFlood);
+  EXPECT_EQ(sim.stats().faults.adversary_rejected, 0u);
+}
+
+TEST(AdversarySendList, OneBodyToKRecipientsLandsAsKMessagesOnOneBlock) {
+  constexpr std::size_t kK = 5;
+  std::vector<PartyId> to(kK);
+  for (PartyId p = 0; p < kK; ++p) to[p] = p;
+  SendList script;
+  script.send_all(kK, to, Bytes(40, 0x5A), MsgKind::kUnknown);
+  ASSERT_EQ(script.size(), 1u);
+  Simulator sim = scripted_sim(kK, 1, std::move(script));
+  sim.run(10);
+  const std::uint8_t* block = sink(sim, 0).received().at(0).payload.data();
+  for (PartyId p = 0; p < kK; ++p) {
+    const std::vector<Message>& got = sink(sim, p).received();
+    ASSERT_EQ(got.size(), 1u) << "party " << p;
+    EXPECT_EQ(got[0].from, kK);
+    EXPECT_EQ(got[0].payload.size(), 40u);
+    EXPECT_EQ(got[0].payload.data(), block) << "party " << p;
+  }
+  EXPECT_EQ(sim.stats().party[kK].msgs_sent, kK);
+}
+
+TEST(AdversarySendList, IllFormedPairsAreRejectedOnePerRecipient) {
+  // Honest sinks 0 and 1, corrupted party 2, n = 3.
+  SendList script;
+  // Valid recipients around one outside [0, n): only that one is rejected.
+  script.send_all(2, std::vector<PartyId>{0, 99, 1}, to_bytes("ok"), MsgKind::kUnknown);
+  // A spoofed honest sender: every recipient is rejected, loopback included.
+  script.send_all(0, std::vector<PartyId>{1, 0}, to_bytes("spoof"), MsgKind::kUnknown);
+  // Over the payload cap: every recipient is rejected, loopback included.
+  script.send_all(2, std::vector<PartyId>{2, 1},
+                  Bytes(Simulator::kMaxAdversaryPayload + 1, 0xEE), MsgKind::kUnknown);
+  // A body that names no sender speaks for no corrupted party.
+  script.send(1, to_bytes("anon"), MsgKind::kUnknown);
+  // Loopback to a corrupted party is free and never counted.
+  script.send(2, 2, to_bytes("self"), MsgKind::kUnknown);
+  Simulator sim = scripted_sim(2, 1, std::move(script));
+  sim.run(10);
+  EXPECT_EQ(sim.stats().faults.adversary_rejected, 1u + 2u + 2u + 1u);
+  for (PartyId p : {PartyId{0}, PartyId{1}}) {
+    const std::vector<Message>& got = sink(sim, p).received();
+    ASSERT_EQ(got.size(), 1u) << "party " << p;
+    EXPECT_EQ(got[0].from, 2u);
+    EXPECT_EQ(to_string(got[0].payload), "ok");
+  }
+  EXPECT_EQ(sim.stats().party[2].msgs_sent, 2u);
+  EXPECT_EQ(sim.stats().party[2].bytes_sent, 4u);
 }
 
 // A TaggedMsg borrows its body, so one built from a temporary buffer would

@@ -284,8 +284,8 @@ struct Sent {
 class FlatteningAdversary final : public Adversary {
  public:
   explicit FlatteningAdversary(std::vector<Sent>* flat) : flat_(flat) {}
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>& honest_sends) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>& honest_sends) override {
     for (PartyId i = 0; i < honest_sends.size(); ++i) {
       const SendList& sends = honest_sends[i];
       for (std::size_t k = 0; k < sends.size(); ++k) {
@@ -341,18 +341,17 @@ class Multicaster final : public Party {
 class EchoAdversary final : public Adversary {
  public:
   EchoAdversary(std::size_t n, PartyId replayer) : n_(n), replayer_(replayer) {}
-  std::vector<Message> on_round(std::size_t, const std::vector<Message>& corrupt_inbox,
-                                const std::vector<SendList>& honest_sends) override {
-    std::vector<Message> out;
+  SendList on_round(std::size_t, const std::vector<Message>& corrupt_inbox,
+                    const std::vector<SendList>& honest_sends) override {
+    SendList out;
     for (const Message& m : corrupt_inbox) {
-      const auto next = static_cast<PartyId>((m.to + 1) % n_);
-      out.push_back(make_msg(m.to, next, m.payload, MsgKind::kUnknown));
+      out.send(m.to, static_cast<PartyId>((m.to + 1) % n_), m.payload, MsgKind::kUnknown);
     }
     for (PartyId i = 0; i < honest_sends.size(); ++i) {
       const SendList& sends = honest_sends[i];
       if (sends.size() == 0) continue;
       const std::size_t last = sends.size() - 1;
-      out.push_back(make_msg(replayer_, sends.to(last)[0], sends.body(last), sends.kind(last)));
+      out.send(replayer_, sends.to(last)[0], sends.body(last), sends.kind(last));
     }
     return out;
   }

@@ -206,35 +206,17 @@ TEST(SessionManagerTest, BadSeqAndClosedSessionsAreRefused) {
   EXPECT_EQ(sm.submit(s, 1, 10).status, SubmitStatus::kBadSession);
 }
 
-// --- Router duplicate watermark --------------------------------------------
+// --- Router -----------------------------------------------------------------
 
 class RecordingHandler final : public FrameHandler {
  public:
   void on_hello(std::uint64_t, const Frame&) override { ++hellos; }
   void on_submit(std::uint64_t, const Frame& f) override { submits.push_back(f.seq); }
-  void on_duplicate_submit(std::uint64_t, const Frame& f) override {
-    duplicates.push_back(f.seq);
-  }
   void on_close(std::uint64_t, const Frame&) override { ++closes; }
 
   int hellos = 0, closes = 0;
-  std::vector<std::uint64_t> submits, duplicates;
+  std::vector<std::uint64_t> submits;
 };
-
-TEST(FrameRouterTest, DuplicateSubmitsAreFlaggedAndUnforwardAllowsRetry) {
-  RecordingHandler h;
-  FrameRouter router(&h);
-  router.on_bytes(1, encode_frame(make_submit(5, 1, true)));
-  router.on_bytes(1, encode_frame(make_submit(5, 1, true)));  // resend
-  EXPECT_EQ(h.submits, (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(h.duplicates, (std::vector<std::uint64_t>{1}));
-  EXPECT_EQ(router.duplicates_rejected(), 1u);
-
-  // After unforward (a window rejection), the same seq goes through again.
-  router.unforward(5, 1);
-  router.on_bytes(1, encode_frame(make_submit(5, 1, true)));
-  EXPECT_EQ(h.submits, (std::vector<std::uint64_t>{1, 1}));
-}
 
 TEST(FrameRouterTest, ServerBoundStreamRejectsClientBoundTypes) {
   RecordingHandler h;
@@ -495,6 +477,77 @@ TEST(ServiceDaemon, ClosedSessionDropsQueuedSubmissions) {
   daemon.shutdown();
   EXPECT_EQ(daemon.stats().accepted, 1u);
   EXPECT_EQ(daemon.stats().decisions, 1u);
+}
+
+// The session layer is the one duplicate classifier: a resent seq is never
+// admitted twice, and a seq refused for a full window goes through on retry.
+TEST(ServiceDaemon, ResentSeqGetsTheCachedDecisionAndAWindowRejectGoesThroughOnRetry) {
+  ServiceConfig cfg = small_config();
+  cfg.session_window = 1;
+  BaServiceDaemon daemon(std::move(cfg));
+  LoopbackTransport transport;
+  daemon.add_listener(transport.listener());
+  const std::unique_ptr<Connection> conn = transport.connect();
+
+  FrameDecoder dec;
+  std::vector<Frame> got;  // frames from the daemon not yet checked
+  auto send = [&](const Frame& f) { conn->send(encode_frame(f)); };
+  auto pump = [&] {
+    daemon.poll();
+    dec.feed(conn->recv());
+    while (auto f = dec.next()) got.push_back(std::move(*f));
+  };
+  // Steps the daemon until it has sent a frame, and returns that frame.
+  auto next_frame = [&]() -> Frame {
+    for (std::size_t round = 0; got.empty() && round < 10000; ++round) {
+      daemon.step();
+      pump();
+    }
+    if (got.empty()) return Frame{};
+    Frame f = std::move(got.front());
+    got.erase(got.begin());
+    return f;
+  };
+
+  send(make_hello());
+  pump();
+  const Frame ack = next_frame();
+  ASSERT_EQ(ack.type, FrameType::kHelloAck);
+  const std::uint64_t s = ack.session;
+
+  // Seq 2 lies beyond a window of one: rejected, not consumed.
+  send(make_submit(s, 1, true));
+  send(make_submit(s, 2, false));
+  pump();
+  const Frame reject = next_frame();
+  EXPECT_EQ(reject.type, FrameType::kReject);
+  EXPECT_EQ(reject.seq, 2u);
+  const Frame first = next_frame();
+  ASSERT_EQ(first.type, FrameType::kDecision);
+  EXPECT_EQ(first.seq, 1u);
+
+  // The retry of seq 2 is admitted and decided.
+  send(make_submit(s, 2, false));
+  pump();
+  const Frame second = next_frame();
+  ASSERT_EQ(second.type, FrameType::kDecision);
+  EXPECT_EQ(second.seq, 2u);
+  DecisionPayload d2;
+  ASSERT_TRUE(parse_decision(second.payload, d2));
+  EXPECT_FALSE(d2.value);
+
+  // Resending seq 1 replays its cached decision without a new instance.
+  send(make_submit(s, 1, true));
+  pump();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].type, FrameType::kDecision);
+  EXPECT_EQ(got[0].seq, 1u);
+  EXPECT_EQ(got[0].payload, first.payload);
+
+  EXPECT_EQ(daemon.stats().accepted, 2u);
+  EXPECT_EQ(daemon.stats().rejected_backpressure, 1u);
+  EXPECT_EQ(daemon.stats().duplicates, 1u);
+  daemon.shutdown();
 }
 
 // --- kStats snapshot --------------------------------------------------------

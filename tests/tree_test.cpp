@@ -302,11 +302,11 @@ class EvilDisseminator final : public Adversary {
                    Bytes evil)
       : tree_(std::move(tree)), corrupt_(std::move(corrupt)), evil_(std::move(evil)) {}
 
-  std::vector<Message> on_round(std::size_t round, const std::vector<Message>&,
-                                const std::vector<SendList>&) override {
+  SendList on_round(std::size_t round, const std::vector<Message>&,
+                    const std::vector<SendList>&) override {
     // Mirror DisseminationProto's schedule: at step k, members of level
     // h-k nodes forward; sends at step k arrive at k+1.
-    std::vector<Message> out;
+    SendList out;
     const std::size_t h = tree_->height();
     if (round >= h) return out;
     std::size_t level = h - round;
@@ -320,20 +320,16 @@ class EvilDisseminator final : public Adversary {
             w.u8(0);  // kStageCommittee
             w.u64(child);
             w.raw(evil_);
-            Bytes body = std::move(w).take();
-            for (PartyId p : tree_->node(child).committee) {
-              out.push_back(Message{member, p, tag_body(0, 0, body)});
-            }
+            out.send_all(member, tree_->node(child).committee,
+                         tag_body(0, 0, std::move(w).take()), MsgKind::kUnknown);
           }
         } else {
           Writer w;
           w.u8(1);  // kStageParty
           w.u64(id);
           w.raw(evil_);
-          Bytes body = std::move(w).take();
-          for (std::uint64_t v = node.vmin; v <= node.vmax; ++v) {
-            out.push_back(Message{member, tree_->owner_of_virtual(v), tag_body(0, 0, body)});
-          }
+          out.send_all(member, tree_->slot_owners(node), tag_body(0, 0, std::move(w).take()),
+                       MsgKind::kUnknown);
         }
       }
     }

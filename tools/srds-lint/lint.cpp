@@ -137,21 +137,6 @@ void check_d1(const std::string& path, const Lexed& lx, std::vector<Finding>& ou
   }
 }
 
-void check_b1(const std::string& path, const Lexed& lx, std::vector<Finding>& out) {
-  if (path_under(path, "src/net")) return;  // the simulator API layer itself
-  if (path == "src/common/message.hpp") return;  // the factory's own home
-  for (std::size_t i = 0; i + 1 < lx.toks.size(); ++i) {
-    const Tok& t = lx.toks[i];
-    if (t.kind != Tok::kIdent || t.text != "Message") continue;
-    const std::string& nxt = lx.toks[i + 1].text;
-    if (nxt == "{" || nxt == "(") {
-      add(out, path, t.line, "B1",
-          "raw Message construction outside src/net; use make_msg (common/message.hpp) "
-          "so the MsgKind tag and byte accounting stay explicit");
-    }
-  }
-}
-
 void check_s1(const std::string& path, const Lexed& lx, const Config& cfg,
               std::vector<Finding>& out) {
   struct Scope {
@@ -301,7 +286,6 @@ const char* severity_name(Severity s) {
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = {
       {"D1", "nondeterminism source in protocol code", Severity::kError},
-      {"B1", "raw Message construction outside the network layer", Severity::kError},
       {"S1", "serialize without matching deserialize / round-trip test", Severity::kError},
       {"H1", "header hygiene (#pragma once, no using-namespace)", Severity::kError},
       {"L1", "include edge violating the layers.toml module DAG", Severity::kError},
@@ -334,16 +318,14 @@ std::vector<Finding> lint_file(const std::string& raw_path, const std::string& c
   const std::string path = normalize_path(raw_path);
 
   // Per-file rules are protocol-code rules: they apply to src/ only. Files
-  // outside it (tests building adversarial raw Messages, bench drivers, the
-  // linter's own sources, whose doc comments *mention* markers) still join
-  // the scan set for the cross-TU L1 graph, but carry none of the per-file
-  // obligations.
+  // outside it (tests, bench drivers, the linter's own sources, whose doc
+  // comments *mention* markers) still join the scan set for the cross-TU L1
+  // graph, but carry none of the per-file obligations.
   if (!path_under(path, "src")) return {};
   const Lexed lx = lex(content);
 
   std::vector<Finding> raw;
   check_d1(path, lx, raw);
-  check_b1(path, lx, raw);
   check_s1(path, lx, cfg, raw);
   check_h1(path, lx, raw);
   check_t1(path, lx, raw);

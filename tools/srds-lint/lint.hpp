@@ -6,10 +6,6 @@
 //   * determinism — every protocol path must be a pure function of the run
 //     seed (the determinism guard in tests/trace_test.cpp checks one trace
 //     at runtime; rule D1 checks every path at the source level),
-//   * accounted communication — every byte a party emits must flow through
-//     the simulator's accounting channel with an explicit MsgKind tag, or
-//     the per-kind breakdowns behind the Table 1 comparison silently leak
-//     traffic into the untagged bucket (rule B1),
 //   * one-directional layering — protocol layers compose common -> crypto
 //     -> net -> {srds,tree,snark,lb} -> {consensus,ba,mpc} (the paper's
 //     Figures 1–2 composition); rule L1 checks every include edge against
@@ -35,9 +31,6 @@
 //       (time(), clock(), gettimeofday(), chrono::system_clock), and any
 //       unordered_map/unordered_set use inside src/ba, src/consensus,
 //       src/srds, src/tree (iteration order would leak into round order).
-//   B1  raw `Message` construction outside src/net: protocol code must use
-//       the make_msg factory (common/message.hpp) so the MsgKind tag is
-//       always an explicit, reviewed decision.
 //   S1  every type declaring `serialize` must declare a matching
 //       `deserialize` in the same type, and (when a test corpus is given)
 //       be referenced by at least one test (the round-trip coverage rule).
@@ -144,7 +137,7 @@ struct CallGraphStats {
 /// Lint a single file. `path` is the repo-relative logical path — rule
 /// scoping (protocol dirs, src/net, src/common/rng, header rules) is
 /// decided from it, so tests can present fixture content under any path.
-/// Runs the per-file rules only (D1/B1/S1/H1/T1/P1/A0), not L1. Per-file
+/// Runs the per-file rules only (D1/S1/H1/T1/P1/A0), not L1. Per-file
 /// rules are protocol-code rules: paths outside src/ get no findings (they
 /// still feed the L1 graph in lint_files).
 std::vector<Finding> lint_file(const std::string& path, const std::string& content,
