@@ -1,8 +1,8 @@
 // Micro-benchmarks for the observability plane's hot path:
 // ProfSite::record_ns (the record path under every PROF_SCOPE, alone and
 // with four threads on one site), Reporter::add_row, one simulator round
-// counted into a Ledger, and one nested message round trip through the
-// sub-protocol framing layers. Every benchmark reports allocs/op next to
+// counted into a Ledger, one locality query over a Ledger, and one nested
+// message round trip through the sub-protocol framing layers. Every benchmark reports allocs/op next to
 // ns/op via the counting operator new in micro_main.hpp: the record path
 // must stay at 0.
 #include <benchmark/benchmark.h>
@@ -15,6 +15,7 @@
 #include "micro_main.hpp"
 #include "net/parallel.hpp"
 #include "net/simulator.hpp"
+#include "net/stats.hpp"
 #include "net/subproto.hpp"
 #include "obs/ledger.hpp"
 #include "obs/prof.hpp"
@@ -108,6 +109,37 @@ void BM_SimRoundAccounting(benchmark::State& state) {
   benchmark::DoNotOptimize(ledger.total(0).msgs_sent);
 }
 BENCHMARK(BM_SimRoundAccounting);
+
+// One whole-run locality query at n = 1024, as every run's end makes it
+// through NetworkStats::of. Even parties send to 64 peers in each of two
+// phases, so their sets are bitmaps; odd parties send to 4, so theirs stay
+// sorted lists, and every fourth party sends only in the first phase, so
+// its single list is read without a union. The query allocates its result
+// vectors and one union accumulator, none per party: allocs_per_op is
+// fixed whatever the mix.
+void BM_LedgerLocality(benchmark::State& state) {
+  constexpr std::size_t kN = 1024;
+  obs::Ledger ledger;
+  ledger.on_run_begin(kN);
+  ledger.on_phase(0, "a");
+  ledger.on_phase(1, "b");
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (PartyId i = 0; i < kN; ++i) {
+      if (r == 1 && i % 4 == 3) continue;
+      const std::size_t peers = i % 2 == 0 ? 64 : 4;
+      for (std::size_t k = 0; k < peers; ++k) {
+        const auto to = static_cast<PartyId>((i + 1 + 7 * k + r) % kN);
+        ledger.on_send(r, Message{i, to, Payload(), MsgKind::kUnknown});
+      }
+    }
+    ledger.on_round_end(r);
+  }
+  ledger.on_run_end(2);
+  const std::uint64_t a0 = bench::alloc_ops();
+  for (auto _ : state) benchmark::DoNotOptimize(NetworkStats::of(ledger).max_locality());
+  bench::report_allocs(state, a0);
+}
+BENCHMARK(BM_LedgerLocality);
 
 /// Leaf of the framing round trip: counts the bodies it is handed and, if it
 /// has peers, sends them one block-B-sized body every step.

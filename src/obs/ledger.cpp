@@ -1,20 +1,45 @@
 #include "obs/ledger.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace srds::obs {
+
+namespace {
+
+void set_bit(std::vector<PartyId>& words, PartyId p) { words[p / 32] |= 1u << (p % 32); }
+
+std::size_t count_bits(const std::vector<PartyId>& words) {
+  std::size_t count = 0;
+  for (PartyId w : words) count += static_cast<std::size_t>(std::popcount(w));
+  return count;
+}
+
+}  // namespace
 
 void Ledger::on_run_begin(std::size_t n_parties) {
   seal_peers();
   const bool carry = accumulate_ && n_ == n_parties && !totals_.empty();
   n_ = n_parties;
   if (carry) {
-    // Peers accumulate like totals: fold the previous run's phase lists
-    // into the carried ones before the phases restart.
-    std::vector<PartyId> buf;
+    // Peers accumulate like totals: fold the previous run's phase sets
+    // into the carried ones before the phases restart, each kept in the
+    // smaller form.
+    std::vector<PartyId> acc(bitmap_words(), 0);
     for (PartyId i = 0; i < n_; ++i) {
-      gather_peers(i, 0, phases_.size(), true, buf);
-      carried_peers_[i].swap(buf);
+      for_each_set(i, 0, phases_.size(), true, [&](const PeerList& l) { or_into(acc, l); });
+      PeerList& carried = carried_peers_[i];
+      carried.dense = count_bits(acc) > acc.size();
+      if (carried.dense) {
+        carried.ids = acc;
+      } else {
+        carried.ids.clear();
+        for (PartyId p = 0; p < n_; ++p) {
+          if ((acc[p / 32] >> (p % 32)) & 1u) carried.ids.push_back(p);
+        }
+        carried.sealed = static_cast<std::uint32_t>(carried.ids.size());
+      }
+      std::fill(acc.begin(), acc.end(), 0);
     }
   } else {
     totals_.assign(n_, PartyTally{});
@@ -78,19 +103,40 @@ void Ledger::advance_phase(std::size_t round) {
 }
 
 void Ledger::add_peer(PartyId self, PartyId peer) {
+  if (peer >= n_) return;
   PeerList& l = phases_[cur_phase_].peers[self];
+  if (l.dense) {
+    set_bit(l.ids, peer);
+    return;
+  }
   const auto sealed_end = l.ids.begin() + static_cast<std::ptrdiff_t>(l.sealed);
   // Known peers (the common case once a party's neighbourhood is settled)
   // cost a binary search and no write.
   if (std::binary_search(l.ids.begin(), sealed_end, peer)) return;
   if (l.ids.size() > l.sealed && l.ids.back() == peer) return;  // same peer again
+  if (l.ids.size() == bitmap_words()) {
+    // One more id and the list would outgrow the bitmap.
+    make_dense(l);
+    set_bit(l.ids, peer);
+    return;
+  }
   if (l.ids.size() == l.sealed) dirty_.push_back(self);
   l.ids.push_back(peer);
 }
 
+void Ledger::make_dense(PeerList& list) {
+  merge_buf_.assign(list.ids.begin(), list.ids.end());
+  list.ids.assign(bitmap_words(), 0);
+  for (PartyId p : merge_buf_) set_bit(list.ids, p);
+  list.dense = true;
+}
+
 void Ledger::seal_peers() {
   if (dirty_.empty()) return;
-  for (PartyId i : dirty_) seal(phases_[cur_phase_].peers[i]);
+  for (PartyId i : dirty_) {
+    PeerList& l = phases_[cur_phase_].peers[i];
+    if (!l.dense) seal(l);
+  }
   dirty_.clear();
 }
 
@@ -109,7 +155,7 @@ void Ledger::seal(PeerList& list) {
       ids[--w] = (i > 0 && ids[i - 1] > merge_buf_[j - 1]) ? ids[--i] : merge_buf_[--j];
     }
   }
-  list.sealed = ids.size();
+  list.sealed = static_cast<std::uint32_t>(ids.size());
 }
 
 // srds-lint: hotpath(Ledger::on_send) — one call per accepted send; indexes preallocated
@@ -172,38 +218,44 @@ void Ledger::on_run_end(std::size_t rounds) {
   rounds_run_ = std::max(rounds_run_, rounds);
 }
 
-void Ledger::gather_peers(PartyId i, std::size_t first_phase, std::size_t last_phase,
-                          bool with_carried, std::vector<PartyId>& out) const {
-  out.clear();
-  std::size_t lists = 0;  // non-empty lists gathered
-  bool sealed = true;     // all of them sorted and duplicate-free
-  auto take = [&](const std::vector<PartyId>& ids, std::size_t sorted_len) {
-    if (ids.empty()) return;
-    ++lists;
-    sealed = sealed && sorted_len == ids.size();
-    out.insert(out.end(), ids.begin(), ids.end());
-  };
-  if (with_carried && i < carried_peers_.size()) {
-    take(carried_peers_[i], carried_peers_[i].size());
-  }
+template <typename Fn>
+void Ledger::for_each_set(PartyId i, std::size_t first_phase, std::size_t last_phase,
+                          bool with_carried, Fn&& fn) const {
+  if (with_carried && i < carried_peers_.size()) fn(carried_peers_[i]);
   for (std::size_t p = first_phase; p < std::min(last_phase, phases_.size()); ++p) {
-    if (i < phases_[p].peers.size()) {
-      take(phases_[p].peers[i].ids, phases_[p].peers[i].sealed);
-    }
+    if (i < phases_[p].peers.size()) fn(phases_[p].peers[i]);
   }
-  if (lists > 1 || !sealed) {
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+void Ledger::or_into(std::vector<PartyId>& acc, const PeerList& list) {
+  if (list.dense) {
+    for (std::size_t w = 0; w < acc.size(); ++w) acc[w] |= list.ids[w];
+  } else {
+    for (PartyId p : list.ids) set_bit(acc, p);
   }
 }
 
 std::vector<std::size_t> Ledger::union_sizes(std::size_t first_phase, std::size_t last_phase,
                                              bool with_carried) const {
   std::vector<std::size_t> sizes(n_, 0);
-  std::vector<PartyId> buf;
+  std::vector<PartyId> acc(bitmap_words(), 0);
   for (PartyId i = 0; i < n_; ++i) {
-    gather_peers(i, first_phase, last_phase, with_carried, buf);
-    sizes[i] = buf.size();
+    const PeerList* only = nullptr;  // the one non-empty set, if just one
+    std::size_t sets = 0;
+    for_each_set(i, first_phase, last_phase, with_carried, [&](const PeerList& l) {
+      if (l.ids.empty()) return;
+      ++sets;
+      only = &l;
+    });
+    if (sets == 0) continue;
+    if (sets == 1 && !only->dense && only->sealed == only->ids.size()) {
+      sizes[i] = only->ids.size();
+      continue;
+    }
+    for_each_set(i, first_phase, last_phase, with_carried,
+                 [&](const PeerList& l) { or_into(acc, l); });
+    sizes[i] = count_bits(acc);
+    std::fill(acc.begin(), acc.end(), 0);
   }
   return sizes;
 }

@@ -21,19 +21,27 @@
 // so a delayed message's late receive is charged to its arrival round.
 //
 // Locality (the number of distinct peers a party exchanged messages with,
-// either direction) is kept as one merged peer list per party per phase:
-// on_send appends the receiver to the sender's list, a charged delivery
-// appends the sender to the receiver's list unless a binary search finds
-// it already there, and each round's additions are sorted, deduplicated and
-// merged in at on_round_end. Whole-run locality is the union
-// over phases, computed at query time.
+// either direction) is kept as one peer set per party per phase, in the
+// smaller of two forms. A set starts as a sparse list: on_send appends the
+// receiver to the sender's list, a charged delivery appends the sender to
+// the receiver's list unless a binary search finds it already there, and
+// each round's additions are sorted, deduplicated and merged in at
+// on_round_end. The moment a list would hold more ids than an n-bit bitmap
+// has 32-bit words (k > ceil(n/32), where the bitmap becomes the smaller
+// form), the addition rewrites it in place as that bitmap; from then on an
+// event sets one bit and the round-end merge skips the set. The rule depends
+// on n alone. Whole-run locality is the union over phases, computed at query
+// time by OR-ing a party's sets into one n-bit accumulator and counting its
+// bits; a party with a single sealed sparse list reports its length.
 //
 // The per-event paths are allocation-free apart from amortized vector
 // growth: tallies are sized at on_run_begin / on_phase / the first event of
 // a round, and on_send / on_delivery only index into them and append to
-// the peer lists (srds-lint rule P1 checks the markers in ledger.cpp).
+// the peer lists; the switch to a bitmap reuses the list's own buffer
+// (srds-lint rule P1 checks the markers in ledger.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -161,13 +169,17 @@ class Ledger final : public TraceSink {
   void clear() { *this = Ledger{}; }
 
  private:
-  /// One party's peers in one phase: ids[0, sealed) is sorted and
-  /// duplicate-free; ids[sealed, end) are this round's unsorted additions,
-  /// none of them in the sorted prefix.
+  /// One party's peers in one phase (or, in carried_peers_, earlier runs).
+  /// Sparse: ids[0, sealed) is sorted and duplicate-free; ids[sealed, end)
+  /// are this round's unsorted additions, none of them in the sorted prefix.
+  /// Dense: ids holds bitmap_words() words, bit (p % 32) of word p / 32 set
+  /// for each peer p, and sealed is unused.
   struct PeerList {
     std::vector<PartyId> ids;
-    std::size_t sealed = 0;
+    std::uint32_t sealed = 0;
+    bool dense = false;
   };
+  static_assert(sizeof(PeerList) <= sizeof(std::vector<PartyId>) + sizeof(std::size_t));
 
   struct Phase {
     std::string name;
@@ -177,15 +189,22 @@ class Ledger final : public TraceSink {
   };
 
   void advance_phase(std::size_t round);
+  /// Words of an n-bit bitmap: the most ids a sparse list holds.
+  std::size_t bitmap_words() const { return (n_ + 31) / 32; }
   void add_peer(PartyId self, PartyId peer);
+  /// Rewrite a full sparse list as a bitmap, in its own buffer.
+  void make_dense(PeerList& list);
   /// Fold the current phase's unsealed peer additions into the sorted
   /// prefixes (the round-end step; also run before the phase changes).
   void seal_peers();
   void seal(PeerList& list);
-  /// Party i's distinct peers over phases [first_phase, last_phase) (and
-  /// earlier accumulated runs with `with_carried`), sorted into `out`.
-  void gather_peers(PartyId i, std::size_t first_phase, std::size_t last_phase,
-                    bool with_carried, std::vector<PartyId>& out) const;
+  /// Calls fn on party i's peer sets over phases [first_phase, last_phase),
+  /// preceded by its carried set from earlier runs with `with_carried`.
+  template <typename Fn>
+  void for_each_set(PartyId i, std::size_t first_phase, std::size_t last_phase,
+                    bool with_carried, Fn&& fn) const;
+  /// OR one peer set into a bitmap of bitmap_words() words.
+  static void or_into(std::vector<PartyId>& acc, const PeerList& list);
   std::vector<std::size_t> union_sizes(std::size_t first_phase, std::size_t last_phase,
                                        bool with_carried) const;
   PartyStat stat_of(const std::vector<PartyTally>& tallies, LedgerField field,
@@ -194,9 +213,9 @@ class Ledger final : public TraceSink {
   std::size_t n_ = 0;
   std::size_t rounds_run_ = 0;
   bool accumulate_ = false;
-  // Tallies (accumulate mode included) are owned by the simulator loop that
-  // feeds the sink; per-worker ledgers merge after the join in a sharded
-  // run.
+  // Everything below (accumulate mode included) is written only by the
+  // simulator's coordinator thread, which delivers every message into this
+  // one Ledger; the workers that step parties never reach it.
   std::vector<PartyTally> totals_;
   // Sorted by start round.
   std::vector<Phase> phases_;
@@ -209,8 +228,9 @@ class Ledger final : public TraceSink {
   std::vector<PartyTally> round_totals_;
   // Parties whose current-phase peer list has unsealed additions.
   std::vector<PartyId> dirty_;
-  // Accumulate mode: each party's sorted peers from earlier runs.
-  std::vector<std::vector<PartyId>> carried_peers_;
+  // Accumulate mode: each party's sealed peer set from earlier runs.
+  std::vector<PeerList> carried_peers_;
+  // Scratch for seal's merge and make_dense's copy.
   std::vector<PartyId> merge_buf_;
 };
 

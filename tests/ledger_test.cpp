@@ -1,12 +1,20 @@
 // Tests for the per-party accounting plane (obs/ledger.hpp) and the
 // complexity-budget auditor (obs/budget.hpp). The ledger is driven here
 // through raw TraceSink events with hand-picked payloads, so every charge
-// is known exactly; the pinned seeded π_BA run and its per-round rows
-// live in tests/trace_test.cpp, and the brute-force locality, tally and
-// per-round oracle under faults in tests/net_stats_test.cpp.
+// is known exactly, and with randomized send and delivery streams whose
+// locality, in both peer-set forms, is checked against brute-force std::set
+// books; the pinned seeded π_BA run and its per-round rows live in
+// tests/trace_test.cpp, and the brute-force locality, tally and per-round
+// oracle for a simulator run under faults in tests/net_stats_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/message.hpp"
@@ -164,6 +172,247 @@ TEST(Ledger, AccumulateModeCarriesTotalsAcrossRuns) {
   // A different n cannot accumulate: the ledger resets.
   led.on_run_begin(3);
   EXPECT_EQ(led.total(0).bytes_sent, 0u);
+}
+
+// ---- Locality in both peer-set forms against brute-force std::set books ----
+
+/// One std::set of peers per party per phase (keyed by phase name, as the
+/// ledger's indices shift when a mark is inserted), plus the sets carried
+/// from earlier runs in accumulate mode. Phases follow the ledger's rules:
+/// an implicit "pre" at round 0, marks kept across runs, and an event
+/// charged to the last mark starting at or before its round.
+class LocalityOracle {
+ public:
+  void run_begin(std::size_t n, bool carry) {
+    if (carry) {
+      for (const auto& [name, sets] : sets_) {
+        for (PartyId i = 0; i < n; ++i) carried_[i].insert(sets[i].begin(), sets[i].end());
+      }
+    } else {
+      carried_.assign(n, {});
+    }
+    n_ = n;
+    if (marks_.empty() || marks_.front().first > 0) marks_.insert(marks_.begin(), {0, "pre"});
+    sets_.clear();
+  }
+
+  void phase(std::size_t start, const std::string& name) {
+    for (const auto& m : marks_) {
+      if (m.first == start && m.second == name) return;
+    }
+    auto pos = std::upper_bound(marks_.begin(), marks_.end(), start,
+                                [](std::size_t r, const auto& m) { return r < m.first; });
+    marks_.insert(pos, {start, name});
+  }
+
+  void add(std::size_t round, PartyId self, PartyId peer) {
+    auto& sets = sets_[phase_at(round)];
+    sets.resize(n_);
+    sets[self].insert(peer);
+  }
+
+  const std::string& phase_at(std::size_t round) const {
+    const std::string* name = &marks_.front().second;
+    for (const auto& m : marks_) {
+      if (m.first <= round) name = &m.second;
+    }
+    return *name;
+  }
+
+  std::size_t phase_size(const std::string& name, PartyId i) const {
+    auto it = sets_.find(name);
+    return it == sets_.end() || it->second.empty() ? 0 : it->second[i].size();
+  }
+
+  /// |carried ∪ the named phases| for party i.
+  std::size_t union_size(const std::vector<std::string>& names, bool with_carried,
+                         PartyId i) const {
+    std::set<PartyId> u;
+    if (with_carried) u = carried_[i];
+    for (const std::string& name : names) {
+      auto it = sets_.find(name);
+      if (it != sets_.end() && !it->second.empty()) {
+        u.insert(it->second[i].begin(), it->second[i].end());
+      }
+    }
+    return u.size();
+  }
+
+  std::size_t mark_count() const { return marks_.size(); }
+  /// Non-empty current-run sets, split at the bitmap's word count.
+  void count_forms(std::size_t words, std::size_t& sparse, std::size_t& dense) const {
+    for (const auto& [name, sets] : sets_) {
+      for (const auto& s : sets) {
+        if (s.size() > words) {
+          ++dense;
+        } else if (!s.empty()) {
+          ++sparse;
+        }
+      }
+    }
+  }
+
+ private:
+  std::size_t n_ = 0;
+  std::vector<std::pair<std::size_t, std::string>> marks_;
+  std::map<std::string, std::vector<std::set<PartyId>>> sets_;
+  std::vector<std::set<PartyId>> carried_;
+};
+
+void expect_locality_matches(const Ledger& led, const LocalityOracle& oracle) {
+  const std::size_t n = led.n_parties();
+  ASSERT_EQ(led.phase_count(), oracle.mark_count());
+  std::vector<std::string> names;
+  for (std::size_t p = 0; p < led.phase_count(); ++p) names.push_back(led.phase_name(p));
+
+  const std::vector<std::size_t> whole = led.locality();
+  ASSERT_EQ(whole.size(), n);
+  for (PartyId i = 0; i < n; ++i) {
+    ASSERT_EQ(whole[i], oracle.union_size(names, true, i)) << "whole run, party " << i;
+  }
+  for (std::size_t p = 0; p < names.size(); ++p) {
+    const std::vector<std::size_t> one = led.locality(p, p + 1);
+    for (PartyId i = 0; i < n; ++i) {
+      ASSERT_EQ(one[i], oracle.phase_size(names[p], i)) << names[p] << ", party " << i;
+    }
+  }
+  // Every phase but the first, which leaves out "pre".
+  const std::vector<std::size_t> range = led.locality(1, names.size());
+  const std::vector<std::string> tail(names.begin() + 1, names.end());
+  for (PartyId i = 0; i < n; ++i) {
+    ASSERT_EQ(range[i], oracle.union_size(tail, false, i)) << "phases [1, end), party " << i;
+  }
+}
+
+/// Feeds one run of randomized traffic into a ledger and its oracle, then
+/// returns how many phase sets went from sparse (1..words peers) to dense
+/// within one round. Parties fall in four classes by id % 4: class 0 sends
+/// to 8 random members of its class each round, so its longer phases
+/// outgrow the bitmap; class 1 sends to words / 4 + 1, so its sets cross the
+/// limit partway through a phase's second or third round; classes 2 and 3
+/// talk only to a fixed partner and stay sparse. One delivery in ten is not
+/// charged (dropped, partitioned, offline), one in twenty is delayed and
+/// charged as late a round or two on. Halfway through the run a "mid" mark
+/// is registered in the middle of the current round, with a "late" one
+/// ahead of it, and the books are compared at that round's end, before its
+/// additions are sealed.
+std::size_t feed_run(Ledger& led, LocalityOracle& oracle, std::size_t n, std::uint64_t seed,
+                     bool carry) {
+  constexpr std::size_t kRounds = 10, kMidRound = 5;
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::size_t k) { return static_cast<std::size_t>(rng() % k); };
+  auto mark = [&](std::size_t start, const std::string& name) {
+    led.on_phase(start, name);
+    oracle.phase(start, name);
+  };
+  const std::size_t words = (n + 31) / 32;
+  led.on_run_begin(n);
+  oracle.run_begin(n, carry);
+  mark(0, "a");
+  mark(4, "b");
+
+  auto deliver = [&](std::size_t r, PartyId from, PartyId to, Delivery outcome) {
+    led.on_delivery(r, msg(from, to, 1), outcome);
+    if (outcome == Delivery::kDelivered || outcome == Delivery::kDuplicated ||
+        outcome == Delivery::kLate) {
+      oracle.add(r, to, from);
+    }
+  };
+  // A random member of i's class other than i.
+  auto classmate = [&](PartyId i) {
+    const std::size_t members = (n - i % 4 + 3) / 4;
+    PartyId p = i;
+    while (p == i) p = static_cast<PartyId>(i % 4 + 4 * pick(members));
+    return p;
+  };
+  std::size_t crossings = 0;
+  std::vector<std::pair<std::size_t, Message>> delayed;  // (arrival round, message)
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    std::vector<std::pair<PartyId, PartyId>> sends;
+    for (PartyId i = 0; i < n; ++i) {
+      const std::size_t fanout = i % 4 == 0 ? 8 : i % 4 == 1 ? words / 4 + 1 : pick(2);
+      for (std::size_t k = 0; k < fanout; ++k) {
+        const PartyId to = i % 4 >= 2 ? (i ^ 1u) : classmate(i);
+        if (to < n) sends.emplace_back(i, to);
+      }
+    }
+    std::shuffle(sends.begin(), sends.end(), rng);
+
+    const std::string phase = oracle.phase_at(r);
+    std::vector<std::size_t> before(n);
+    for (PartyId i = 0; i < n; ++i) before[i] = oracle.phase_size(phase, i);
+    for (auto it = delayed.begin(); it != delayed.end();) {
+      if (it->first != r) {
+        ++it;
+        continue;
+      }
+      deliver(r, it->second.from, it->second.to, Delivery::kLate);
+      it = delayed.erase(it);
+    }
+    for (std::size_t s = 0; s < sends.size(); ++s) {
+      if (r == kMidRound && s == sends.size() / 2) {
+        mark(r, "mid");  // re-anchors the round in flight
+        mark(r + 2, "late");
+      }
+      const auto [from, to] = sends[s];
+      led.on_send(r, msg(from, to, 1));
+      oracle.add(r, from, to);
+      switch (pick(20)) {
+        case 0: deliver(r, from, to, Delivery::kDropped); break;
+        case 1: deliver(r, from, to, Delivery::kPartitioned); break;
+        case 2: deliver(r, from, to, Delivery::kOffline); break;
+        case 3:
+          deliver(r, from, to, Delivery::kDelayed);
+          delayed.emplace_back(r + 1 + pick(2), msg(from, to, 1));
+          break;
+        case 4:
+          deliver(r, from, to, Delivery::kDelivered);
+          deliver(r, from, to, Delivery::kDuplicated);
+          break;
+        default: deliver(r, from, to, Delivery::kDelivered); break;
+      }
+    }
+    for (PartyId i = 0; i < n && oracle.phase_at(r) == phase; ++i) {
+      if (before[i] >= 1 && before[i] <= words && oracle.phase_size(phase, i) > words) {
+        ++crossings;
+      }
+    }
+    if (r == kMidRound) expect_locality_matches(led, oracle);
+    led.on_round_end(r);
+  }
+  led.on_run_end(kRounds);
+  return crossings;
+}
+
+constexpr std::size_t kOracleSizes[] = {40, 64, 200, 1024};
+
+TEST(LedgerLocality, BothPeerSetFormsMatchBruteForceOracle) {
+  for (std::size_t n : kOracleSizes) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Ledger led;
+    LocalityOracle oracle;
+    const std::size_t crossings = feed_run(led, oracle, n, 7 + n, false);
+    expect_locality_matches(led, oracle);
+    std::size_t sparse = 0, dense = 0;
+    oracle.count_forms((n + 31) / 32, sparse, dense);
+    EXPECT_GT(sparse, 0u);
+    EXPECT_GT(dense, 0u);
+    EXPECT_GT(crossings, 0u);
+  }
+}
+
+TEST(LedgerLocality, AccumulateModeMatchesOracleAcrossRuns) {
+  for (std::size_t n : kOracleSizes) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    Ledger led;
+    led.set_accumulate(true);
+    LocalityOracle oracle;
+    feed_run(led, oracle, n, 11 + n, false);
+    expect_locality_matches(led, oracle);
+    // The second run carries the first one's sets, dense and sparse.
+    feed_run(led, oracle, n, 13 + n, true);
+    expect_locality_matches(led, oracle);
+  }
 }
 
 TEST(Budget, BoundBitsMath) {
